@@ -29,14 +29,7 @@ from .files import (
     parse_report,
     region_csv,
 )
-from .markov import (
-    ConditionalRatio,
-    MarkovPair,
-    concatenate,
-    estimate_markov_tv,
-    kernel_conditional_ratio,
-    markov_lower_bound,
-)
+from .markov import MarkovPair, estimate_markov_tv, markov_lower_bound
 from .oracle import (
     brute_force_tv_markov,
     brute_force_tv_product,
@@ -52,13 +45,11 @@ from .product import (
 from .ratios import (
     VALIDITY_TOL,
     DiscreteDist,
-    ExtendedRatioDist,
     MassPoint,
     NPBoundary,
     RatioDist,
-    alternative_ratio,
+    concatenate,
     expectation,
-    indp_product,
     np_boundary,
     ratio_of,
     tv_discrete,
@@ -66,9 +57,7 @@ from .ratios import (
 )
 from .sparsify import (
     IntervalPartition,
-    Side,
     build_partition,
-    locate_interval,
     sparsify,
     sparsify_wrt_intervals,
 )
@@ -76,11 +65,9 @@ from .sparsify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionalRatio",
     "DimensionError",
     "DiscreteDist",
     "EstimateReport",
-    "ExtendedRatioDist",
     "InstanceFile",
     "IntervalPartition",
     "MarkovPair",
@@ -91,12 +78,10 @@ __all__ = [
     "ProductPair",
     "RatioDist",
     "ReportFile",
-    "Side",
     "SizeError",
     "TVDistError",
     "VALIDITY_TOL",
     "ValidityError",
-    "alternative_ratio",
     "brute_force_tv_markov",
     "brute_force_tv_product",
     "build_partition",
@@ -112,10 +97,7 @@ __all__ = [
     "generate_instance",
     "generate_markov_instance",
     "generate_product_instance",
-    "indp_product",
     "instance_digest",
-    "kernel_conditional_ratio",
-    "locate_interval",
     "markov_lower_bound",
     "np_boundary",
     "parse_instance",

@@ -87,7 +87,8 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError(f"unknown kind {kind!r}, expected one of {KINDS}")
     n = _require(doc, "n")
     q = _require(doc, "q")
-    if not (isinstance(n, int) and isinstance(q, int) and n >= 1 and q >= 1):
+    # type() rather than isinstance(): JSON true and false parse to bool, an int subclass
+    if not (type(n) is int and type(q) is int and n >= 1 and q >= 1):
         raise ParseError(f"n and q must be positive integers, got n={n!r}, q={q!r}")
     if kind == "product":
         p = _normalized_rows(_require(doc, "p"), "p", q)

@@ -1,32 +1,22 @@
 """Deterministic relative-error estimator for n-step Markov chains.
 
-Works backwards from the last step, maintaining one ratio table per
-conditioning state.  Each round sparsifies the per-state tables and then
-concatenates them with the preceding transition rows; the final round mixes
-against the initial distributions, yielding the trajectory-level ratio.
+Works backwards from the last step through the shared fold
+(`ratios._fold`), keeping one ratio table per conditioning state.  Each
+step sparsifies the per-state tables and then concatenates them with the
+preceding transition rows; the final step mixes against the initial
+distributions, yielding the trajectory-level ratio.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidityError
-from .product import EstimateReport, _validate_rows
-from .ratios import (
-    DiscreteDist,
-    RatioDist,
-    _combine_sorted,
-    _dist,
-    _ratio_from_arrays,
-    ratio_of,
-    tv_discrete,
-    tv_of_ratio,
-)
-from .sparsify import _prune_negligible, build_partition, sparsify_wrt_intervals
+from .errors import DimensionError
+from .product import _estimate, _validate_rows
+from .ratios import DiscreteDist, tv_discrete
+from .ratios import concatenate  # noqa: F401  -- public here too: a chain step is one concatenation
 
 
 @dataclass(frozen=True)
@@ -51,10 +41,12 @@ class MarkovPair:
         q = p_init.size
         if q_init.size != q:
             raise DimensionError(f"initial distributions differ in length: {q} vs {q_init.size}")
-        pk = np.asarray(self.p_kernels, dtype=np.float64).reshape(-1, q, q)
-        qk = np.asarray(self.q_kernels, dtype=np.float64).reshape(-1, q, q)
-        if pk.shape != qk.shape:
-            raise DimensionError(f"kernel shapes differ: {pk.shape} vs {qk.shape}")
+        pk = np.asarray(self.p_kernels, dtype=np.float64)
+        qk = np.asarray(self.q_kernels, dtype=np.float64)
+        if pk.ndim != 3 or pk.shape[1:] != (q, q) or pk.shape != qk.shape:
+            raise DimensionError(
+                f"kernels must both have shape (n-1, {q}, {q}), got {pk.shape} and {qk.shape}"
+            )
         for step in range(pk.shape[0]):
             _validate_rows(pk[step], f"p_kernels[{step}]")
             _validate_rows(qk[step], f"q_kernels[{step}]")
@@ -70,56 +62,10 @@ class MarkovPair:
         return self.p_init.size
 
 
-@dataclass(frozen=True)
-class ConditionalRatio:
-    """One ratio table per conditioning state: a kernel into ratio values."""
-
-    per_state: tuple[RatioDist, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_state", tuple(self.per_state))
-        if not self.per_state:
-            raise ValidityError("conditional ratio needs at least one state")
-        if not all(isinstance(r, RatioDist) for r in self.per_state):
-            raise ValidityError("per-state entries must be ratio tables")
-
-    def __len__(self) -> int:
-        return len(self.per_state)
-
-
-def kernel_conditional_ratio(pk: np.ndarray, qk: np.ndarray) -> ConditionalRatio:
-    """Row-wise ratio of two aligned transition kernels."""
-    pk = _validate_rows(pk, "pk")
-    qk = _validate_rows(qk, "qk")
-    if pk.shape != qk.shape:
-        raise DimensionError(f"kernel shapes differ: {pk.shape} vs {qk.shape}")
-    return ConditionalRatio(tuple(_ratio_from_arrays(pk[x], qk[x]) for x in range(pk.shape[0])))
-
-
-def concatenate(px, qx, cond: ConditionalRatio) -> RatioDist:
-    """Ratio of the joint (first coordinate, rest) given per-state ratios.
-
-    Mixture over states x with weight qx[x] of cond[x] scaled by px[x]/qx[x]:
-    the joint likelihood ratio factorizes into the first-coordinate ratio
-    times the conditional one.  States with qx[x] = 0 contribute nothing and
-    are skipped outright, so their tables never touch the result.
-    """
-    px, qx = _dist(px), _dist(qx)
-    if len(px) != len(qx):
-        raise DimensionError(f"state spaces differ: {len(px)} vs {len(qx)}")
-    if len(cond) != len(qx):
-        raise DimensionError(f"conditional ratio has {len(cond)} states, expected {len(qx)}")
-    chunks_v = []
-    chunks_m = []
-    for x in np.flatnonzero(qx.masses > 0):
-        r = cond.per_state[x]
-        scale = px.masses[x] / qx.masses[x]
-        chunks_v.append(scale * r.values)
-        chunks_m.append(qx.masses[x] * r.masses)
-    values = np.concatenate(chunks_v)
-    masses = np.concatenate(chunks_m)
-    order = np.argsort(values, kind="stable")
-    return _combine_sorted(values[order], masses[order])
+def _steps(pair: MarkovPair) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The fold's steps: kernels from the last back to the first, then the start."""
+    kernels = [(pair.p_kernels[k], pair.q_kernels[k]) for k in reversed(range(pair.n - 1))]
+    return kernels + [(pair.p_init[None, :], pair.q_init[None, :])]
 
 
 def markov_lower_bound(pair: MarkovPair) -> float:
@@ -144,53 +90,7 @@ def estimate_markov_tv(pair: MarkovPair, eps: float, *, return_ratio: bool = Fal
     """Estimate the trajectory-distribution distance with relative error eps.
 
     Returns an EstimateReport whose estimate lies in
-    [(1 - eps) * true distance, true distance].  A zero lower bound forces
-    the true distance to zero (it is at most 2n times the bound), so that
-    case returns 0 outright.
+    [(1 - eps) * true distance, true distance].  The true distance is at
+    most 2n times the lower bound.
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and 0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps!r}")
-    start = time.perf_counter()
-    n, q = pair.n, pair.q
-    d_lb = markov_lower_bound(pair)
-    iterations = 0
-    if n == 1:
-        estimate = tv_discrete(pair.p_init, pair.q_init)
-        ratio = ratio_of(DiscreteDist(pair.p_init), DiscreteDist(pair.q_init))
-        max_support = len(ratio)
-    elif d_lb == 0.0:
-        estimate = 0.0
-        ratio = RatioDist(np.array([1.0]), np.array([1.0]))
-        max_support = len(ratio)
-    else:
-        part = build_partition(eps / (4 * n), (eps / (2 * n)) * d_lb)
-        cond = kernel_conditional_ratio(pair.p_kernels[n - 2], pair.q_kernels[n - 2])
-        max_support = max(len(r) for r in cond.per_state)
-        for k in range(n - 1, 0, -1):
-            tilde = ConditionalRatio(
-                tuple(_prune_negligible(sparsify_wrt_intervals(r, part)) for r in cond.per_state)
-            )
-            iterations += 1
-            if k > 1:
-                pk = pair.p_kernels[k - 2]
-                qk = pair.q_kernels[k - 2]
-                cond = ConditionalRatio(
-                    tuple(
-                        concatenate(DiscreteDist(pk[x]), DiscreteDist(qk[x]), tilde)
-                        for x in range(q)
-                    )
-                )
-                max_support = max(max_support, max(len(r) for r in cond.per_state))
-            else:
-                ratio = concatenate(DiscreteDist(pair.p_init), DiscreteDist(pair.q_init), tilde)
-                max_support = max(max_support, len(ratio))
-        estimate = tv_of_ratio(ratio)
-    report = EstimateReport(
-        estimate=estimate,
-        epsilon=float(eps),
-        d_lb=d_lb,
-        max_support=max_support,
-        iterations=iterations,
-        elapsed=time.perf_counter() - start,
-    )
-    return (report, ratio) if return_ratio else report
+    return _estimate(pair, eps, markov_lower_bound, _steps(pair), 4, return_ratio)

@@ -1,9 +1,10 @@
 """Exact reference implementations used to validate the estimators.
 
 Brute force enumerates the whole sample space in lexicographic order; the
-exact pipelines run the estimators' table recursions with the merging step
-removed.  Both are capped: past the caps the problem is genuinely out of
-reach for exact methods.
+exact pipelines run the estimators' fold (`ratios._fold`) over the same
+steps with a reducer that merges nothing and only guards the table size.
+Both are capped: past the caps the problem is genuinely out of reach for
+exact methods.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeError
-from .markov import ConditionalRatio, MarkovPair, concatenate, kernel_conditional_ratio
+from .markov import MarkovPair
+from .markov import _steps as _chain_steps
 from .product import ProductPair
-from .ratios import DiscreteDist, RatioDist, indp_product, ratio_of
+from .product import _steps as _product_steps
+from .ratios import RatioDist, _fold
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -47,6 +50,19 @@ def brute_force_tv_markov(pair: MarkovPair, *, cap: int = DEFAULT_ENUMERATION_CA
     return 0.5 * float(np.sum(np.abs(vp - vq)))
 
 
+def _size_guard(q: int, cap: int):
+    """Identity reducer that refuses a table whose next step could pass `cap`."""
+
+    def guard(table: RatioDist) -> RatioDist:
+        if len(table) * q > cap:
+            raise SizeError(
+                f"exact table could reach {len(table) * q} entries, beyond the cap of {cap}"
+            )
+        return table
+
+    return guard
+
+
 def exact_ratio_product(pair: ProductPair, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> RatioDist:
     """Fold the per-coordinate ratios into the full product ratio, unmerged.
 
@@ -54,40 +70,9 @@ def exact_ratio_product(pair: ProductPair, *, support_cap: int = DEFAULT_SUPPORT
     the two products.  The cap is checked against the worst-case table size
     before each multiplication.
     """
-    ratio = ratio_of(DiscreteDist(pair.p_marginals[0]), DiscreteDist(pair.q_marginals[0]))
-    for i in range(1, pair.n):
-        nxt = ratio_of(DiscreteDist(pair.p_marginals[i]), DiscreteDist(pair.q_marginals[i]))
-        if len(ratio) * len(nxt) > support_cap:
-            raise SizeError(
-                f"exact product table could reach {len(ratio) * len(nxt)} entries "
-                f"at coordinate {i}, beyond the cap of {support_cap}"
-            )
-        ratio = indp_product(ratio, nxt)
-    return ratio
+    return _fold(_product_steps(pair), _size_guard(pair.q, support_cap))[0]
 
 
 def exact_ratio_markov(pair: MarkovPair, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> RatioDist:
     """Run the backward concatenation recursion with no sparsification."""
-    n, q = pair.n, pair.q
-    if n == 1:
-        return ratio_of(DiscreteDist(pair.p_init), DiscreteDist(pair.q_init))
-    cond = kernel_conditional_ratio(pair.p_kernels[n - 2], pair.q_kernels[n - 2])
-    for k in range(n - 1, 0, -1):
-        widest = max(len(r) for r in cond.per_state)
-        if widest * q > support_cap:
-            raise SizeError(
-                f"exact chain table could reach {widest * q} entries "
-                f"at step {k}, beyond the cap of {support_cap}"
-            )
-        if k > 1:
-            pk = pair.p_kernels[k - 2]
-            qk = pair.q_kernels[k - 2]
-            cond = ConditionalRatio(
-                tuple(
-                    concatenate(DiscreteDist(pk[x]), DiscreteDist(qk[x]), cond)
-                    for x in range(q)
-                )
-            )
-        else:
-            return concatenate(DiscreteDist(pair.p_init), DiscreteDist(pair.q_init), cond)
-    raise AssertionError("unreachable")
+    return _fold(_chain_steps(pair), _size_guard(pair.q, support_cap))[0]

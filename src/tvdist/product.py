@@ -1,9 +1,11 @@
 """Deterministic relative-error estimator for products of marginals.
 
-Multiplies per-coordinate ratio tables together one coordinate at a time,
-sparsifying the running table before each multiplication so its support
-stays bounded.  The returned estimate always lower-bounds the true total
-variation distance and is within a (1 - eps) factor of it.
+A product is the one-state case of the shared fold (`ratios._fold`): each
+coordinate is one step whose single row pair multiplies into the running
+table, in coordinate order, and the table is sparsified before each step so
+its support stays bounded.  The returned estimate always lower-bounds the
+true total variation distance and is within a (1 - eps) factor of it.  The
+Markov estimator runs its steps through `_estimate` here as well.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
-from .ratios import (
-    VALIDITY_TOL,
-    DiscreteDist,
-    RatioDist,
-    indp_product,
-    ratio_of,
-    tv_discrete,
-    tv_of_ratio,
-)
+from .ratios import VALIDITY_TOL, RatioDist, _fold, tv_discrete, tv_of_ratio
 from .sparsify import _prune_negligible, build_partition, sparsify_wrt_intervals
 
 
@@ -88,43 +82,38 @@ def product_lower_bound(pair: ProductPair) -> float:
     return float(np.max(per_coord))
 
 
-def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = False):
-    """Estimate the distance between the two products with relative error eps.
+def _steps(pair: ProductPair) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The fold's steps: one single-row pair per coordinate, in order."""
+    return [(pair.p_marginals[k : k + 1], pair.q_marginals[k : k + 1]) for k in range(pair.n)]
 
-    Returns an EstimateReport whose estimate lies in
-    [(1 - eps) * true distance, true distance].  With `return_ratio` the
-    final ratio table comes back alongside the report, for boundary plots.
 
-    A zero per-coordinate lower bound forces the true distance to zero (it
-    is at most n times the bound), so that case returns 0 outright rather
-    than dividing the tail parameter by zero.
+def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
+    """Shared body of the product and Markov estimators.
+
+    The partition has relative width eps / (slack * n) and tail mass
+    (eps / (2 * n)) * d_lb.  A single step is never sparsified, so it
+    reports the half-L1 distance of its rows, bit-identical to it.  A zero
+    lower bound forces the true distance to zero, so that case returns 0
+    outright rather than dividing the tail parameter by zero.
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps!r}")
     start = time.perf_counter()
-    d_lb = product_lower_bound(pair)
-    n = pair.n
+    d_lb = lower_bound(pair)
+    n = len(steps)
     iterations = 0
-    if d_lb == 0.0:
-        estimate = 0.0
-        ratio = RatioDist(np.array([1.0]), np.array([1.0]))
-        max_support = len(ratio)
-    elif n == 1:
-        # No sparsification happens for a single coordinate; report the
-        # half-L1 value itself so the result is bit-identical to it.
-        estimate = tv_discrete(pair.p_marginals[0], pair.q_marginals[0])
-        ratio = ratio_of(DiscreteDist(pair.p_marginals[0]), DiscreteDist(pair.q_marginals[0]))
-        max_support = len(ratio)
+    if n == 1:
+        [(p_rows, q_rows)] = steps
+        estimate = tv_discrete(p_rows[0], q_rows[0])
+        ratio, max_support = _fold(steps, None)  # one step: nothing to reduce
+    elif d_lb == 0.0:
+        estimate, ratio, max_support = 0.0, RatioDist([1.0], [1.0]), 1
     else:
-        part = build_partition(eps / (2 * n), (eps / (2 * n)) * d_lb)
-        ratio = ratio_of(DiscreteDist(pair.p_marginals[0]), DiscreteDist(pair.q_marginals[0]))
-        max_support = len(ratio)
-        for k in range(1, n):
-            tilde = _prune_negligible(sparsify_wrt_intervals(ratio, part))
-            nxt = ratio_of(DiscreteDist(pair.p_marginals[k]), DiscreteDist(pair.q_marginals[k]))
-            ratio = indp_product(tilde, nxt)
-            max_support = max(max_support, len(ratio))
-            iterations += 1
+        part = build_partition(eps / (slack * n), (eps / (2 * n)) * d_lb)
+        ratio, max_support = _fold(
+            steps, lambda table: _prune_negligible(sparsify_wrt_intervals(table, part))
+        )
+        iterations = n - 1
         estimate = tv_of_ratio(ratio)
     report = EstimateReport(
         estimate=estimate,
@@ -135,3 +124,14 @@ def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = F
         elapsed=time.perf_counter() - start,
     )
     return (report, ratio) if return_ratio else report
+
+
+def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = False):
+    """Estimate the distance between the two products with relative error eps.
+
+    Returns an EstimateReport whose estimate lies in
+    [(1 - eps) * true distance, true distance].  With `return_ratio` the
+    final ratio table comes back alongside the report, for boundary plots.
+    The true distance is at most n times the lower bound.
+    """
+    return _estimate(pair, eps, product_lower_bound, _steps(pair), 2, return_ratio)

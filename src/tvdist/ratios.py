@@ -2,9 +2,11 @@
 
 A ratio table records the distribution of p(X)/q(X) when X is drawn from q.
 It is a complete summary of the decision problem between two discrete
-distributions: the total variation distance, products over independent
-coordinates and the Neyman-Pearson boundary are all read off from it
-directly, without revisiting the underlying sample space.
+distributions: the total variation distance and the Neyman-Pearson boundary
+are read off from it directly, without revisiting the underlying sample
+space.  Products over independent coordinates and Markov steps are both
+mixtures of scaled tables (`concatenate`), and every pipeline builds its
+table with one fold over such steps (`_fold`).
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -13,7 +15,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,37 +113,6 @@ class RatioDist:
 
 
 @dataclass(frozen=True)
-class ExtendedRatioDist:
-    """Ratio-like table over [0, inf] with an explicit mass at infinity."""
-
-    values: np.ndarray
-    masses: np.ndarray
-    inf_mass: float
-
-    def __post_init__(self) -> None:
-        values = _as_float_vector(self.values, "values")
-        masses = _as_float_vector(self.masses, "masses")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "masses", masses)
-        if values.shape != masses.shape:
-            raise DimensionError("values and masses differ in length")
-        if values.size and (not np.all(np.isfinite(values)) or values[0] < 0):
-            raise ValidityError("finite values must be finite and nonnegative")
-        if values.size > 1 and not np.all(values[1:] > values[:-1]):
-            raise ValidityError("values must be strictly increasing")
-        if values.size and not np.all(masses > 0):
-            raise ValidityError("masses must be positive")
-        if not 0.0 <= self.inf_mass <= 1.0:
-            raise ValidityError(f"infinity mass {self.inf_mass!r} outside [0, 1]")
-        total = float(np.sum(masses)) + self.inf_mass
-        if abs(total - 1.0) > VALIDITY_TOL:
-            raise ValidityError(f"total mass {total!r}, expected 1 within {VALIDITY_TOL}")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class NPBoundary:
     """Upper boundary of the Neyman-Pearson region, as a polygonal chain.
 
@@ -199,14 +170,6 @@ def _combine_sorted(values: np.ndarray, masses: np.ndarray) -> RatioDist:
     return RatioDist(values, masses)
 
 
-def _ratio_from_arrays(pm: np.ndarray, qm: np.ndarray) -> RatioDist:
-    keep = qm > 0
-    ratios = pm[keep] / qm[keep]
-    weights = qm[keep]
-    order = np.argsort(ratios, kind="stable")
-    return _combine_sorted(ratios[order], weights[order])
-
-
 def ratio_of(p, q) -> RatioDist:
     """Likelihood-ratio distribution of the pair (p, q), sampling under q.
 
@@ -217,7 +180,74 @@ def ratio_of(p, q) -> RatioDist:
     p, q = _dist(p), _dist(q)
     if len(p) != len(q):
         raise DimensionError(f"sample spaces differ: {len(p)} vs {len(q)} outcomes")
-    return _ratio_from_arrays(p.masses, q.masses)
+    keep = q.masses > 0
+    ratios = p.masses[keep] / q.masses[keep]
+    order = np.argsort(ratios, kind="stable")
+    return _combine_sorted(ratios[order], q.masses[keep][order])
+
+
+def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
+    """Ratio of the joint (first outcome, rest) given one table per outcome.
+
+    Mixture over outcomes x with weight qx[x] of tables[x] scaled by
+    px[x]/qx[x]: the joint likelihood ratio factorizes into the
+    first-outcome ratio times the conditional one.  With one table repeated
+    for every outcome this is the ratio of the independent product.
+    Outcomes with qx[x] = 0 contribute nothing and are skipped outright, so
+    their tables never touch the result.  The scaled entries are sorted
+    stably, so exactly equal values combine in a fixed order.
+    """
+    px, qx = _dist(px), _dist(qx)
+    if len(px) != len(qx):
+        raise DimensionError(f"outcome spaces differ: {len(px)} vs {len(qx)}")
+    if len(tables) != len(qx):
+        raise DimensionError(f"got {len(tables)} tables for {len(qx)} outcomes")
+    live = np.flatnonzero(qx.masses > 0)
+    # Runs go straight into one buffer each for values and masses: a
+    # temporary per run costs fresh pages on every call for large tables.
+    ends = np.cumsum([len(tables[x]) for x in live])
+    values = np.empty(ends[-1])
+    masses = np.empty(ends[-1])
+    start = 0
+    for x, end in zip(live, ends):
+        r = tables[x]
+        np.multiply(px.masses[x] / qx.masses[x], r.values, out=values[start:end])
+        np.multiply(qx.masses[x], r.masses, out=masses[start:end])
+        start = end
+    order = np.argsort(values, kind="stable")
+    return _combine_sorted(values[order], masses[order])
+
+
+#: Ratio table of two equal distributions; the fold starts from it.
+_ONE = RatioDist(np.array([1.0]), np.array([1.0]))
+
+
+def _fold(
+    steps: Iterable[tuple[np.ndarray, np.ndarray]], reduce: Callable[[RatioDist], RatioDist]
+) -> tuple[RatioDist, int]:
+    """Fold row-pair steps into one ratio table; return it and its peak support.
+
+    Each step is a pair of row matrices (P, Q) of shape (rows, cols).  The
+    fold keeps one table per conditioning state, starting from the single
+    table `_ONE`, and a single table serves every column.  Before every step
+    but the first, `reduce` replaces each table (a merge for the estimators,
+    a size guard for the exact pipelines); the step then mixes the tables
+    into one new table per row with `concatenate`.  The peak support is the
+    largest table any step built.  The last step must have a single row.
+    """
+    tables = (_ONE,)
+    peak = 0
+    for k, (p_rows, q_rows) in enumerate(steps):
+        # The unreduced tables stay alive until their successors exist:
+        # freeing them first lets the allocator hand their pages back to the
+        # system, and every step would then fault fresh pages in again.
+        reduced = tuple(map(reduce, tables)) if k else tables
+        if len(reduced) == 1:
+            reduced *= p_rows.shape[1]
+        tables = tuple(concatenate(p, q, reduced) for p, q in zip(p_rows, q_rows))
+        peak = max(peak, *map(len, tables))
+    (ratio,) = tables
+    return ratio, peak
 
 
 def expectation(r: RatioDist) -> float:
@@ -231,34 +261,6 @@ def tv_of_ratio(r: RatioDist) -> float:
     if not np.any(below):
         return 0.0
     return float(np.sum((1.0 - r.values[below]) * r.masses[below]))
-
-
-def indp_product(r1: RatioDist, r2: RatioDist) -> RatioDist:
-    """Distribution of the product of independent samples from two ratios.
-
-    Implemented as a merge of len(r2) scaled sorted runs: the concatenation
-    of the outer-product rows is sorted stably, so entries with exactly equal
-    product values combine in a fixed deterministic order.
-    """
-    values = (r2.values[:, None] * r1.values[None, :]).ravel()
-    masses = (r2.masses[:, None] * r1.masses[None, :]).ravel()
-    order = np.argsort(values, kind="stable")
-    return _combine_sorted(values[order], masses[order])
-
-
-def alternative_ratio(r: RatioDist) -> ExtendedRatioDist:
-    """The other half of the canonical pair realizing `r`.
-
-    Each finite value v of positive mass m is re-weighted to mass v*m; the
-    expectation deficit 1 - E[R] sits at infinity.  Value 0 is dropped since
-    its re-weighted mass vanishes.
-    """
-    inf_mass = max(0.0, 1.0 - expectation(r))
-    pos = r.values > 0
-    values = r.values[pos]
-    masses = values * r.masses[pos]
-    keep = masses > 0
-    return ExtendedRatioDist(values[keep], masses[keep], min(inf_mass, 1.0))
 
 
 def np_boundary(r: RatioDist) -> NPBoundary:

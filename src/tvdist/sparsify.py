@@ -12,20 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, ValidityError
+from .errors import ParameterError, SizeError, ValidityError
 from .ratios import RatioDist, expectation
-
-
-class Side(Enum):
-    """Which stretch of [0, inf] an interval belongs to."""
-
-    LOW = "low"  # [0, 1)
-    ONE = "one"  # {1}
-    HIGH = "high"  # (1, inf]
 
 
 @dataclass(frozen=True)
@@ -60,19 +51,33 @@ class IntervalPartition:
         return 2 * self.m + 3
 
 
+#: Largest low-side interval count m that build_partition allocates; the
+#: boundary table alone then takes 512 MiB.  The largest partition the tests
+#: and the benchmark build has m = 903,203, while a product estimate at
+#: eps = 1e-3 and n = 10**4 would need m = 336,224,866.
+MAX_PARTITION_M = 2**26
+
+
 def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
     """Construct the partition for relative width eps_s and tail mass delta_s.
 
     The low-side interval count is the smallest m with (1+eps_s)**(-m) at
     most delta_s, so the last interval [a[m], 1) is delta_s-narrow while all
-    earlier ones are eps_s-narrow relative to their distance from 1.
+    earlier ones are eps_s-narrow relative to their distance from 1.  Raises
+    SizeError, before allocating, when m would exceed MAX_PARTITION_M.
     """
     if not (isinstance(eps_s, (int, float)) and math.isfinite(eps_s) and eps_s > 0):
         raise ParameterError(f"eps_s must be a positive finite real, got {eps_s!r}")
     if not (isinstance(delta_s, (int, float)) and 0.0 < delta_s < 1.0):
         raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s!r}")
     step = math.log1p(eps_s)
-    m = int(math.ceil(-math.log(delta_s) / step))
+    cells = -math.log(delta_s) / step
+    if not cells <= MAX_PARTITION_M:
+        raise SizeError(
+            f"partition for eps_s={eps_s!r}, delta_s={delta_s!r} needs m={cells:.4g} "
+            f"low-side intervals, beyond the cap of {MAX_PARTITION_M}"
+        )
+    m = int(math.ceil(cells))
     a = -np.expm1(-step * np.arange(m + 1, dtype=np.float64))
     return IntervalPartition(float(eps_s), float(delta_s), m, a)
 
@@ -108,17 +113,6 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
     keys[~low & ~high] = part.m + 1
     keys[high] = 2 * part.m + 2 - _low_index(part, np.reciprocal(values[high]))
     return keys
-
-
-def locate_interval(part: IntervalPartition, r: float) -> tuple[Side, int]:
-    """Return the unique partition cell covering the finite value r >= 0."""
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
-        raise ParameterError(f"ratio value must be a finite nonnegative real, got {r!r}")
-    if r == 1.0:
-        return Side.ONE, 0
-    if r < 1.0:
-        return Side.LOW, int(_low_index(part, np.array([r]))[0])
-    return Side.HIGH, int(_low_index(part, np.array([1.0 / r]))[0])
 
 
 def sparsify_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDist:

@@ -123,6 +123,11 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1.5")
         assert code == 1 and err.startswith("error: parameter:")
 
+    def test_oversized_partition(self, product_file, capsys):
+        # eps / (2n) = 1.25e-8 would need a partition of over 10**9 boundaries
+        code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1e-7")
+        assert code == 1 and err.startswith("error: size:")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "estimate", "--input", str(tmp_path / "nope.json"), "--epsilon", "0.1"

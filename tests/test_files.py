@@ -57,6 +57,7 @@ class TestInstanceRoundTrip:
             '{"kind": "exotic", "n": 1, "q": 2}',
             '{"kind": "product", "n": 2, "q": 2, "p": [[0.5, 0.5]], "q_dist": [[0.5, 0.5]]}',
             '{"kind": "product", "n": 1, "q": 2, "p": [[0.5, 0.5]]}',
+            '{"kind": "product", "n": true, "q": 2, "p": [[0.5, 0.5]], "q_dist": [[0.5, 0.5]]}',
             '{"kind": "markov", "n": 2, "q": 2, "p_init": [0.5, 0.5], "q_init": [0.5, 0.5], '
             '"p_kernels": [], "q_kernels": []}',
         ],

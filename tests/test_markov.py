@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tvdist import (
-    ConditionalRatio,
     DimensionError,
     MarkovPair,
     ParameterError,
@@ -14,7 +13,6 @@ from tvdist import (
     estimate_markov_tv,
     estimate_product_tv,
     generate_markov_instance,
-    kernel_conditional_ratio,
     markov_lower_bound,
     ratio_of,
     tv_discrete,
@@ -38,34 +36,51 @@ class TestMarkovPair:
         with pytest.raises(DimensionError):
             MarkovPair([0.5, 0.5], [1.0], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
 
+    @pytest.mark.parametrize(
+        "kernels",
+        [
+            [[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]],  # 2x4: would read as two 2x2 kernels
+            [[0.5, 0.5], [0.5, 0.5]],  # one kernel without its step axis
+            np.full((1, 3, 3), 1 / 3),  # kernels for three states, chain of two
+        ],
+    )
+    def test_rejects_kernels_of_the_wrong_shape(self, kernels):
+        with pytest.raises(DimensionError):
+            MarkovPair([0.5, 0.5], [0.5, 0.5], kernels, kernels)
+
+
+def kernel_conditional_ratio(pk, qk):
+    """Row-wise ratios of two kernels: the chain fold's first step."""
+    ones = (RatioDist([1.0], [1.0]),) * len(qk)
+    return [concatenate(p, q, ones) for p, q in zip(pk, qk)]
+
 
 class TestKernelConditionalRatio:
     def test_identical_kernels(self):
         kern = np.array([[0.3, 0.7], [0.6, 0.4]])
-        cond = kernel_conditional_ratio(kern, kern)
-        for r in cond.per_state:
+        for r in kernel_conditional_ratio(kern, kern):
             assert r.points == [(1.0, 1.0)]
 
     def test_worked_example(self):
         pk = np.array([[1.0, 0.0], [0.0, 1.0]])
         qk = np.array([[0.5, 0.5], [0.5, 0.5]])
-        cond = kernel_conditional_ratio(pk, qk)
-        assert cond.per_state[0].points == [(0.0, 0.5), (2.0, 0.5)]
-        assert cond.per_state[1].points == [(0.0, 0.5), (2.0, 0.5)]
+        per_state = kernel_conditional_ratio(pk, qk)
+        assert per_state[0].points == [(0.0, 0.5), (2.0, 0.5)]
+        assert per_state[1].points == [(0.0, 0.5), (2.0, 0.5)]
 
     def test_single_state(self):
-        cond = kernel_conditional_ratio(np.array([[1.0]]), np.array([[1.0]]))
-        assert cond.per_state[0].points == [(1.0, 1.0)]
+        (r,) = kernel_conditional_ratio(np.array([[1.0]]), np.array([[1.0]]))
+        assert r.points == [(1.0, 1.0)]
 
 
 class TestConcatenate:
     def test_identical_chains(self):
-        cond = ConditionalRatio((RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0])))
+        cond = (RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0]))
         out = concatenate([0.5, 0.5], [0.5, 0.5], cond)
         assert out.points == [(1.0, 1.0)]
 
     def test_uninformative_tail(self):
-        cond = ConditionalRatio((RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0])))
+        cond = (RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0]))
         out = concatenate([0.8, 0.2], [0.5, 0.5], cond)
         assert out.points == [(0.4, 0.5), (1.6, 0.5)]
         assert tv_of_ratio(out) == pytest.approx(0.3, abs=1e-15)
@@ -73,17 +88,17 @@ class TestConcatenate:
 
     def test_merges_identical_scaled_lists(self):
         half = RatioDist.from_points([(0.0, 0.5), (2.0, 0.5)])
-        out = concatenate([0.5, 0.5], [0.5, 0.5], ConditionalRatio((half, half)))
+        out = concatenate([0.5, 0.5], [0.5, 0.5], (half, half))
         assert out.points == [(0.0, 0.5), (2.0, 0.5)]
 
     def test_skips_unreachable_states(self):
         poison = RatioDist([0.25], [1.0])  # would shift the result if mixed in
         ok = RatioDist([1.0], [1.0])
-        out = concatenate([0.5, 0.5], [1.0, 0.0], ConditionalRatio((ok, poison)))
+        out = concatenate([0.5, 0.5], [1.0, 0.0], (ok, poison))
         assert out.points == [(0.5, 1.0)]
 
     def test_rejects_mismatched_sizes(self):
-        cond = ConditionalRatio((RatioDist([1.0], [1.0]),))
+        cond = (RatioDist([1.0], [1.0]),)
         with pytest.raises(DimensionError):
             concatenate([0.5, 0.5], [0.5, 0.5], cond)
 
@@ -93,12 +108,10 @@ class TestConcatenate:
         for _ in range(25):
             q = int(rng.integers(1, 5))
             px, qx = random_dist_pair(rng, q)
-            cond = ConditionalRatio(
-                tuple(random_ratio(rng, int(rng.integers(1, 6))) for _ in range(q))
-            )
+            cond = tuple(random_ratio(rng, int(rng.integers(1, 6))) for _ in range(q))
             joint_p, joint_q = [], []
             for x in range(q):
-                r = cond.per_state[x]
+                r = cond[x]
                 deficit = max(0.0, 1.0 - float(np.sum(r.values * r.masses)))
                 # canonical pair on r's support plus one deficit outcome:
                 # p-row re-weights each mass by its value, q-row keeps it

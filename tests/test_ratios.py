@@ -9,9 +9,8 @@ from tvdist import (
     DiscreteDist,
     RatioDist,
     ValidityError,
-    alternative_ratio,
+    concatenate,
     expectation,
-    indp_product,
     np_boundary,
     ratio_of,
     tv_discrete,
@@ -132,50 +131,63 @@ class TestTvOfRatio:
         assert tv_of_ratio(ratio_of(p, q)) == pytest.approx(tv_discrete(p, q), abs=1e-12)
 
 
+def indp_product(first, second):
+    """Ratio of the product of two independent pairs, each given as (p, q).
+
+    This is the product pipeline's step: `concatenate` over the outcomes of
+    the second pair, with the first pair's table repeated for every outcome.
+    """
+    p, q = second
+    return concatenate(p, q, (ratio_of(*first),) * len(q))
+
+
 class TestIndpProduct:
     def test_identity_element(self, rng):
         r = random_ratio(rng, 12)
-        one = RatioDist([1.0], [1.0])
-        out = indp_product(one, r)
+        out = concatenate([1.0], [1.0], (r,))
         np.testing.assert_array_equal(out.values, r.values)
         np.testing.assert_array_equal(out.masses, r.masses)
 
     def test_worked_square(self):
-        r = ratio_of([0.75, 0.25], [0.25, 0.75])
-        sq = indp_product(r, r)
+        pair = ([0.75, 0.25], [0.25, 0.75])
+        sq = indp_product(pair, pair)
         np.testing.assert_allclose(sq.values, [1 / 9, 1.0, 9.0], rtol=1e-12)
         np.testing.assert_allclose(sq.masses, [0.5625, 0.375, 0.0625], rtol=0, atol=0)
 
     def test_dyadic_square(self):
-        r = RatioDist.from_points([(0.5, 0.5), (1.5, 0.5)])
-        sq = indp_product(r, r)
+        # the pair realizes the table [(0.5, 0.5), (1.5, 0.5)]
+        pair = ([0.25, 0.75], [0.5, 0.5])
+        assert ratio_of(*pair).points == [(0.5, 0.5), (1.5, 0.5)]
+        sq = indp_product(pair, pair)
         assert sq.points == [(0.25, 0.25), (0.75, 0.5), (2.25, 0.25)]
 
     def test_commutative(self, rng):
         for _ in range(20):
-            r1 = random_ratio(rng, rng.integers(1, 20))
-            r2 = random_ratio(rng, rng.integers(1, 20))
-            a = indp_product(r1, r2)
-            b = indp_product(r2, r1)
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_allclose(a.masses, b.masses, rtol=1e-12)
+            a = random_dist_pair(rng, rng.integers(1, 20), zeros_in_p=True)
+            b = random_dist_pair(rng, rng.integers(1, 20), zeros_in_p=True)
+            ab = indp_product(a, b)
+            ba = indp_product(b, a)
+            np.testing.assert_array_equal(ab.values, ba.values)
+            np.testing.assert_allclose(ab.masses, ba.masses, rtol=1e-12)
 
     def test_associative(self, rng):
+        # (a x b) x c, step by step, against a x (b, c) with (b, c) one joint pair
         for _ in range(20):
-            rs = [random_ratio(rng, rng.integers(1, 12)) for _ in range(3)]
-            left = indp_product(indp_product(rs[0], rs[1]), rs[2])
-            right = indp_product(rs[0], indp_product(rs[1], rs[2]))
+            a, b, c = (random_dist_pair(rng, rng.integers(1, 12), zeros_in_p=True) for _ in range(3))
+            left = concatenate(c[0], c[1], (indp_product(a, b),) * len(c[1]))
+            joint = tuple(np.outer(x.masses, y.masses).ravel() for x, y in zip(b, c))
+            right = indp_product(a, joint)
             assert len(left) == len(right)
             np.testing.assert_allclose(left.values, right.values, rtol=1e-12)
             np.testing.assert_allclose(left.masses, right.masses, rtol=1e-12, atol=1e-15)
 
     def test_expectation_multiplies(self, rng):
         for _ in range(20):
-            r1 = random_ratio(rng, rng.integers(1, 20))
-            r2 = random_ratio(rng, rng.integers(1, 20))
-            prod = indp_product(r1, r2)
+            a = random_dist_pair(rng, rng.integers(1, 20), zeros_in_p=True)
+            b = random_dist_pair(rng, rng.integers(1, 20), zeros_in_p=True)
+            prod = indp_product(a, b)
             assert expectation(prod) == pytest.approx(
-                expectation(r1) * expectation(r2), abs=1e-12
+                expectation(ratio_of(*a)) * expectation(ratio_of(*b)), abs=1e-12
             )
 
     def test_matches_explicit_outer_product(self, rng):
@@ -186,38 +198,10 @@ class TestIndpProduct:
             joint_p = DiscreteDist(np.outer(p1.masses, p2.masses).ravel())
             joint_q = DiscreteDist(np.outer(q1.masses, q2.masses).ravel())
             direct = ratio_of(joint_p, joint_q)
-            composed = indp_product(ratio_of(p1, q1), ratio_of(p2, q2))
+            composed = indp_product((p1, q1), (p2, q2))
             assert len(direct) == len(composed)
             np.testing.assert_allclose(direct.values, composed.values, rtol=1e-12)
             np.testing.assert_allclose(direct.masses, composed.masses, rtol=1e-12)
-
-
-class TestAlternativeRatio:
-    def test_trivial(self):
-        alt = alternative_ratio(RatioDist([1.0], [1.0]))
-        assert alt.values.tolist() == [1.0] and alt.masses.tolist() == [1.0]
-        assert alt.inf_mass == 0.0
-
-    def test_half_value(self):
-        alt = alternative_ratio(RatioDist([0.5], [1.0]))
-        assert alt.values.tolist() == [0.5] and alt.masses.tolist() == [0.5]
-        assert alt.inf_mass == 0.5
-
-    def test_worked_example(self):
-        alt = alternative_ratio(ratio_of([0.75, 0.25], [0.25, 0.75]))
-        np.testing.assert_allclose(alt.values, [1 / 3, 3.0], rtol=0)
-        np.testing.assert_allclose(alt.masses, [0.25, 0.75], rtol=1e-15)
-        assert alt.inf_mass == pytest.approx(0.0, abs=1e-15)
-
-    def test_drops_zero_value(self):
-        alt = alternative_ratio(RatioDist([0.0, 2.0], [0.5, 0.5]))
-        assert alt.values.tolist() == [2.0]
-
-    def test_total_mass_one(self, rng):
-        for _ in range(50):
-            alt = alternative_ratio(random_ratio(rng, rng.integers(1, 30)))
-            total = float(np.sum(alt.masses)) + alt.inf_mass
-            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNpBoundary:

@@ -8,10 +8,9 @@ import pytest
 from tvdist import (
     ParameterError,
     RatioDist,
-    Side,
+    SizeError,
     build_partition,
     expectation,
-    locate_interval,
     sparsify,
     sparsify_wrt_intervals,
     tv_of_ratio,
@@ -51,6 +50,11 @@ class TestBuildPartition:
             widths = np.diff(part.a)
             assert np.all(widths <= eps * (1.0 - part.a[1:]) + 1e-12)
 
+    def test_rejects_oversized_partition(self):
+        # eps = 1e-3 at n = 10**4 would need m = 336,224,866 boundaries
+        with pytest.raises(SizeError):
+            build_partition(5e-8, 5e-8)
+
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.5), (-1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.5, 2.0)])
     def test_rejects_bad_parameters(self, eps, delta):
         with pytest.raises(ParameterError):
@@ -58,27 +62,21 @@ class TestBuildPartition:
 
 
 class TestLocateInterval:
+    # _interval_keys numbers the cells of [0, inf] in order: 0..m low side,
+    # m+1 the singleton {1}, m+2..2m+2 the high side out to infinity.
     def test_origin(self):
         part = build_partition(1.0, 0.25)
-        assert locate_interval(part, 0.0) == (Side.LOW, 0)
+        assert _interval_keys(part, np.array([0.0])).tolist() == [0]
 
     def test_singleton(self):
         part = build_partition(1.0, 0.25)
-        assert locate_interval(part, 1.0) == (Side.ONE, 0)
+        assert _interval_keys(part, np.array([1.0])).tolist() == [part.m + 1]
 
     def test_high_side(self):
         # mirrored intervals are (4/3, 2] and (2, inf] for eps=1, delta=0.25
         part = build_partition(1.0, 0.25)
-        assert locate_interval(part, 1.5) == (Side.HIGH, 1)
-        assert locate_interval(part, 2.0) == (Side.HIGH, 1)
-        assert locate_interval(part, 2.5) == (Side.HIGH, 0)
-
-    def test_rejects_negative_or_nonfinite(self):
-        part = build_partition(1.0, 0.25)
-        with pytest.raises(ParameterError):
-            locate_interval(part, -0.5)
-        with pytest.raises(ParameterError):
-            locate_interval(part, float("inf"))
+        keys = _interval_keys(part, np.array([1.5, 2.0, 2.5]))
+        assert keys.tolist() == [2 * part.m + 1, 2 * part.m + 1, 2 * part.m + 2]
 
     def test_closed_form_matches_boundary_search(self, rng):
         # the corrected closed form must agree with direct binary search
@@ -92,10 +90,8 @@ class TestLocateInterval:
 
     def test_boundaries_route_exactly(self, rng):
         part = build_partition(0.37, 0.003)
-        for t, a_t in enumerate(part.a):
-            if a_t < 1.0:
-                side, idx = locate_interval(part, float(a_t))
-                assert (side, idx) == (Side.LOW, t)
+        low = part.a[part.a < 1.0]
+        np.testing.assert_array_equal(_interval_keys(part, low), np.arange(low.size))
 
 
 class TestSparsify:
