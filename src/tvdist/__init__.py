@@ -17,7 +17,6 @@ from .errors import (
 )
 from .files import (
     InstanceFile,
-    ReportFile,
     derive_seed,
     emit_instance,
     emit_report,
@@ -26,7 +25,6 @@ from .files import (
     generate_product_instance,
     instance_digest,
     parse_instance,
-    parse_report,
     region_csv,
 )
 from .markov import MarkovPair, estimate_markov_tv, markov_lower_bound
@@ -77,7 +75,6 @@ __all__ = [
     "ParseError",
     "ProductPair",
     "RatioDist",
-    "ReportFile",
     "SizeError",
     "TVDistError",
     "VALIDITY_TOL",
@@ -101,7 +98,6 @@ __all__ = [
     "markov_lower_bound",
     "np_boundary",
     "parse_instance",
-    "parse_report",
     "product_lower_bound",
     "ratio_of",
     "region_csv",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,6 @@ from .errors import (
 )
 from .files import (
     InstanceFile,
-    ReportFile,
     derive_seed,
     emit_instance,
     emit_report,
@@ -33,7 +33,7 @@ from .oracle import (
     exact_ratio_markov,
     exact_ratio_product,
 )
-from .product import estimate_product_tv, product_lower_bound
+from .product import EstimateReport, estimate_product_tv, product_lower_bound
 from .ratios import np_boundary, tv_of_ratio
 
 _ERROR_KINDS = [
@@ -53,70 +53,66 @@ def _error_kind(exc: Exception) -> str:
     return "io"
 
 
-def _run_estimate(inst: InstanceFile, mode: str, epsilon, region_path):
-    """Dispatch one estimation run; returns (report, boundary-or-None)."""
+#: Per instance kind: (estimator, exact pipeline, brute-force oracle, lower
+#: bound).  Each entry looks the functions up when it is called, so a function
+#: replaced on this module, as the benchmark's per-layer tracer does, is the
+#: one that runs.
+_PIPELINES = {
+    "product": lambda: (
+        estimate_product_tv, exact_ratio_product, brute_force_tv_product, product_lower_bound
+    ),
+    "markov": lambda: (
+        estimate_markov_tv, exact_ratio_markov, brute_force_tv_markov, markov_lower_bound
+    ),
+}
+
+
+def _run_estimate(inst: InstanceFile, mode: str, epsilon, want_ratio: bool):
+    """Run one estimate; return its report and final ratio (None for the oracle)."""
+    estimate, exact, brute_force, lower_bound = _PIPELINES[inst.kind]()
     pair = inst.pair
-    lower_bound = product_lower_bound if inst.kind == "product" else markov_lower_bound
     if mode == "fptas":
         if epsilon is None:
             raise ParameterError("mode fptas requires --epsilon")
-        estimate = estimate_product_tv if inst.kind == "product" else estimate_markov_tv
-        result, ratio = estimate(pair, epsilon, return_ratio=True)
-        report = ReportFile(
-            mode="fptas",
-            estimate=result.estimate,
-            epsilon=result.epsilon,
-            d_lb=result.d_lb,
-            max_support=result.max_support,
-            elapsed_ms=result.elapsed * 1e3,
-            instance_digest=instance_digest(inst),
-        )
-    elif mode == "exact":
-        start = time.perf_counter()
-        exact = exact_ratio_product if inst.kind == "product" else exact_ratio_markov
+        return estimate(pair, epsilon, return_ratio=True)
+    if mode == "oracle" and want_ratio:
+        raise ParameterError("--emit-region needs a final ratio; use mode fptas or exact")
+    start = time.perf_counter()
+    if mode == "exact":
         ratio = exact(pair)
-        report = ReportFile(
-            mode="exact",
-            estimate=tv_of_ratio(ratio),
-            epsilon=None,
-            d_lb=lower_bound(pair),
-            max_support=len(ratio),
-            elapsed_ms=(time.perf_counter() - start) * 1e3,
-            instance_digest=instance_digest(inst),
-        )
+        value, support = tv_of_ratio(ratio), len(ratio)
     else:
-        if region_path is not None:
-            raise ParameterError("--emit-region needs a final ratio; use mode fptas or exact")
-        start = time.perf_counter()
-        brute = brute_force_tv_product if inst.kind == "product" else brute_force_tv_markov
-        report = ReportFile(
-            mode="oracle",
-            estimate=brute(pair),
-            epsilon=None,
-            d_lb=lower_bound(pair),
-            max_support=0,
-            elapsed_ms=(time.perf_counter() - start) * 1e3,
-            instance_digest=instance_digest(inst),
-        )
-        ratio = None
-    boundary = np_boundary(ratio) if region_path is not None else None
-    return report, boundary
+        ratio, value, support = None, brute_force(pair), 0
+    report = EstimateReport(
+        estimate=value,
+        epsilon=None,
+        d_lb=lower_bound(pair),
+        max_support=support,
+        iterations=0,
+        elapsed=time.perf_counter() - start,
+    )
+    return report, ratio
 
 
 def cmd_estimate(args) -> int:
     inst = parse_instance(Path(args.input).read_text())
-    report, boundary = _run_estimate(inst, args.mode, args.epsilon, args.emit_region)
-    if boundary is not None:
-        Path(args.emit_region).write_text(region_csv(boundary))
-    sys.stdout.write(emit_report(report))
+    report, ratio = _run_estimate(inst, args.mode, args.epsilon, args.emit_region is not None)
+    if args.emit_region is not None:
+        Path(args.emit_region).write_text(region_csv(np_boundary(ratio)))
+    sys.stdout.write(emit_report(report, args.mode, instance_digest(inst)))
     return 0
 
 
+def _check_generator(n: int, q: int, skew: float) -> None:
+    """Refuse instance sizes below 1 and gamma shapes that are not positive reals."""
+    if n < 1 or q < 1:
+        raise ParameterError(f"n and q must be at least 1, got n={n}, q={q}")
+    if not (math.isfinite(skew) and skew > 0):
+        raise ParameterError(f"skew must be positive and finite, got {skew}")
+
+
 def cmd_gen(args) -> int:
-    if args.n < 1 or args.q < 1:
-        raise ParameterError(f"n and q must be at least 1, got n={args.n}, q={args.q}")
-    if args.skew <= 0:
-        raise ParameterError(f"skew must be positive, got {args.skew}")
+    _check_generator(args.n, args.q, args.skew)
     inst = generate_instance(args.kind, args.n, args.q, args.seed, args.skew)
     Path(args.out).write_text(emit_instance(inst))
     return 0
@@ -129,10 +125,9 @@ def cmd_bench(args) -> int:
     rows = [BENCH_HEADER]
     for n in args.n:
         for q in args.q:
-            if n < 1 or q < 1:
-                raise ParameterError(f"n and q must be at least 1, got n={n}, q={q}")
+            _check_generator(n, q, args.skew)
             inst = generate_instance(args.kind, n, q, derive_seed(args.seed, n, q), args.skew)
-            estimate = estimate_product_tv if args.kind == "product" else estimate_markov_tv
+            estimate = _PIPELINES[args.kind]()[0]
             for eps in args.epsilon:
                 result = estimate(inst.pair, eps)
                 rows.append(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParseError
 from .markov import MarkovPair
-from .product import ProductPair
+from .product import EstimateReport, ProductPair
 from .ratios import NPBoundary
 
 #: Accepted drift of an input row sum away from 1 before parsing fails.
@@ -43,17 +43,20 @@ class InstanceFile:
         return self.pair.q
 
 
-def _normalized_rows(raw, name: str, q: int | None = None) -> np.ndarray:
+def _normalized_rows(raw, name: str, q: int, count: int) -> np.ndarray:
+    """`count` rows of length `q`, checked and renormalized; a flat list is one row."""
     try:
         rows = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{name} is not a numeric array: {exc}") from exc
     if rows.ndim == 1:
         rows = rows[None, :]
-    if rows.ndim != 2 or rows.shape[1] < 1:
+    if rows.ndim != 2:
         raise ParseError(f"{name} must be a matrix of rows, got shape {rows.shape}")
-    if q is not None and rows.shape[1] != q:
+    if rows.shape[1] != q:
         raise ParseError(f"{name} rows have length {rows.shape[1]}, expected q={q}")
+    if rows.shape[0] != count:
+        raise ParseError(f"{name} has {rows.shape[0]} rows, expected {count}")
     if not np.all(np.isfinite(rows)) or np.any(rows < 0):
         raise ParseError(f"{name} entries must be finite and nonnegative")
     sums = np.sum(rows, axis=1)
@@ -91,13 +94,11 @@ def parse_instance(text: str) -> InstanceFile:
     if not (type(n) is int and type(q) is int and n >= 1 and q >= 1):
         raise ParseError(f"n and q must be positive integers, got n={n!r}, q={q!r}")
     if kind == "product":
-        p = _normalized_rows(_require(doc, "p"), "p", q)
-        qd = _normalized_rows(_require(doc, "q_dist"), "q_dist", q)
-        if p.shape[0] != n or qd.shape[0] != n:
-            raise ParseError(f"expected {n} marginal rows, got {p.shape[0]} and {qd.shape[0]}")
+        p = _normalized_rows(_require(doc, "p"), "p", q, n)
+        qd = _normalized_rows(_require(doc, "q_dist"), "q_dist", q, n)
         return InstanceFile(kind, ProductPair(p, qd))
-    p_init = _normalized_rows(_require(doc, "p_init"), "p_init", q)[0]
-    q_init = _normalized_rows(_require(doc, "q_init"), "q_init", q)[0]
+    p_init = _normalized_rows(_require(doc, "p_init"), "p_init", q, 1)[0]
+    q_init = _normalized_rows(_require(doc, "q_init"), "q_init", q, 1)[0]
     pk_raw = _require(doc, "p_kernels")
     qk_raw = _require(doc, "q_kernels")
     if not isinstance(pk_raw, list) or not isinstance(qk_raw, list):
@@ -105,13 +106,11 @@ def parse_instance(text: str) -> InstanceFile:
     if len(pk_raw) != n - 1 or len(qk_raw) != n - 1:
         raise ParseError(f"expected {n - 1} kernels, got {len(pk_raw)} and {len(qk_raw)}")
     pk = np.stack(
-        [_normalized_rows(k, f"p_kernels[{i}]", q) for i, k in enumerate(pk_raw)]
+        [_normalized_rows(k, f"p_kernels[{i}]", q, q) for i, k in enumerate(pk_raw)]
     ) if n > 1 else np.zeros((0, q, q))
     qk = np.stack(
-        [_normalized_rows(k, f"q_kernels[{i}]", q) for i, k in enumerate(qk_raw)]
+        [_normalized_rows(k, f"q_kernels[{i}]", q, q) for i, k in enumerate(qk_raw)]
     ) if n > 1 else np.zeros((0, q, q))
-    if n > 1 and (pk.shape[2] != q or qk.shape[2] != q):
-        raise ParseError("kernels must be q-by-q matrices")
     return InstanceFile(kind, MarkovPair(p_init, q_init, pk, qk))
 
 
@@ -146,51 +145,24 @@ def instance_digest(inst: InstanceFile) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
-class ReportFile:
-    """Result document for one estimation run."""
+def emit_report(report: EstimateReport, mode: str, digest: str) -> str:
+    """Report document of one run in `mode` on the instance with `digest`.
 
-    mode: str
-    estimate: float
-    epsilon: float | None
-    d_lb: float
-    max_support: int
-    elapsed_ms: float
-    instance_digest: str
-
-
-def emit_report(report: ReportFile) -> str:
-    doc = {"mode": report.mode, "estimate": report.estimate}
+    The keys come in a fixed order; `epsilon` is left out when the run has
+    none, as exact and oracle runs do.
+    """
+    doc = {"mode": mode, "estimate": report.estimate}
     if report.epsilon is not None:
         doc["epsilon"] = report.epsilon
     doc.update(
         {
             "d_lb": report.d_lb,
             "max_support": report.max_support,
-            "elapsed_ms": report.elapsed_ms,
-            "instance_digest": report.instance_digest,
+            "elapsed_ms": report.elapsed * 1e3,
+            "instance_digest": digest,
         }
     )
     return json.dumps(doc, indent=1) + "\n"
-
-
-def parse_report(text: str) -> ReportFile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    try:
-        return ReportFile(
-            mode=doc["mode"],
-            estimate=doc["estimate"],
-            epsilon=doc.get("epsilon"),
-            d_lb=doc["d_lb"],
-            max_support=doc["max_support"],
-            elapsed_ms=doc["elapsed_ms"],
-            instance_digest=doc["instance_digest"],
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc.args[0]!r}") from exc
 
 
 def region_csv(boundary: NPBoundary) -> str:

@@ -2,9 +2,8 @@
 
 Brute force enumerates the whole sample space in lexicographic order; the
 exact pipelines run the estimators' fold (`ratios._fold`) over the same
-steps with a reducer that merges nothing and only guards the table size.
-Both are capped: past the caps the problem is genuinely out of reach for
-exact methods.
+steps and merge nothing.  Both are capped: past the caps the problem is
+genuinely out of reach for exact methods.
 """
 
 from __future__ import annotations
@@ -50,19 +49,6 @@ def brute_force_tv_markov(pair: MarkovPair, *, cap: int = DEFAULT_ENUMERATION_CA
     return 0.5 * float(np.sum(np.abs(vp - vq)))
 
 
-def _size_guard(q: int, cap: int):
-    """Identity reducer that refuses a table whose next step could pass `cap`."""
-
-    def guard(table: RatioDist) -> RatioDist:
-        if len(table) * q > cap:
-            raise SizeError(
-                f"exact table could reach {len(table) * q} entries, beyond the cap of {cap}"
-            )
-        return table
-
-    return guard
-
-
 def exact_ratio_product(pair: ProductPair, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> RatioDist:
     """Fold the per-coordinate ratios into the full product ratio, unmerged.
 
@@ -70,9 +56,9 @@ def exact_ratio_product(pair: ProductPair, *, support_cap: int = DEFAULT_SUPPORT
     the two products.  The cap is checked against the worst-case table size
     before each multiplication.
     """
-    return _fold(_product_steps(pair), _size_guard(pair.q, support_cap))[0]
+    return _fold(_product_steps(pair), None, support_cap)[0]
 
 
 def exact_ratio_markov(pair: MarkovPair, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> RatioDist:
     """Run the backward concatenation recursion with no sparsification."""
-    return _fold(_chain_steps(pair), _size_guard(pair.q, support_cap))[0]
+    return _fold(_chain_steps(pair), None, support_cap)[0]

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ValidityError
+from .errors import DimensionError, SizeError, ValidityError
 
 #: Absolute tolerance for mass-conservation and expectation invariants.
 VALIDITY_TOL = 1e-9
@@ -150,40 +150,16 @@ def tv_discrete(p, q) -> float:
     return 0.5 * float(np.sum(np.abs(p.masses - q.masses)))
 
 
-def _combine_sorted(values: np.ndarray, masses: np.ndarray) -> RatioDist:
-    """Collapse exactly-equal adjacent values and drop zero masses.
-
-    Expects `values` already sorted ascending.  Masses of equal values are
-    summed left to right, so the result is deterministic for a fixed input
-    order.  Zero masses can only arise from underflowing products; dropping
-    them loses less mass than the validity tolerance resolves.
-    """
-    if values.size > 1:
-        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-        if starts.size != values.size:
-            masses = np.add.reduceat(masses, starts)
-            values = values[starts]
-    keep = masses > 0
-    if not np.all(keep):
-        values = values[keep]
-        masses = masses[keep]
-    return RatioDist(values, masses)
-
-
 def ratio_of(p, q) -> RatioDist:
     """Likelihood-ratio distribution of the pair (p, q), sampling under q.
 
     Outcomes where q vanishes contribute nothing; their p-mass shows up only
     as an expectation deficit of the resulting table.  Outcomes with exactly
-    equal float ratios are grouped into one entry.
+    equal float ratios are grouped into one entry.  This is `concatenate`
+    with the trivial table for every outcome.
     """
-    p, q = _dist(p), _dist(q)
-    if len(p) != len(q):
-        raise DimensionError(f"sample spaces differ: {len(p)} vs {len(q)} outcomes")
-    keep = q.masses > 0
-    ratios = p.masses[keep] / q.masses[keep]
-    order = np.argsort(ratios, kind="stable")
-    return _combine_sorted(ratios[order], q.masses[keep][order])
+    q = _dist(q)
+    return concatenate(p, q, (_ONE,) * len(q))
 
 
 def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
@@ -195,7 +171,10 @@ def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
     for every outcome this is the ratio of the independent product.
     Outcomes with qx[x] = 0 contribute nothing and are skipped outright, so
     their tables never touch the result.  The scaled entries are sorted
-    stably, so exactly equal values combine in a fixed order.
+    stably and masses of exactly equal values are summed left to right, so
+    the result is deterministic for a fixed input order.  Zero masses can
+    only arise from underflowing products; dropping them loses less mass
+    than the validity tolerance resolves.
     """
     px, qx = _dist(px), _dist(qx)
     if len(px) != len(qx):
@@ -215,7 +194,17 @@ def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
         np.multiply(qx.masses[x], r.masses, out=masses[start:end])
         start = end
     order = np.argsort(values, kind="stable")
-    return _combine_sorted(values[order], masses[order])
+    values, masses = values[order], masses[order]
+    if values.size > 1:
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        if starts.size != values.size:
+            masses = np.add.reduceat(masses, starts)
+            values = values[starts]
+    keep = masses > 0
+    if not np.all(keep):
+        values = values[keep]
+        masses = masses[keep]
+    return RatioDist(values, masses)
 
 
 #: Ratio table of two equal distributions; the fold starts from it.
@@ -223,27 +212,35 @@ _ONE = RatioDist(np.array([1.0]), np.array([1.0]))
 
 
 def _fold(
-    steps: Iterable[tuple[np.ndarray, np.ndarray]], reduce: Callable[[RatioDist], RatioDist]
+    steps: Iterable[tuple[np.ndarray, np.ndarray]],
+    reduce: Callable[[RatioDist], RatioDist] | None,
+    cap: int,
 ) -> tuple[RatioDist, int]:
     """Fold row-pair steps into one ratio table; return it and its peak support.
 
     Each step is a pair of row matrices (P, Q) of shape (rows, cols).  The
     fold keeps one table per conditioning state, starting from the single
     table `_ONE`, and a single table serves every column.  Before every step
-    but the first, `reduce` replaces each table (a merge for the estimators,
-    a size guard for the exact pipelines); the step then mixes the tables
-    into one new table per row with `concatenate`.  The peak support is the
-    largest table any step built.  The last step must have a single row.
+    but the first, `reduce` replaces each table (a merge for the estimators;
+    None, merging nothing, for the exact pipelines), and SizeError is raised
+    when a table times cols, the worst case for the step's new tables,
+    exceeds `cap`.  The step then mixes the tables into one new table per
+    row with `concatenate`.  The peak support is the largest table any step
+    built.  The last step must have a single row.
     """
     tables = (_ONE,)
     peak = 0
     for k, (p_rows, q_rows) in enumerate(steps):
+        cols = p_rows.shape[1]
         # The unreduced tables stay alive until their successors exist:
         # freeing them first lets the allocator hand their pages back to the
         # system, and every step would then fault fresh pages in again.
-        reduced = tuple(map(reduce, tables)) if k else tables
+        reduced = tuple(map(reduce, tables)) if k and reduce else tables
+        worst = max(map(len, reduced)) * cols
+        if k and worst > cap:
+            raise SizeError(f"a table could reach {worst} entries, beyond the cap of {cap}")
         if len(reduced) == 1:
-            reduced *= p_rows.shape[1]
+            reduced *= cols
         tables = tuple(concatenate(p, q, reduced) for p, q in zip(p_rows, q_rows))
         peak = max(peak, *map(len, tables))
     (ratio,) = tables

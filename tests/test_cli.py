@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour."""
 
+import json
+
 import pytest
 
-from tvdist import parse_instance, parse_report
+from tvdist import parse_instance, product
 from tvdist.cli import main
 from tvdist.files import derive_seed
 
@@ -35,9 +37,12 @@ class TestGen:
                 "--seed", "99", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_rejects_bad_parameters(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "n,skew", [("0", "1.0"), ("2", "0"), ("2", "-1"), ("2", "nan"), ("2", "inf")]
+    )
+    def test_rejects_bad_parameters(self, n, skew, tmp_path, capsys):
         code, _, err = run(
-            capsys, "gen", "--kind", "product", "--n", "0", "--q", "2",
+            capsys, "gen", "--kind", "product", "--n", n, "--q", "2", "--skew", skew,
             "--seed", "1", "--out", str(tmp_path / "x.json")
         )
         assert code == 1
@@ -48,9 +53,9 @@ class TestEstimate:
     def test_fptas_report(self, product_file, capsys):
         code, out, _ = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "0.1")
         assert code == 0
-        report = parse_report(out)
-        assert report.mode == "fptas" and report.epsilon == 0.1
-        assert 0.0 <= report.estimate <= 1.0
+        report = json.loads(out)
+        assert report["mode"] == "fptas" and report["epsilon"] == 0.1
+        assert 0.0 <= report["estimate"] <= 1.0
 
     def test_modes_agree_on_small_instance(self, product_file, capsys):
         _, fptas_out, _ = run(
@@ -58,13 +63,15 @@ class TestEstimate:
         )
         _, exact_out, _ = run(capsys, "estimate", "--input", str(product_file), "--mode", "exact")
         _, oracle_out, _ = run(capsys, "estimate", "--input", str(product_file), "--mode", "oracle")
-        fptas = parse_report(fptas_out)
-        exact = parse_report(exact_out)
-        oracle = parse_report(oracle_out)
-        assert exact.epsilon is None and oracle.epsilon is None
-        assert abs(exact.estimate - oracle.estimate) <= 1e-10
-        assert (1 - 0.05) * oracle.estimate - 1e-9 <= fptas.estimate <= oracle.estimate + 1e-9
-        assert fptas.instance_digest == exact.instance_digest == oracle.instance_digest
+        fptas = json.loads(fptas_out)
+        exact = json.loads(exact_out)
+        oracle = json.loads(oracle_out)
+        assert "epsilon" not in exact and "epsilon" not in oracle
+        assert abs(exact["estimate"] - oracle["estimate"]) <= 1e-10
+        assert (
+            (1 - 0.05) * oracle["estimate"] - 1e-9 <= fptas["estimate"] <= oracle["estimate"] + 1e-9
+        )
+        assert fptas["instance_digest"] == exact["instance_digest"] == oracle["instance_digest"]
 
     def test_identical_pair_reports_zero(self, tmp_path, capsys):
         path = tmp_path / "same.json"
@@ -74,7 +81,7 @@ class TestEstimate:
         )
         code, out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.5")
         assert code == 0
-        assert parse_report(out).estimate == 0.0
+        assert json.loads(out)["estimate"] == 0.0
 
     def test_worked_instance_modes(self, tmp_path, capsys):
         path = tmp_path / "worked.json"
@@ -83,9 +90,9 @@ class TestEstimate:
             ' "p": [[0.75, 0.25], [0.75, 0.25]], "q_dist": [[0.25, 0.75], [0.25, 0.75]]}'
         )
         _, exact_out, _ = run(capsys, "estimate", "--input", str(path), "--mode", "exact")
-        assert parse_report(exact_out).estimate == 0.5
+        assert json.loads(exact_out)["estimate"] == 0.5
         _, fptas_out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.1")
-        assert 0.45 <= parse_report(fptas_out).estimate <= 0.5
+        assert 0.45 <= json.loads(fptas_out)["estimate"] <= 0.5
 
     def test_markov_estimate(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
@@ -93,7 +100,7 @@ class TestEstimate:
             "--out", str(path))
         code, out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.2")
         assert code == 0
-        assert parse_report(out).mode == "fptas"
+        assert json.loads(out)["mode"] == "fptas"
 
     def test_emit_region(self, product_file, tmp_path, capsys):
         region = tmp_path / "region.csv"
@@ -122,6 +129,11 @@ class TestEstimate:
     def test_bad_epsilon(self, product_file, capsys):
         code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1.5")
         assert code == 1 and err.startswith("error: parameter:")
+
+    def test_oversized_table(self, product_file, monkeypatch, capsys):
+        monkeypatch.setattr(product, "MAX_TABLE_ENTRIES", 8)
+        code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "0.1")
+        assert code == 1 and err.startswith("error: size:")
 
     def test_oversized_partition(self, product_file, capsys):
         # eps / (2n) = 1.25e-8 would need a partition of over 10**9 boundaries
@@ -169,6 +181,15 @@ class TestBench:
                 part = build_partition(eps / (2 * n), (eps / (2 * n)) * d_lb)
                 assert int(max_support) <= q * part.interval_count
 
+    @pytest.mark.parametrize("skew", ["0", "nan"])
+    def test_rejects_bad_skew(self, skew, capsys):
+        code, out, err = run(
+            capsys, "bench", "--kind", "markov", "--n", "2", "--q", "2",
+            "--epsilon", "0.5", "--seed", "1", "--skew", skew
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: parameter:")
+
     def test_single_point_matches_estimate(self, tmp_path, capsys):
         seed, n, q, eps = 13, 3, 2, 0.25
         code, out, _ = run(
@@ -183,7 +204,7 @@ class TestBench:
         code, est_out, _ = run(
             capsys, "estimate", "--input", str(inst_path), "--epsilon", str(eps)
         )
-        report = parse_report(est_out)
-        assert float(row[4]) == report.estimate
-        assert float(row[5]) == report.d_lb
-        assert int(row[6]) == report.max_support
+        report = json.loads(est_out)
+        assert float(row[4]) == report["estimate"]
+        assert float(row[5]) == report["d_lb"]
+        assert int(row[6]) == report["max_support"]

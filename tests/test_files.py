@@ -1,9 +1,12 @@
 """Instance and report documents: round-trips, digests, generation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from tvdist import (
+    EstimateReport,
     ParseError,
     derive_seed,
     emit_instance,
@@ -14,11 +17,9 @@ from tvdist import (
     instance_digest,
     np_boundary,
     parse_instance,
-    parse_report,
     ratio_of,
     region_csv,
 )
-from tvdist.files import ReportFile
 
 
 class TestInstanceRoundTrip:
@@ -60,6 +61,23 @@ class TestInstanceRoundTrip:
             '{"kind": "product", "n": true, "q": 2, "p": [[0.5, 0.5]], "q_dist": [[0.5, 0.5]]}',
             '{"kind": "markov", "n": 2, "q": 2, "p_init": [0.5, 0.5], "q_init": [0.5, 0.5], '
             '"p_kernels": [], "q_kernels": []}',
+            pytest.param(
+                '{"kind": "markov", "n": 1, "q": 2, "p_init": [[0.5, 0.5], [1, 0]], '
+                '"q_init": [0.5, 0.5], "p_kernels": [], "q_kernels": []}',
+                id="two-initial-rows",
+            ),
+            pytest.param(
+                '{"kind": "markov", "n": 3, "q": 2, "p_init": [0.5, 0.5], "q_init": [0.5, 0.5], '
+                '"p_kernels": [[[1, 0], [0, 1]], [[1, 0], [0, 1], [0.5, 0.5]]], '
+                '"q_kernels": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}',
+                id="ragged-kernels",
+            ),
+            pytest.param(
+                '{"kind": "markov", "n": 3, "q": 2, "p_init": [0.5, 0.5], "q_init": [0.5, 0.5], '
+                '"p_kernels": [[[1, 0], [0, 1], [0.5, 0.5]], [[1, 0], [0, 1], [0.5, 0.5]]], '
+                '"q_kernels": [[[1, 0], [0, 1], [0.5, 0.5]], [[1, 0], [0, 1], [0.5, 0.5]]]}',
+                id="kernels-with-q-plus-one-rows",
+            ),
         ],
     )
     def test_rejects_malformed_documents(self, text):
@@ -77,15 +95,26 @@ class TestInstanceRoundTrip:
 
 class TestReportRoundTrip:
     def test_fptas_report(self):
-        rep = ReportFile("fptas", 0.25, 0.1, 0.2, 37, 1.5, "sha256:00")
-        back = parse_report(emit_report(rep))
-        assert back == rep
+        rep = EstimateReport(0.25, 0.1, 0.2, 37, 5, 0.0015)
+        doc = json.loads(emit_report(rep, "fptas", "sha256:00"))
+        assert list(doc.items()) == [
+            ("mode", "fptas"),
+            ("estimate", 0.25),
+            ("epsilon", 0.1),
+            ("d_lb", 0.2),
+            ("max_support", 37),
+            ("elapsed_ms", 0.0015 * 1e3),
+            ("instance_digest", "sha256:00"),
+        ]
 
     def test_oracle_report_omits_epsilon(self):
-        rep = ReportFile("oracle", 0.25, None, 0.2, 0, 1.5, "sha256:00")
-        text = emit_report(rep)
-        assert '"epsilon"' not in text
-        assert parse_report(text).epsilon is None
+        rep = EstimateReport(0.25, None, 0.2, 0, 0, 0.0015)
+        for mode in ("exact", "oracle"):
+            text = emit_report(rep, mode, "sha256:00")
+            assert '"epsilon"' not in text
+            assert list(json.loads(text)) == [
+                "mode", "estimate", "d_lb", "max_support", "elapsed_ms", "instance_digest"
+            ]
 
 
 class TestRegionCsv:

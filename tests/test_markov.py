@@ -8,6 +8,7 @@ from tvdist import (
     MarkovPair,
     ParameterError,
     RatioDist,
+    SizeError,
     brute_force_tv_markov,
     concatenate,
     estimate_markov_tv,
@@ -199,6 +200,15 @@ class TestEstimateMarkovTv:
         a = estimate_markov_tv(pair, 0.2)
         b = estimate_markov_tv(pair, 0.2)
         assert a.estimate == b.estimate
+
+    def test_table_cap(self, monkeypatch):
+        # each state's first table has at most 3 entries, and q = 3 of them mix
+        import tvdist.product as product_mod
+
+        pair = generate_markov_instance(4, 3, seed=5).pair
+        monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", 8)
+        with pytest.raises(SizeError):
+            estimate_markov_tv(pair, 0.1)
 
     def test_single_state_chain(self):
         pair = MarkovPair([1.0], [1.0], np.ones((3, 1, 1)), np.ones((3, 1, 1)))

@@ -8,6 +8,7 @@ from tvdist import (
     DimensionError,
     ParameterError,
     ProductPair,
+    SizeError,
     ValidityError,
     brute_force_tv_product,
     build_partition,
@@ -124,6 +125,15 @@ class TestEstimateProductTv:
         b = estimate_product_tv(pair, 0.2)
         assert a.estimate == b.estimate
         assert a.max_support == b.max_support
+
+    def test_table_cap(self, monkeypatch):
+        # the first table has 3 entries, so the second step could build 3 * 3
+        import tvdist.product as product_mod
+
+        pair = generate_product_instance(4, 3, seed=5).pair
+        monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", 8)
+        with pytest.raises(SizeError):
+            estimate_product_tv(pair, 0.1)
 
     def test_returns_final_ratio(self):
         report, ratio = estimate_product_tv(small_pair(), 0.1, return_ratio=True)
