@@ -58,6 +58,7 @@ from .sparsify import (
     build_partition,
     sparsify,
     sparsify_wrt_intervals,
+    spread_wrt_intervals,
 )
 
 __version__ = "0.1.0"
@@ -103,6 +104,7 @@ __all__ = [
     "region_csv",
     "sparsify",
     "sparsify_wrt_intervals",
+    "spread_wrt_intervals",
     "tv_discrete",
     "tv_of_ratio",
 ]

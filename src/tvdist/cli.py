@@ -103,16 +103,29 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _check_generator(n: int, q: int, skew: float) -> None:
-    """Refuse instance sizes below 1 and gamma shapes that are not positive reals."""
+#: Largest row-entry count, n * q for a product and n * q * q for a chain,
+#: that `gen` and `bench` draw for one instance; 2**24 floats take 128 MiB
+#: per side, and the instance document is larger still.
+MAX_GENERATED_ENTRIES = 2**24
+
+
+def _check_generator(kind: str, n: int, q: int, skew: float) -> None:
+    """Refuse instance sizes below 1 or beyond the cap, and gamma shapes that
+    are not positive reals, before anything is drawn."""
     if n < 1 or q < 1:
         raise ParameterError(f"n and q must be at least 1, got n={n}, q={q}")
+    entries = n * q * (q if kind == "markov" else 1)
+    if entries > MAX_GENERATED_ENTRIES:
+        raise SizeError(
+            f"a {kind} instance with n={n}, q={q} has {entries} row entries, "
+            f"beyond the cap of {MAX_GENERATED_ENTRIES}"
+        )
     if not (math.isfinite(skew) and skew > 0):
         raise ParameterError(f"skew must be positive and finite, got {skew}")
 
 
 def cmd_gen(args) -> int:
-    _check_generator(args.n, args.q, args.skew)
+    _check_generator(args.kind, args.n, args.q, args.skew)
     inst = generate_instance(args.kind, args.n, args.q, args.seed, args.skew)
     Path(args.out).write_text(emit_instance(inst))
     return 0
@@ -125,7 +138,7 @@ def cmd_bench(args) -> int:
     rows = [BENCH_HEADER]
     for n in args.n:
         for q in args.q:
-            _check_generator(n, q, args.skew)
+            _check_generator(args.kind, n, q, args.skew)
             inst = generate_instance(args.kind, n, q, derive_seed(args.seed, n, q), args.skew)
             estimate = _PIPELINES[args.kind]()[0]
             for eps in args.epsilon:

@@ -149,7 +149,8 @@ def emit_report(report: EstimateReport, mode: str, digest: str) -> str:
     """Report document of one run in `mode` on the instance with `digest`.
 
     The keys come in a fixed order; `epsilon` is left out when the run has
-    none, as exact and oracle runs do.
+    none, as exact and oracle runs do.  A certified run's `upper` and
+    `eps_s` follow all the other keys; runs without them leave them out.
     """
     doc = {"mode": mode, "estimate": report.estimate}
     if report.epsilon is not None:
@@ -162,6 +163,10 @@ def emit_report(report: EstimateReport, mode: str, digest: str) -> str:
             "instance_digest": digest,
         }
     )
+    if report.upper is not None:
+        doc["upper"] = report.upper
+    if report.eps_s is not None:
+        doc["eps_s"] = report.eps_s
     return json.dumps(doc, indent=1) + "\n"
 
 

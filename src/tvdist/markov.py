@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .product import _estimate, _validate_rows
+from .product import _estimate, _read_only_copy, _validate_rows
 from .ratios import DiscreteDist, tv_discrete
 from .ratios import concatenate  # noqa: F401  -- public here too: a chain step is one concatenation
 
@@ -34,15 +34,15 @@ class MarkovPair:
     q_kernels: np.ndarray
 
     def __post_init__(self) -> None:
-        p_init = DiscreteDist(self.p_init).masses
-        q_init = DiscreteDist(self.q_init).masses
+        p_init = DiscreteDist(_read_only_copy(self.p_init)).masses
+        q_init = DiscreteDist(_read_only_copy(self.q_init)).masses
         object.__setattr__(self, "p_init", p_init)
         object.__setattr__(self, "q_init", q_init)
         q = p_init.size
         if q_init.size != q:
             raise DimensionError(f"initial distributions differ in length: {q} vs {q_init.size}")
-        pk = np.asarray(self.p_kernels, dtype=np.float64)
-        qk = np.asarray(self.q_kernels, dtype=np.float64)
+        pk = _read_only_copy(self.p_kernels)
+        qk = _read_only_copy(self.q_kernels)
         if pk.ndim != 3 or pk.shape[1:] != (q, q) or pk.shape != qk.shape:
             raise DimensionError(
                 f"kernels must both have shape (n-1, {q}, {q}), got {pk.shape} and {qk.shape}"

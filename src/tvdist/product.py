@@ -4,8 +4,11 @@ A product is the one-state case of the shared fold (`ratios._fold`): each
 coordinate is one step whose single row pair multiplies into the running
 table, in coordinate order, and the table is sparsified before each step so
 its support stays bounded.  The returned estimate always lower-bounds the
-true total variation distance and is within a (1 - eps) factor of it.  The
-Markov estimator runs its steps through `_estimate` here as well.
+true total variation distance and is within a (1 - eps) factor of it:
+either by the paper's a priori choice of cell width, or, at a coarser
+width, by an upper bound the run computes for itself with a second fold
+that spreads cells instead of merging them.  The Markov estimator runs its
+steps through `_estimate` here as well.
 """
 
 from __future__ import annotations
@@ -18,7 +21,20 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
 from .ratios import VALIDITY_TOL, RatioDist, _fold, tv_discrete, tv_of_ratio
-from .sparsify import _prune_negligible, build_partition, sparsify_wrt_intervals
+from .sparsify import (
+    _low_cell_count,
+    _prune_negligible,
+    build_partition,
+    sparsify_wrt_intervals,
+    spread_wrt_intervals,
+)
+
+
+def _read_only_copy(a) -> np.ndarray:
+    """A float copy the caller cannot change: pairs keep their own inputs."""
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
 
 
 def _validate_rows(rows: np.ndarray, name: str) -> np.ndarray:
@@ -42,8 +58,8 @@ class ProductPair:
     q_marginals: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _validate_rows(self.p_marginals, "p_marginals")
-        q = _validate_rows(self.q_marginals, "q_marginals")
+        p = _validate_rows(_read_only_copy(self.p_marginals), "p_marginals")
+        q = _validate_rows(_read_only_copy(self.q_marginals), "q_marginals")
         if p.shape != q.shape:
             raise DimensionError(f"marginal shapes differ: {p.shape} vs {q.shape}")
         object.__setattr__(self, "p_marginals", p)
@@ -63,7 +79,11 @@ class EstimateReport:
     """The record of one run: its estimate, accuracy target and diagnostics.
 
     The estimators fill in `epsilon`; exact and oracle runs, which merge
-    nothing, leave it None and report no iterations.
+    nothing, leave it None and report no iterations.  A run that certified
+    its own accuracy sets `upper`, a proven upper bound on the distance with
+    estimate >= (1 - epsilon) * upper, and `eps_s`, the relative cell width
+    it was certified at.  A run at the paper's a priori width leaves both
+    None.
     """
 
     estimate: float
@@ -72,19 +92,31 @@ class EstimateReport:
     max_support: int
     iterations: int
     elapsed: float
+    upper: float | None = None
+    eps_s: float | None = None
 
     def __post_init__(self) -> None:
         if not -VALIDITY_TOL <= self.estimate <= 1.0 + VALIDITY_TOL:
             raise ValidityError(f"estimate {self.estimate!r} outside [0, 1]")
         if not self.d_lb <= 1.0 + VALIDITY_TOL:
             raise ValidityError(f"lower bound {self.d_lb!r} exceeds 1")
+        if self.upper is not None and not self.estimate <= self.upper + VALIDITY_TOL:
+            raise ValidityError(f"upper bound {self.upper!r} below the estimate {self.estimate!r}")
 
 
 #: Largest table, in entries, that an estimator's step may build: each merged
-#: table's length times the step's column count is checked against it before
-#: the step allocates.  The largest such product in the tests is 2,920,310
+#: or spread table's length times the step's column count is checked against
+#: it before the step allocates.  Measured at the paper's width, before the
+#: certified schedule, the largest such product in the tests was 2,920,310
 #: and in the benchmark 352,030.
 MAX_TABLE_ENTRIES = 2**26
+
+#: A try is certified when estimate >= (1 - eps) * upper * CERTIFY_MARGIN: the
+#: few ulps of margin keep float rounding from certifying a try that fails.
+CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
+
+#: Factor by which each uncertified try narrows the cells.
+REFINE = 4.0
 
 
 def product_lower_bound(pair: ProductPair) -> float:
@@ -98,14 +130,57 @@ def _steps(pair: ProductPair) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(pair.p_marginals[k : k + 1], pair.q_marginals[k : k + 1]) for k in range(pair.n)]
 
 
+def _merged(part):
+    return lambda table: _prune_negligible(sparsify_wrt_intervals(table, part))
+
+
+def _spread(part):
+    return lambda table: _prune_negligible(spread_wrt_intervals(table, part))
+
+
+def _certified(steps, eps: float, eps_s: float, paper_eps: float, paper_delta: float):
+    """Coarse-to-fine tries from width eps_s; return (ratio, peak support, upper, eps_s).
+
+    Each try runs the merge fold, whose estimate lower-bounds the distance
+    at any width (merging a cell to its mean is a garbling), and, unless
+    that estimate already reaches 1 - eps, the spread fold, whose distance
+    plus the mass lost to pruning upper-bounds it (a mean-preserving spread
+    under a convex functional).  Each uncertified try narrows the cells
+    REFINE-fold, with the tail mass scaled alike.  Once the width reaches
+    the paper's, the a priori guarantee holds: that last fold needs no
+    certificate and returns upper and eps_s as None.
+    """
+    peak = 0
+    while eps_s > paper_eps:
+        part = build_partition(eps_s, min(eps_s / paper_eps * paper_delta, 0.5))
+        ratio, support = _fold(steps, _merged(part), MAX_TABLE_ENTRIES)
+        peak = max(peak, support)
+        estimate = tv_of_ratio(ratio)
+        if estimate >= 1.0 - eps:
+            return ratio, peak, 1.0, eps_s
+        spread, support = _fold(steps, _spread(part), MAX_TABLE_ENTRIES)
+        peak = max(peak, support)
+        upper = tv_of_ratio(spread) + max(0.0, 1.0 - float(np.sum(spread.masses)))
+        if estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN:
+            return ratio, peak, upper, eps_s
+        eps_s /= REFINE
+    ratio, support = _fold(steps, _merged(build_partition(paper_eps, paper_delta)), MAX_TABLE_ENTRIES)
+    return ratio, max(peak, support), None, None
+
+
 def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     """Shared body of the product and Markov estimators.
 
-    The partition has relative width eps / (slack * n) and tail mass
-    (eps / (2 * n)) * d_lb.  A single step is never sparsified, so it
-    reports the half-L1 distance of its rows, bit-identical to it.  A zero
-    lower bound forces the true distance to zero, so that case returns 0
-    outright rather than dividing the tail parameter by zero.
+    The paper's partition has relative width eps / (slack * n) and tail mass
+    (eps / (2 * n)) * d_lb.  `_certified` starts at width eps and stops at
+    the first try whose bracket proves the (1 - eps) band.  When the
+    unmerged tables could not outgrow the paper's partition before the last
+    step, (n - 1) * log q <= log(2m + 3), no coarse try could shrink them,
+    so the run starts, and ends, at the paper's width.  A single
+    step is never sparsified, so it reports the half-L1 distance of its rows,
+    bit-identical to it.  A zero lower bound forces the true distance to
+    zero, so that case returns 0 outright rather than dividing the tail
+    parameter by zero.
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps!r}")
@@ -113,6 +188,7 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     d_lb = lower_bound(pair)
     n = len(steps)
     iterations = 0
+    upper = eps_s = None
     if n == 1:
         [(p_rows, q_rows)] = steps
         estimate = tv_discrete(p_rows[0], q_rows[0])
@@ -120,12 +196,10 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     elif d_lb == 0.0:
         estimate, ratio, max_support = 0.0, RatioDist([1.0], [1.0]), 1
     else:
-        part = build_partition(eps / (slack * n), (eps / (2 * n)) * d_lb)
-        ratio, max_support = _fold(
-            steps,
-            lambda table: _prune_negligible(sparsify_wrt_intervals(table, part)),
-            MAX_TABLE_ENTRIES,
-        )
+        paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
+        cells = 2 * math.ceil(_low_cell_count(paper_eps, paper_delta)) + 3
+        first = paper_eps if (n - 1) * math.log(pair.q) <= math.log(cells) else eps
+        ratio, max_support, upper, eps_s = _certified(steps, eps, first, paper_eps, paper_delta)
         iterations = n - 1
         estimate = tv_of_ratio(ratio)
     report = EstimateReport(
@@ -135,6 +209,8 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
         max_support=max_support,
         iterations=iterations,
         elapsed=time.perf_counter() - start,
+        upper=upper,
+        eps_s=eps_s,
     )
     return (report, ratio) if return_ratio else report
 

@@ -181,7 +181,12 @@ def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
         raise DimensionError(f"outcome spaces differ: {len(px)} vs {len(qx)}")
     if len(tables) != len(qx):
         raise DimensionError(f"got {len(tables)} tables for {len(qx)} outcomes")
-    live = np.flatnonzero(qx.masses > 0)
+    return _concatenate(px.masses, qx.masses, tables)
+
+
+def _concatenate(px: np.ndarray, qx: np.ndarray, tables: Sequence[RatioDist]) -> RatioDist:
+    """`concatenate` on rows already checked as aligned probability vectors."""
+    live = np.flatnonzero(qx > 0)
     # Runs go straight into one buffer each for values and masses: a
     # temporary per run costs fresh pages on every call for large tables.
     ends = np.cumsum([len(tables[x]) for x in live])
@@ -190,13 +195,13 @@ def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
     start = 0
     for x, end in zip(live, ends):
         r = tables[x]
-        np.multiply(px.masses[x] / qx.masses[x], r.values, out=values[start:end])
-        np.multiply(qx.masses[x], r.masses, out=masses[start:end])
+        np.multiply(px[x] / qx[x], r.values, out=values[start:end])
+        np.multiply(qx[x], r.masses, out=masses[start:end])
         start = end
     order = np.argsort(values, kind="stable")
     values, masses = values[order], masses[order]
     if values.size > 1:
-        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
         if starts.size != values.size:
             masses = np.add.reduceat(masses, starts)
             values = values[starts]
@@ -225,8 +230,10 @@ def _fold(
     None, merging nothing, for the exact pipelines), and SizeError is raised
     when a table times cols, the worst case for the step's new tables,
     exceeds `cap`.  The step then mixes the tables into one new table per
-    row with `concatenate`.  The peak support is the largest table any step
-    built.  The last step must have a single row.
+    row with `concatenate`, trusting the rows, which the pair types checked
+    when they were built; every new table is still validated.  The peak
+    support is the largest table any step built.  The last step must have a
+    single row.
     """
     tables = (_ONE,)
     peak = 0
@@ -241,7 +248,7 @@ def _fold(
             raise SizeError(f"a table could reach {worst} entries, beyond the cap of {cap}")
         if len(reduced) == 1:
             reduced *= cols
-        tables = tuple(concatenate(p, q, reduced) for p, q in zip(p_rows, q_rows))
+        tables = tuple(_concatenate(p, q, reduced) for p, q in zip(p_rows, q_rows))
         peak = max(peak, *map(len, tables))
     (ratio,) = tables
     return ratio, peak

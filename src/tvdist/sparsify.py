@@ -5,7 +5,9 @@ towards 1, mirrors them multiplicatively onto (1, inf], and keeps {1} as its
 own cell.  Sparsification merges all table mass inside each cell into a
 single point whose value is the cell's local mean ratio, which bounds the
 support of any table by the number of cells while preserving its total
-variation distance exactly.
+variation distance exactly.  Spreading is its counterpart: each cell's mass
+moves onto the cell's lowest and highest value with its mean kept, which
+can only raise the distance, so a fold of spreads bounds it from above.
 """
 
 from __future__ import annotations
@@ -58,6 +60,18 @@ class IntervalPartition:
 MAX_PARTITION_M = 2**26
 
 
+def _low_cell_count(eps_s: float, delta_s: float) -> float:
+    """-log(delta_s) / log(1 + eps_s): the partition's m, before rounding up.
+
+    Checks the parameters as build_partition does, without allocating.
+    """
+    if not (isinstance(eps_s, (int, float)) and math.isfinite(eps_s) and eps_s > 0):
+        raise ParameterError(f"eps_s must be a positive finite real, got {eps_s!r}")
+    if not (isinstance(delta_s, (int, float)) and 0.0 < delta_s < 1.0):
+        raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s!r}")
+    return -math.log(delta_s) / math.log1p(eps_s)
+
+
 def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
     """Construct the partition for relative width eps_s and tail mass delta_s.
 
@@ -66,19 +80,14 @@ def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
     earlier ones are eps_s-narrow relative to their distance from 1.  Raises
     SizeError, before allocating, when m would exceed MAX_PARTITION_M.
     """
-    if not (isinstance(eps_s, (int, float)) and math.isfinite(eps_s) and eps_s > 0):
-        raise ParameterError(f"eps_s must be a positive finite real, got {eps_s!r}")
-    if not (isinstance(delta_s, (int, float)) and 0.0 < delta_s < 1.0):
-        raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s!r}")
-    step = math.log1p(eps_s)
-    cells = -math.log(delta_s) / step
+    cells = _low_cell_count(eps_s, delta_s)
     if not cells <= MAX_PARTITION_M:
         raise SizeError(
             f"partition for eps_s={eps_s!r}, delta_s={delta_s!r} needs m={cells:.4g} "
             f"low-side intervals, beyond the cap of {MAX_PARTITION_M}"
         )
     m = int(math.ceil(cells))
-    a = -np.expm1(-step * np.arange(m + 1, dtype=np.float64))
+    a = -np.expm1(-math.log1p(eps_s) * np.arange(m + 1, dtype=np.float64))
     return IntervalPartition(float(eps_s), float(delta_s), m, a)
 
 
@@ -115,6 +124,19 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _cells(part: IntervalPartition, v: np.ndarray, p: np.ndarray):
+    """The nonempty cells of a sorted table: keys, cell starts and ends, q-mass, p-mass.
+
+    Entry i lies in the cell of keys[i]; cell j holds the entries
+    starts[j]:ends[j], whose masses sum to gmass[j] and whose value-weighted
+    masses sum to gnum[j].
+    """
+    keys = _interval_keys(part, v)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    ends = np.append(starts[1:], v.size)
+    return keys, starts, ends, np.add.reduceat(p, starts), np.add.reduceat(v * p, starts)
+
+
 def sparsify_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDist:
     """Merge all table mass within each partition cell into one point.
 
@@ -131,11 +153,7 @@ def sparsify_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDi
     Cells holding a single point pass it through unchanged.
     """
     v, p = ratio.values, ratio.masses
-    keys = _interval_keys(part, v)
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    ends = np.r_[starts[1:], v.size]
-    gmass = np.add.reduceat(p, starts)
-    gnum = np.add.reduceat(v * p, starts)
+    keys, starts, ends, gmass, gnum = _cells(part, v, p)
     lo = v[starts]
     hi = v[ends - 1]
     merged = np.clip(gnum / gmass, lo, hi)
@@ -145,6 +163,35 @@ def sparsify_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDi
     if inf_mass > 0.0 and keys[-1] == 2 * part.m + 2:
         merged[-1] = max((gnum[-1] + inf_mass) / gmass[-1], lo[-1])
     return RatioDist(merged, gmass)
+
+
+def spread_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDist:
+    """Spread each cell's q-mass onto its lowest and highest value, keeping its mean.
+
+    The counterpart of `sparsify_wrt_intervals`: a mean-preserving spread
+    instead of a merge, so the output's total variation distance is at least
+    the input's, and a fold that spreads before every step yields an upper
+    bound on the distance.  The two points are the cell's own extreme table
+    values, not its boundaries, so the unbounded top cell and cells whose
+    boundaries tie in float arithmetic need no special case.  Cells holding
+    a single point pass it through unchanged, and the expectation deficit
+    stays a deficit.  The output has at most two entries per nonempty cell.
+    """
+    v, p = ratio.values, ratio.masses
+    _, starts, ends, gmass, gnum = _cells(part, v, p)
+    lo = v[starts]
+    hi = v[ends - 1]
+    # The mass at hi that keeps the cell's mean: (gnum - lo * gmass) / (hi - lo),
+    # clamped into [0, gmass] against rounding; single-point cells put none there.
+    width = hi - lo
+    spread = width > 0
+    top = np.zeros_like(gmass)
+    top[spread] = (gnum[spread] - lo[spread] * gmass[spread]) / width[spread]
+    np.clip(top, 0.0, gmass, out=top)
+    values = np.column_stack((lo, hi)).ravel()
+    masses = np.column_stack((gmass - top, top)).ravel()
+    keep = masses > 0
+    return RatioDist(values[keep], masses[keep])
 
 
 def sparsify(ratio: RatioDist, eps_s: float, delta_s: float) -> RatioDist:

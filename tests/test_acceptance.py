@@ -254,6 +254,28 @@ def test_criterion_08_scale_runs():
     )
 
 
+def test_criterion_11_certified_at_scale():
+    """Where brute force cannot reach, each run proves its own band."""
+    rng = np.random.default_rng(11)
+    p = rng.gamma(1.0, size=(1000, 10))
+    p /= p.sum(axis=1, keepdims=True)
+    q = p * np.exp(0.01 * rng.standard_normal(p.shape))
+    runs = [
+        ("criterion 08 product", estimate_product_tv, generate_product_instance(2000, 10, seed=8, skew=0.15).pair),
+        ("criterion 08 markov", estimate_markov_tv, generate_markov_instance(500, 10, seed=8, skew=0.15).pair),
+        ("near product n=1000 q=10", estimate_product_tv, ProductPair(p, q / q.sum(axis=1, keepdims=True))),
+    ]
+    eps, failed, details = 0.05, [], []
+    for name, estimate, pair in runs:
+        start = time.perf_counter()
+        report = estimate(pair, eps)
+        wall = time.perf_counter() - start
+        if report.upper is None or not report.estimate >= (1 - eps) * report.upper or wall >= 60.0:
+            failed.append(name)
+        details.append(f"{name}: {report.estimate:.6g} >= (1-eps) * {report.upper}, {wall:.1f}s")
+    _criterion(11, "runs certify their own band", not failed, "; ".join(details))
+
+
 def test_criterion_09_boundary_structure():
     rng = np.random.default_rng(777)
     violations = 0

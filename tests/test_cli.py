@@ -48,6 +48,17 @@ class TestGen:
         assert code == 1
         assert err.startswith("error: parameter:")
 
+    @pytest.mark.parametrize("kind,n,q", [("product", "100000000", "100000"), ("markov", "1000", "200")])
+    def test_rejects_oversized_instance(self, kind, n, q, tmp_path, capsys):
+        # refused before any draw: the product would need 72.8 TiB, and the
+        # chain counts q * q entries per step
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "gen", "--kind", kind, "--n", n, "--q", q, "--seed", "1", "--out", str(out)
+        )
+        assert code == 1 and err.startswith("error: size:")
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_fptas_report(self, product_file, capsys):
@@ -101,6 +112,16 @@ class TestEstimate:
         code, out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.2")
         assert code == 0
         assert json.loads(out)["mode"] == "fptas"
+
+    def test_certified_report(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        run(capsys, "gen", "--kind", "product", "--n", "50", "--q", "8", "--seed", "7",
+            "--skew", "0.5", "--out", str(path))
+        code, out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.05")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report)[-2:] == ["upper", "eps_s"]
+        assert report["estimate"] >= 0.95 * report["upper"]
 
     def test_emit_region(self, product_file, tmp_path, capsys):
         region = tmp_path / "region.csv"
@@ -180,6 +201,14 @@ class TestBench:
             if d_lb > 0 and n > 1:
                 part = build_partition(eps / (2 * n), (eps / (2 * n)) * d_lb)
                 assert int(max_support) <= q * part.interval_count
+
+    def test_rejects_oversized_instance(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--kind", "product", "--n", "2", "100000000", "--q", "100000",
+            "--epsilon", "0.5", "--seed", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: size:")
 
     @pytest.mark.parametrize("skew", ["0", "nan"])
     def test_rejects_bad_skew(self, skew, capsys):

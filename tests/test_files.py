@@ -107,6 +107,15 @@ class TestReportRoundTrip:
             ("instance_digest", "sha256:00"),
         ]
 
+    def test_certified_report_appends_its_bracket(self):
+        rep = EstimateReport(0.25, 0.1, 0.2, 37, 5, 0.0015, upper=0.26, eps_s=0.1)
+        doc = json.loads(emit_report(rep, "fptas", "sha256:00"))
+        assert list(doc) == [
+            "mode", "estimate", "epsilon", "d_lb", "max_support", "elapsed_ms",
+            "instance_digest", "upper", "eps_s",
+        ]
+        assert (doc["upper"], doc["eps_s"]) == (0.26, 0.1)
+
     def test_oracle_report_omits_epsilon(self):
         rep = EstimateReport(0.25, None, 0.2, 0, 0, 0.0015)
         for mode in ("exact", "oracle"):

@@ -33,6 +33,17 @@ class TestMarkovPair:
         pair = MarkovPair([1.0], [1.0], np.zeros((0, 1, 1)), np.zeros((0, 1, 1)))
         assert pair.n == 1 and pair.q == 1
 
+    def test_keeps_its_own_copy(self):
+        p_init, q_init = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+        pk, qk = np.full((2, 2, 2), 0.5), np.full((2, 2, 2), 0.5)
+        pair = MarkovPair(p_init, q_init, pk, qk)
+        p_init[:] = [1.0, 0.0]
+        qk[1, 0] = [1.0, 0.0]
+        assert pair.p_init.tolist() == [0.5, 0.5]
+        assert pair.q_kernels.tolist() == np.full((2, 2, 2), 0.5).tolist()
+        for array in (pair.p_init, pair.q_init, pair.p_kernels, pair.q_kernels):
+            assert not array.flags.writeable
+
     def test_rejects_mismatched_inits(self):
         with pytest.raises(DimensionError):
             MarkovPair([0.5, 0.5], [1.0], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))

@@ -39,6 +39,17 @@ class TestProductPair:
         pair = small_pair()
         assert pair.n == 2 and pair.q == 2
 
+    def test_keeps_its_own_copy(self):
+        p = np.array([[0.75, 0.25], [0.5, 0.5]])
+        q = np.array([[0.25, 0.75], [0.5, 0.5]])
+        pair = ProductPair(p, q)
+        p[0] = [0.0, 1.0]
+        q[1] = [1.0, 0.0]
+        assert pair.p_marginals.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+        assert pair.q_marginals.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+        with pytest.raises(ValueError):
+            pair.p_marginals[0, 0] = 0.5
+
 
 class TestProductLowerBound:
     def test_zero_for_identical(self):
