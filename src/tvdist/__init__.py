@@ -58,7 +58,6 @@ from .sparsify import (
     build_partition,
     sparsify,
     sparsify_wrt_intervals,
-    spread_wrt_intervals,
 )
 
 __version__ = "0.1.0"
@@ -104,7 +103,6 @@ __all__ = [
     "region_csv",
     "sparsify",
     "sparsify_wrt_intervals",
-    "spread_wrt_intervals",
     "tv_discrete",
     "tv_of_ratio",
 ]

@@ -111,12 +111,11 @@ class EstimateReport:
 #: and in the benchmark 352,030.
 MAX_TABLE_ENTRIES = 2**26
 
-#: A try is certified when estimate >= (1 - eps) * upper * CERTIFY_MARGIN: the
-#: few ulps of margin keep float rounding from certifying a try that fails.
+#: A try is certified when estimate >= (1 - eps) * upper * CERTIFY_MARGIN.
+#: Both ends of the bracket come out of floating-point folds, so, like the
+#: paper-width estimate, the certificate holds up to the folds' rounding; the
+#: few ulps of margin only keep the final comparison from accepting a tie.
 CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
-
-#: Factor by which each uncertified try narrows the cells.
-REFINE = 4.0
 
 
 def product_lower_bound(pair: ProductPair) -> float:
@@ -138,45 +137,50 @@ def _spread(part):
     return lambda table: _prune_negligible(spread_wrt_intervals(table, part))
 
 
-def _certified(steps, eps: float, eps_s: float, paper_eps: float, paper_delta: float):
-    """Coarse-to-fine tries from width eps_s; return (ratio, peak support, upper, eps_s).
+def _certified(steps, eps: float, paper_eps: float, paper_delta: float):
+    """One try at cells of width eps; return (ratio, peak support, upper).
 
-    Each try runs the merge fold, whose estimate lower-bounds the distance
-    at any width (merging a cell to its mean is a garbling), and, unless
-    that estimate already reaches 1 - eps, the spread fold, whose distance
-    plus the mass lost to pruning upper-bounds it (a mean-preserving spread
-    under a convex functional).  Each uncertified try narrows the cells
-    REFINE-fold, with the tail mass scaled alike.  Once the width reaches
-    the paper's, the a priori guarantee holds: that last fold needs no
-    certificate and returns upper and eps_s as None.
+    The merge fold's estimate lower-bounds the distance at any width
+    (merging a cell to its mean is a garbling).  Unless that estimate
+    already reaches 1 - eps, which certifies it with upper = 1, the spread
+    fold's distance plus the mass lost to pruning upper-bounds the distance
+    (a mean-preserving spread under a convex functional).  The tail mass is
+    the paper's, scaled by the factor the width exceeds the paper's.
+    `upper` comes back None when the bracket is too wide to certify.
     """
-    peak = 0
-    while eps_s > paper_eps:
-        part = build_partition(eps_s, min(eps_s / paper_eps * paper_delta, 0.5))
-        ratio, support = _fold(steps, _merged(part), MAX_TABLE_ENTRIES)
-        peak = max(peak, support)
-        estimate = tv_of_ratio(ratio)
-        if estimate >= 1.0 - eps:
-            return ratio, peak, 1.0, eps_s
-        spread, support = _fold(steps, _spread(part), MAX_TABLE_ENTRIES)
-        peak = max(peak, support)
-        upper = tv_of_ratio(spread) + max(0.0, 1.0 - float(np.sum(spread.masses)))
-        if estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN:
-            return ratio, peak, upper, eps_s
-        eps_s /= REFINE
-    ratio, support = _fold(steps, _merged(build_partition(paper_eps, paper_delta)), MAX_TABLE_ENTRIES)
-    return ratio, max(peak, support), None, None
+    part = build_partition(eps, min(eps / paper_eps * paper_delta, 0.5))
+    ratio, peak = _fold(steps, _merged(part), MAX_TABLE_ENTRIES)
+    estimate = tv_of_ratio(ratio)
+    if estimate >= 1.0 - eps:
+        return ratio, peak, 1.0
+    spread, support = _fold(steps, _spread(part), MAX_TABLE_ENTRIES)
+    upper = tv_of_ratio(spread) + max(0.0, 1.0 - float(np.sum(spread.masses)))
+    if estimate < (1.0 - eps) * upper * CERTIFY_MARGIN:
+        upper = None
+    return ratio, max(peak, support), upper
+
+
+def _outgrows(n: int, q: int, cells: float) -> bool:
+    """Whether the unmerged tables could outgrow a partition of 2m + 3 cells.
+
+    (n - 1) * log q > log(2m + 3), where `cells` is m before rounding up.
+    A partition too large to count, at an epsilon near the float range's
+    end, holds every table, so the run stays at the paper's width and meets
+    build_partition's SizeError there.
+    """
+    return math.isfinite(cells) and (n - 1) * math.log(q) > math.log(2 * math.ceil(cells) + 3)
 
 
 def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     """Shared body of the product and Markov estimators.
 
     The paper's partition has relative width eps / (slack * n) and tail mass
-    (eps / (2 * n)) * d_lb.  `_certified` starts at width eps and stops at
-    the first try whose bracket proves the (1 - eps) band.  When the
-    unmerged tables could not outgrow the paper's partition before the last
-    step, (n - 1) * log q <= log(2m + 3), no coarse try could shrink them,
-    so the run starts, and ends, at the paper's width.  A single
+    (eps / (2 * n)) * d_lb.  When the unmerged tables could outgrow it
+    before the last step, the run first tries cells of width eps
+    (`_certified`) and keeps that try if its bracket proves the (1 - eps)
+    band.  Otherwise, or when no coarse try could shrink the tables, it
+    folds once at the paper's width, where the a priori guarantee needs no
+    certificate and `upper` and `eps_s` stay None.  A single
     step is never sparsified, so it reports the half-L1 distance of its rows,
     bit-identical to it.  A zero lower bound forces the true distance to
     zero, so that case returns 0 outright rather than dividing the tail
@@ -187,7 +191,7 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     start = time.perf_counter()
     d_lb = lower_bound(pair)
     n = len(steps)
-    iterations = 0
+    iterations = max_support = 0
     upper = eps_s = None
     if n == 1:
         [(p_rows, q_rows)] = steps
@@ -197,9 +201,14 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
         estimate, ratio, max_support = 0.0, RatioDist([1.0], [1.0]), 1
     else:
         paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
-        cells = 2 * math.ceil(_low_cell_count(paper_eps, paper_delta)) + 3
-        first = paper_eps if (n - 1) * math.log(pair.q) <= math.log(cells) else eps
-        ratio, max_support, upper, eps_s = _certified(steps, eps, first, paper_eps, paper_delta)
+        if _outgrows(n, pair.q, _low_cell_count(paper_eps, paper_delta)):
+            ratio, max_support, upper = _certified(steps, eps, paper_eps, paper_delta)
+        if upper is None:
+            part = build_partition(paper_eps, paper_delta)
+            ratio, support = _fold(steps, _merged(part), MAX_TABLE_ENTRIES)
+            max_support = max(max_support, support)
+        else:
+            eps_s = float(eps)
         iterations = n - 1
         estimate = tv_of_ratio(ratio)
     report = EstimateReport(

@@ -28,14 +28,13 @@ from tvdist import (
     markov_lower_bound,
     product_lower_bound,
     sparsify_wrt_intervals,
-    spread_wrt_intervals,
     tv_of_ratio,
 )
 from tvdist.markov import _steps as chain_steps
 from tvdist.product import MAX_TABLE_ENTRIES, _merged, _spread
 from tvdist.product import _steps as product_steps
 from tvdist.ratios import _fold
-from tvdist.sparsify import _interval_keys
+from tvdist.sparsify import _interval_keys, spread_wrt_intervals
 
 from conftest import random_ratio
 
@@ -192,27 +191,17 @@ class TestSchedule:
             report.estimate, report.upper, report.max_support
         )
 
-    def test_a_wide_bracket_refines(self, monkeypatch):
-        # at cells of width 0.2 this long pair's bracket is too wide for
-        # eps = 0.2; cells four times narrower certify it
-        rng = np.random.default_rng(800)
-        p = rng.gamma(1.0, size=(800, 4))
-        p /= p.sum(axis=1, keepdims=True)
-        q = p * np.exp(0.03 * rng.standard_normal(p.shape))
-        pair = ProductPair(p, q / q.sum(axis=1, keepdims=True))
-        widths = _record_widths(monkeypatch)
-        report = estimate_product_tv(pair, 0.2)
-        assert widths == [0.2, 0.05] and report.eps_s == 0.05
-        assert report.estimate >= 0.8 * report.upper
-
-    def test_uncertified_tries_refine_down_to_the_paper_width(self, monkeypatch):
+    def test_an_uncertified_try_falls_back_to_the_paper_width(self, monkeypatch):
         pair = ProductPair(np.tile([0.3, 0.3, 0.4], (12, 1)), np.tile([0.2, 0.5, 0.3], (12, 1)))
         eps, widths = 0.2, _record_widths(monkeypatch)
         monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
         report = estimate_product_tv(pair, eps)
         paper = eps / (2 * pair.n)
-        assert widths == [0.2, 0.05, 0.0125, paper]
+        assert widths == [0.2, paper]
         assert report.upper is None and report.eps_s is None
+        part = build_partition(paper, paper * report.d_lb)
+        ratio, support = _fold(product_steps(pair), _merged(part), MAX_TABLE_ENTRIES)
+        assert report.estimate == tv_of_ratio(ratio) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
 
     def test_saturated_try_certifies_without_the_spread_fold(self, monkeypatch):

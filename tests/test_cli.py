@@ -161,6 +161,11 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1e-7")
         assert code == 1 and err.startswith("error: size:")
 
+    def test_partition_too_large_to_count(self, product_file, capsys):
+        # at eps = 1e-310 the partition's cell count overflows to infinity
+        code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1e-310")
+        assert code == 1 and err.startswith("error: size:")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "estimate", "--input", str(tmp_path / "nope.json"), "--epsilon", "0.1"
