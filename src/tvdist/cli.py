@@ -68,13 +68,20 @@ _PIPELINES = {
 
 
 def _run_estimate(inst: InstanceFile, mode: str, epsilon, want_ratio: bool):
-    """Run one estimate; return its report and final ratio (None for the oracle)."""
+    """Run one estimate; return its report and final ratio.
+
+    The ratio is None for the oracle, and for fptas runs that need no table:
+    those make the same call as the library, so they print the same bits
+    and may skip the fold when the Hellinger bound certifies them.
+    """
     estimate, exact, brute_force, lower_bound = _PIPELINES[inst.kind]()
     pair = inst.pair
     if mode == "fptas":
         if epsilon is None:
             raise ParameterError("mode fptas requires --epsilon")
-        return estimate(pair, epsilon, return_ratio=True)
+        if want_ratio:
+            return estimate(pair, epsilon, return_ratio=True)
+        return estimate(pair, epsilon), None
     if mode == "oracle" and want_ratio:
         raise ParameterError("--emit-region needs a final ratio; use mode fptas or exact")
     start = time.perf_counter()

@@ -4,7 +4,12 @@ Works backwards from the last step through the shared fold
 (`ratios._fold`), keeping one ratio table per conditioning state.  Each
 step sparsifies the per-state tables and then concatenates them with the
 preceding transition rows; the final step mixes against the initial
-distributions, yielding the trajectory-level ratio.
+distributions, yielding the trajectory-level ratio.  The Bhattacharyya
+coefficient of the two trajectory distributions factorizes over the same
+steps, so when the Hellinger lower bound 1 - BC already reaches 1 - eps the
+estimate is that bound and nothing is folded: the report then has
+`iterations` 0 and `upper` 1.0.  `return_ratio=True` (the CLI's
+`--emit-region`) always folds.
 """
 
 from __future__ import annotations

@@ -7,8 +7,13 @@ its support stays bounded.  The returned estimate always lower-bounds the
 true total variation distance and is within a (1 - eps) factor of it:
 either by the paper's a priori choice of cell width, or, at a coarser
 width, by an upper bound the run computes for itself with a second fold
-that spreads cells instead of merging them.  The Markov estimator runs its
-steps through `_estimate` here as well.
+that spreads cells instead of merging them.  When the Hellinger lower bound
+1 - BC (BC the Bhattacharyya coefficient, computed in one pass over the
+steps) already reaches 1 - eps, it is the estimate and no step is folded:
+such a report has `iterations` 0 and `upper` 1.0.  A caller that asks for
+the final table (`return_ratio=True`, the CLI's `--emit-region`) always
+gets a fold, since no table matches the certificate.  The Markov estimator
+runs its steps through `_estimate` here as well.
 """
 
 from __future__ import annotations
@@ -83,7 +88,10 @@ class EstimateReport:
     its own accuracy sets `upper`, a proven upper bound on the distance with
     estimate >= (1 - epsilon) * upper, and `eps_s`, the relative cell width
     it was certified at.  A run at the paper's a priori width leaves both
-    None.
+    None.  A run certified by the Hellinger bound alone folded no step: it
+    reports `iterations` 0, `max_support` 0, `upper` 1.0 and `eps_s` equal
+    to `epsilon`.  Asking for the final table (`return_ratio=True`) forces
+    the fold.
     """
 
     estimate: float
@@ -127,6 +135,26 @@ def product_lower_bound(pair: ProductPair) -> float:
 def _steps(pair: ProductPair) -> list[tuple[np.ndarray, np.ndarray]]:
     """The fold's steps: one single-row pair per coordinate, in order."""
     return [(pair.p_marginals[k : k + 1], pair.q_marginals[k : k + 1]) for k in range(pair.n)]
+
+
+def _affinity_gap(steps) -> float:
+    """1 - BC, where BC is the Bhattacharyya coefficient of the folded pair.
+
+    TV >= 1 - BC (Le Cam), and BC = sum_x sqrt(p(x) q(x)) factorizes over the
+    steps the way the ratio tables do: v <- sqrt(P * Q) @ v from v = 1, with
+    a single entry serving every column.  Each step rescales v to a maximum
+    of 1 and keeps the scale as a logarithm, so thousands of steps cannot
+    underflow.  Disjoint supports give BC = 0 and a gap of exactly 1.
+    """
+    v, log_bc = np.ones(1), 0.0
+    for p_rows, q_rows in steps:
+        v = np.sqrt(p_rows * q_rows) @ np.broadcast_to(v, p_rows.shape[1])
+        top = float(np.max(v))
+        if top == 0.0:
+            return 1.0
+        v /= top
+        log_bc += math.log(top)
+    return -math.expm1(log_bc)
 
 
 def _merged(part):
@@ -184,7 +212,10 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     step is never sparsified, so it reports the half-L1 distance of its rows,
     bit-identical to it.  A zero lower bound forces the true distance to
     zero, so that case returns 0 outright rather than dividing the tail
-    parameter by zero.
+    parameter by zero.  When no table is asked for and a lower bound, d_lb
+    or the affinity gap 1 - BC, already reaches 1 - eps, that bound is the
+    estimate: it lies in [(1 - eps) * TV, TV] with upper = 1, and nothing is
+    folded.
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps!r}")
@@ -199,6 +230,8 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
         ratio, max_support = _fold(steps, None, MAX_TABLE_ENTRIES)  # one step: nothing to reduce
     elif d_lb == 0.0:
         estimate, ratio, max_support = 0.0, RatioDist([1.0], [1.0]), 1
+    elif not return_ratio and (gap := max(d_lb, _affinity_gap(steps))) >= 1.0 - eps:
+        estimate, ratio, upper, eps_s = gap, None, 1.0, float(eps)
     else:
         paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
         if _outgrows(n, pair.q, _low_cell_count(paper_eps, paper_delta)):

@@ -1,5 +1,6 @@
 """The certified bracket: merge folds bound the distance from below, spread
-folds from above, at any partition width, and the estimators' schedule.
+folds from above, at any partition width, and the estimators' schedule,
+including the fold-free certificate by the Hellinger bound 1 - BC.
 
 Property tests run both folds against brute-force enumeration on small
 adversarial pairs: zeros in q (expectation deficit), zeros in p, ratios of
@@ -8,7 +9,9 @@ enough that whole tables share a cell or fine enough that boundaries tie at
 1.0 in float arithmetic.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +25,7 @@ from tvdist import (
     brute_force_tv_markov,
     brute_force_tv_product,
     build_partition,
+    emit_report,
     estimate_markov_tv,
     estimate_product_tv,
     expectation,
@@ -31,7 +35,7 @@ from tvdist import (
     tv_of_ratio,
 )
 from tvdist.markov import _steps as chain_steps
-from tvdist.product import MAX_TABLE_ENTRIES, _merged, _spread
+from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap, _merged, _spread
 from tvdist.product import _steps as product_steps
 from tvdist.ratios import _fold
 from tvdist.sparsify import _interval_keys, spread_wrt_intervals
@@ -211,5 +215,121 @@ class TestSchedule:
             raise AssertionError("spread fold ran")
 
         monkeypatch.setattr(product_mod, "_spread", no_spread)
-        report = estimate_product_tv(pair, 0.05)
+        # asking for the table keeps the Hellinger bound from skipping the fold
+        report, _ = estimate_product_tv(pair, 0.05, return_ratio=True)
         assert report.upper == 1.0 and report.estimate >= 0.95
+        assert report.iterations == pair.n - 1
+
+
+# ------------------------------------------------- the Hellinger certificate
+
+
+@st.composite
+def skewed_rows(draw, count, q):
+    """Gamma rows of shape 0.05 to 3, some entries zeroed; spiky at low shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.gamma(draw(st.floats(0.05, 3.0)), size=(count, q))
+    zeros = draw(st.lists(st.booleans(), min_size=count * q, max_size=count * q))
+    raw[np.array(zeros).reshape(count, q)] = 0.0
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def skewed_pairs(draw):
+    """Products n <= 6, q <= 4 and chains n <= 5, q <= 3; `disjoint` pairs
+    put one coordinate (or the initial rows) on disjoint supports."""
+    disjoint = draw(st.booleans())
+    if draw(st.booleans()):
+        n, q = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+        p, q_rows = draw(skewed_rows(n, q)), draw(skewed_rows(n, q))
+        if disjoint and q > 1:
+            k = draw(st.integers(0, n - 1))
+            p[k], q_rows[k] = np.eye(q)[0], np.eye(q)[1]
+        return ProductPair(p, q_rows), disjoint and q > 1
+    n, q = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    p_init, q_init = draw(skewed_rows(1, q))[0], draw(skewed_rows(1, q))[0]
+    if disjoint and q > 1:
+        p_init, q_init = np.eye(q)[0], np.eye(q)[1]
+    pk = draw(skewed_rows((n - 1) * q, q)).reshape(n - 1, q, q)
+    qk = draw(skewed_rows((n - 1) * q, q)).reshape(n - 1, q, q)
+    return MarkovPair(p_init, q_init, pk, qk), disjoint and q > 1
+
+
+def _kind(pair):
+    """(estimator, brute force, lower bound, fold steps) for the pair's kind."""
+    if isinstance(pair, ProductPair):
+        return estimate_product_tv, brute_force_tv_product, product_lower_bound, product_steps(pair)
+    return estimate_markov_tv, brute_force_tv_markov, markov_lower_bound, chain_steps(pair)
+
+
+@PROPERTY
+@given(skewed_pairs())
+def test_affinity_gap_lower_bounds_the_distance(case):
+    pair, disjoint = case
+    _, brute_force, lower_bound, steps = _kind(pair)
+    gap = _affinity_gap(steps)
+    assert max(lower_bound(pair), gap) <= brute_force(pair) + TOL
+    if disjoint:
+        assert gap == 1.0
+
+
+@PROPERTY
+@given(skewed_pairs(), st.sampled_from([0.5, 0.2, 0.05]))
+def test_the_certificate_fires_only_inside_the_band(case, eps):
+    pair, _ = case
+    estimate, brute_force, lower_bound, steps = _kind(pair)
+    report, tv = estimate(pair, eps), brute_force(pair)
+    bound = max(report.d_lb, _affinity_gap(steps))
+    fired = report.d_lb > 0 and bound >= 1 - eps
+    # a zero d_lb also folds nothing, but reports no upper bound
+    assert (report.iterations == 0 and report.upper == 1.0) == fired
+    if fired:
+        assert report.estimate == bound
+        assert (report.upper, report.eps_s, report.max_support) == (1.0, eps, 0)
+    assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
+
+
+class TestHellingerCertificate:
+    def test_asking_for_the_table_still_folds(self):
+        pair = ProductPair(np.tile([0.9, 0.1], (12, 1)), np.tile([0.1, 0.9], (12, 1)))
+        assert estimate_product_tv(pair, 0.1).iterations == 0
+        report, ratio = estimate_product_tv(pair, 0.1, return_ratio=True)
+        assert report.iterations == pair.n - 1 and report.max_support > 0
+        assert report.estimate == tv_of_ratio(ratio)
+
+    def test_long_product_does_not_underflow(self):
+        # each coordinate has BC = sqrt(0.25) = 0.5; their product 2**-3000
+        # underflows to zero without the per-step rescaling
+        pair = ProductPair(np.tile([1.0, 0.0], (3000, 1)), np.tile([0.25, 0.75], (3000, 1)))
+        assert np.prod(np.full(3000, 0.5)) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _affinity_gap(product_steps(pair)) == 1.0
+            assert estimate_product_tv(pair, 0.05).estimate == 1.0
+
+    def test_disjoint_supports_give_exactly_one(self):
+        product = ProductPair([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]])
+        # the chain keeps its state under p and flips it under q: d_lb is 1/2
+        chain = MarkovPair([0.5, 0.5], [0.5, 0.5], [np.eye(2)], [[[0.0, 1.0], [1.0, 0.0]]])
+        assert markov_lower_bound(chain) == 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _affinity_gap(product_steps(product)) == 1.0
+            assert _affinity_gap(chain_steps(chain)) == 1.0
+            assert estimate_product_tv(product, 0.1).estimate == 1.0
+            assert estimate_markov_tv(chain, 0.1).estimate == 1.0
+
+    def test_certified_report_fields_and_document(self):
+        pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
+        report = estimate_product_tv(pair, 0.05)
+        assert report.estimate == _affinity_gap(product_steps(pair))
+        assert (report.iterations, report.max_support) == (0, 0)
+        assert (report.upper, report.eps_s) == (1.0, 0.05)
+        doc = json.loads(emit_report(report, "fptas", "sha256:00"))
+        assert list(doc) == [
+            "mode", "estimate", "epsilon", "d_lb", "max_support", "elapsed_ms",
+            "instance_digest", "upper", "eps_s",
+        ]
+        again = estimate_product_tv(pair, 0.05)
+        assert again.estimate.hex() == report.estimate.hex()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tvdist import parse_instance, product
+from tvdist import estimate_product_tv, parse_instance, product
 from tvdist.cli import main
 from tvdist.files import derive_seed
 
@@ -122,6 +122,23 @@ class TestEstimate:
         report = json.loads(out)
         assert list(report)[-2:] == ["upper", "eps_s"]
         assert report["estimate"] >= 0.95 * report["upper"]
+
+    def test_fptas_prints_the_library_result(self, tmp_path, capsys):
+        # spiky rows: the Hellinger bound certifies the run with no fold,
+        # unless a region asks for the final table
+        path = tmp_path / "spiky.json"
+        run(capsys, "gen", "--kind", "product", "--n", "30", "--q", "4", "--seed", "2",
+            "--skew", "0.15", "--out", str(path))
+        library = estimate_product_tv(parse_instance(path.read_text()).pair, 0.05)
+        assert library.iterations == 0
+        _, out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.05")
+        doc = json.loads(out)
+        assert (doc["estimate"], doc["max_support"]) == (library.estimate, 0)
+        assert (doc["upper"], doc["eps_s"]) == (1.0, 0.05)
+        region = tmp_path / "region.csv"
+        _, out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.05",
+                        "--emit-region", str(region))
+        assert json.loads(out)["max_support"] > 0 and region.exists()
 
     def test_emit_region(self, product_file, tmp_path, capsys):
         region = tmp_path / "region.csv"
