@@ -102,7 +102,11 @@ def _run_estimate(inst: InstanceFile, mode: str, epsilon, want_ratio: bool):
 
 
 def cmd_estimate(args) -> int:
-    inst = parse_instance(Path(args.input).read_text())
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.input} is not UTF-8 text: {exc}") from exc
+    inst = parse_instance(text)
     report, ratio = _run_estimate(inst, args.mode, args.epsilon, args.emit_region is not None)
     if args.emit_region is not None:
         Path(args.emit_region).write_text(region_csv(np_boundary(ratio)))

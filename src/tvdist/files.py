@@ -79,9 +79,11 @@ def _require(doc: dict, key: str):
 
 def parse_instance(text: str) -> InstanceFile:
     """Parse an instance document, validating shapes and row sums."""
+    # ValueError covers JSONDecodeError and integers past Python's digit
+    # limit; RecursionError, arrays nested deeper than the decoder can go.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DimensionError
 from .product import _estimate, _read_only_copy, _validate_rows
 from .ratios import DiscreteDist, tv_discrete
-from .ratios import concatenate  # noqa: F401  -- public here too: a chain step is one concatenation
 
 
 @dataclass(frozen=True)

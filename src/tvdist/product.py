@@ -21,18 +21,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
 from .ratios import VALIDITY_TOL, RatioDist, _fold, tv_discrete, tv_of_ratio
-from .sparsify import (
-    _low_cell_count,
-    _prune_negligible,
-    build_partition,
-    sparsify_wrt_intervals,
-    spread_wrt_intervals,
-)
+from .sparsify import _low_cell_count, build_partition, sparsify_wrt_intervals, spread_wrt_intervals
 
 
 def _read_only_copy(a) -> np.ndarray:
@@ -157,31 +152,23 @@ def _affinity_gap(steps) -> float:
     return -math.expm1(log_bc)
 
 
-def _merged(part):
-    return lambda table: _prune_negligible(sparsify_wrt_intervals(table, part))
-
-
-def _spread(part):
-    return lambda table: _prune_negligible(spread_wrt_intervals(table, part))
-
-
 def _certified(steps, eps: float, paper_eps: float, paper_delta: float):
     """One try at cells of width eps; return (ratio, peak support, upper).
 
     The merge fold's estimate lower-bounds the distance at any width
     (merging a cell to its mean is a garbling).  Unless that estimate
     already reaches 1 - eps, which certifies it with upper = 1, the spread
-    fold's distance plus the mass lost to pruning upper-bounds the distance
-    (a mean-preserving spread under a convex functional).  The tail mass is
-    the paper's, scaled by the factor the width exceeds the paper's.
+    fold's distance plus any q-mass that underflowed to 0 upper-bounds the
+    distance (a mean-preserving spread under a convex functional).  The tail
+    mass is the paper's, scaled by the factor the width exceeds the paper's.
     `upper` comes back None when the bracket is too wide to certify.
     """
     part = build_partition(eps, min(eps / paper_eps * paper_delta, 0.5))
-    ratio, peak = _fold(steps, _merged(part), MAX_TABLE_ENTRIES)
+    ratio, peak = _fold(steps, partial(sparsify_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
     estimate = tv_of_ratio(ratio)
     if estimate >= 1.0 - eps:
         return ratio, peak, 1.0
-    spread, support = _fold(steps, _spread(part), MAX_TABLE_ENTRIES)
+    spread, support = _fold(steps, partial(spread_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
     upper = tv_of_ratio(spread) + max(0.0, 1.0 - float(np.sum(spread.masses)))
     if estimate < (1.0 - eps) * upper * CERTIFY_MARGIN:
         upper = None
@@ -237,8 +224,8 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
         if _outgrows(n, pair.q, _low_cell_count(paper_eps, paper_delta)):
             ratio, max_support, upper = _certified(steps, eps, paper_eps, paper_delta)
         if upper is None:
-            part = build_partition(paper_eps, paper_delta)
-            ratio, support = _fold(steps, _merged(part), MAX_TABLE_ENTRIES)
+            merge = partial(sparsify_wrt_intervals, part=build_partition(paper_eps, paper_delta))
+            ratio, support = _fold(steps, merge, MAX_TABLE_ENTRIES)
             max_support = max(max_support, support)
         else:
             eps_s = float(eps)

@@ -201,24 +201,3 @@ def sparsify(ratio: RatioDist, eps_s: float, delta_s: float) -> RatioDist:
     m = ceil(-log(delta_s) / log(1 + eps_s)).
     """
     return sparsify_wrt_intervals(ratio, build_partition(eps_s, delta_s))
-
-
-#: Mass below which an estimator-loop table entry is dropped.  A full run
-#: discards at most iterations * (2m + 3) * NEGLIGIBLE_MASS of total mass,
-#: under 4e-10 even for the largest supported runs -- within the validity
-#: tolerance and far below every estimate tolerance.
-NEGLIGIBLE_MASS = 1e-19
-
-
-def _prune_negligible(ratio: RatioDist, tiny: float = NEGLIGIBLE_MASS) -> RatioDist:
-    """Drop entries of negligible mass; used between estimator iterations.
-
-    Keeping entries whose mass cannot move any reported quantity would let
-    intermediate supports grow to the full cell count, so the estimators
-    shed them after each sparsification.  The exposed table operations never
-    prune.
-    """
-    keep = ratio.masses >= tiny
-    if np.all(keep):
-        return ratio
-    return RatioDist(ratio.values[keep], ratio.masses[keep])

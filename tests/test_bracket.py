@@ -12,8 +12,10 @@ enough that whole tables share a cell or fine enough that boundaries tie at
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +37,9 @@ from tvdist import (
     tv_of_ratio,
 )
 from tvdist.markov import _steps as chain_steps
-from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap, _merged, _spread
+from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap
 from tvdist.product import _steps as product_steps
-from tvdist.ratios import _fold
+from tvdist.ratios import VALIDITY_TOL, _fold
 from tvdist.sparsify import _interval_keys, spread_wrt_intervals
 
 from conftest import random_ratio
@@ -85,8 +87,8 @@ partitions = st.builds(
 
 
 def _bracket(steps, part):
-    est, _ = _fold(steps, _merged(part), MAX_TABLE_ENTRIES)
-    spread, _ = _fold(steps, _spread(part), MAX_TABLE_ENTRIES)
+    est, _ = _fold(steps, partial(sparsify_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
+    spread, _ = _fold(steps, partial(spread_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
     upper = tv_of_ratio(spread) + max(0.0, 1.0 - float(np.sum(spread.masses)))
     return tv_of_ratio(est), upper
 
@@ -177,7 +179,7 @@ class TestSchedule:
         report = estimate_product_tv(pair, 0.1)
         assert report.upper is None and report.eps_s is None
         part = build_partition(0.1 / 4, (0.1 / 4) * report.d_lb)
-        ratio, _ = _fold(product_steps(pair), _merged(part), MAX_TABLE_ENTRIES)
+        ratio, _ = _fold(product_steps(pair), partial(sparsify_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
         assert report.estimate == tv_of_ratio(ratio)
 
     def test_first_try_certifies_a_near_pair(self):
@@ -203,18 +205,34 @@ class TestSchedule:
         paper = eps / (2 * pair.n)
         assert widths == [0.2, paper]
         assert report.upper is None and report.eps_s is None
-        part = build_partition(paper, paper * report.d_lb)
-        ratio, support = _fold(product_steps(pair), _merged(part), MAX_TABLE_ENTRIES)
+        merge = partial(sparsify_wrt_intervals, part=build_partition(paper, paper * report.d_lb))
+        ratio, support = _fold(product_steps(pair), merge, MAX_TABLE_ENTRIES)
         assert report.estimate == tv_of_ratio(ratio) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
+
+    def test_no_mass_is_dropped(self):
+        # q-mass 1e-12 on the first outcome of two coordinates, at ratio 1:
+        # after the second step the table holds an entry of q-mass 1e-24,
+        # alone in the cell {1}; the later coordinates have p = q, so it
+        # keeps its value to the end
+        rows = [[1e-12, 0.6, 0.4 - 1e-12], [1e-12, 0.3, 0.7 - 1e-12]]
+        same = np.tile([0.2, 0.3, 0.5], (8, 1))
+        pair = ProductPair(np.vstack([rows[0], rows[0], same]), np.vstack([rows[1], rows[1], same]))
+        report, ratio = estimate_product_tv(pair, 0.1, return_ratio=True)
+        assert report.eps_s == 0.1 and report.upper < 1.0
+        [tiny] = ratio.masses[ratio.values == 1.0]
+        assert tiny == pytest.approx(1e-24, rel=1e-9, abs=0)
+        # every cell holds one point, so the bracket is exact and upper has
+        # no lost-mass term
+        assert report.upper <= brute_force_tv_product(pair) + VALIDITY_TOL
 
     def test_saturated_try_certifies_without_the_spread_fold(self, monkeypatch):
         pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
 
-        def no_spread(part):
+        def no_spread(table, part):
             raise AssertionError("spread fold ran")
 
-        monkeypatch.setattr(product_mod, "_spread", no_spread)
+        monkeypatch.setattr(product_mod, "spread_wrt_intervals", no_spread)
         # asking for the table keeps the Hellinger bound from skipping the fold
         report, _ = estimate_product_tv(pair, 0.05, return_ratio=True)
         assert report.upper == 1.0 and report.estimate >= 0.95

@@ -191,9 +191,10 @@ class TestEstimate:
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        code, _, err = run(capsys, "estimate", "--input", str(bad), "--epsilon", "0.1")
-        assert code == 1 and err.startswith("error: parse:")
+        for content in (b"{}", b'{"kind": "\xff\xfe"}'):  # the second is not UTF-8
+            bad.write_bytes(content)
+            code, _, err = run(capsys, "estimate", "--input", str(bad), "--epsilon", "0.1")
+            assert code == 1 and err.startswith("error: parse:"), content
 
 
 class TestBench:

@@ -78,6 +78,8 @@ class TestInstanceRoundTrip:
                 '"q_kernels": [[[1, 0], [0, 1], [0.5, 0.5]], [[1, 0], [0, 1], [0.5, 0.5]]]}',
                 id="kernels-with-q-plus-one-rows",
             ),
+            pytest.param('{"kind": "product", "n": ' + "1" * 5000 + ', "q": 2}', id="5000-digit-integer"),
+            pytest.param("[" * 200_000, id="nested-200000-deep"),
         ],
     )
     def test_rejects_malformed_documents(self, text):

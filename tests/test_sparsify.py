@@ -15,7 +15,7 @@ from tvdist import (
     sparsify_wrt_intervals,
     tv_of_ratio,
 )
-from tvdist.sparsify import _interval_keys, _prune_negligible
+from tvdist.sparsify import _interval_keys
 
 from conftest import random_ratio
 
@@ -195,13 +195,3 @@ class TestSparsify:
         out = sparsify(r, 0.1, 0.01)
         assert len(out) <= support_bound(0.1, 0.01)
 
-
-class TestPruneNegligible:
-    def test_keeps_everything_above_threshold(self, rng):
-        r = random_ratio(rng, 50)
-        assert _prune_negligible(r) is r
-
-    def test_drops_tiny_mass(self):
-        r = RatioDist([0.5, 0.6], [1e-22, 1.0 - 1e-22])
-        out = _prune_negligible(r)
-        assert out.values.tolist() == [0.6]
