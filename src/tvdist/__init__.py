@@ -16,7 +16,6 @@ from .errors import (
     ValidityError,
 )
 from .files import (
-    InstanceFile,
     derive_seed,
     emit_instance,
     emit_report,
@@ -42,7 +41,6 @@ from .product import (
 )
 from .ratios import (
     VALIDITY_TOL,
-    DiscreteDist,
     MassPoint,
     NPBoundary,
     RatioDist,
@@ -64,9 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionError",
-    "DiscreteDist",
     "EstimateReport",
-    "InstanceFile",
     "IntervalPartition",
     "MarkovPair",
     "MassPoint",

@@ -17,7 +17,6 @@ from .errors import (
     ValidityError,
 )
 from .files import (
-    InstanceFile,
     derive_seed,
     emit_instance,
     emit_report,
@@ -26,14 +25,14 @@ from .files import (
     parse_instance,
     region_csv,
 )
-from .markov import estimate_markov_tv, markov_lower_bound
+from .markov import MarkovPair, estimate_markov_tv, markov_lower_bound
 from .oracle import (
     brute_force_tv_markov,
     brute_force_tv_product,
     exact_ratio_markov,
     exact_ratio_product,
 )
-from .product import EstimateReport, estimate_product_tv, product_lower_bound
+from .product import EstimateReport, ProductPair, estimate_product_tv, product_lower_bound
 from .ratios import np_boundary, tv_of_ratio
 
 _ERROR_KINDS = [
@@ -53,29 +52,28 @@ def _error_kind(exc: Exception) -> str:
     return "io"
 
 
-#: Per instance kind: (estimator, exact pipeline, brute-force oracle, lower
+#: Per pair type: (estimator, exact pipeline, brute-force oracle, lower
 #: bound).  Each entry looks the functions up when it is called, so a function
 #: replaced on this module, as the benchmark's per-layer tracer does, is the
 #: one that runs.
 _PIPELINES = {
-    "product": lambda: (
+    ProductPair: lambda: (
         estimate_product_tv, exact_ratio_product, brute_force_tv_product, product_lower_bound
     ),
-    "markov": lambda: (
+    MarkovPair: lambda: (
         estimate_markov_tv, exact_ratio_markov, brute_force_tv_markov, markov_lower_bound
     ),
 }
 
 
-def _run_estimate(inst: InstanceFile, mode: str, epsilon, want_ratio: bool):
+def _run_estimate(pair: ProductPair | MarkovPair, mode: str, epsilon, want_ratio: bool):
     """Run one estimate; return its report and final ratio.
 
     The ratio is None for the oracle, and for fptas runs that need no table:
     those make the same call as the library, so they print the same bits
     and may skip the fold when the Hellinger bound certifies them.
     """
-    estimate, exact, brute_force, lower_bound = _PIPELINES[inst.kind]()
-    pair = inst.pair
+    estimate, exact, brute_force, lower_bound = _PIPELINES[type(pair)]()
     if mode == "fptas":
         if epsilon is None:
             raise ParameterError("mode fptas requires --epsilon")
@@ -106,11 +104,11 @@ def cmd_estimate(args) -> int:
         text = Path(args.input).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.input} is not UTF-8 text: {exc}") from exc
-    inst = parse_instance(text)
-    report, ratio = _run_estimate(inst, args.mode, args.epsilon, args.emit_region is not None)
+    pair = parse_instance(text)
+    report, ratio = _run_estimate(pair, args.mode, args.epsilon, args.emit_region is not None)
     if args.emit_region is not None:
         Path(args.emit_region).write_text(region_csv(np_boundary(ratio)))
-    sys.stdout.write(emit_report(report, args.mode, instance_digest(inst)))
+    sys.stdout.write(emit_report(report, args.mode, instance_digest(pair)))
     return 0
 
 
@@ -137,8 +135,8 @@ def _check_generator(kind: str, n: int, q: int, skew: float) -> None:
 
 def cmd_gen(args) -> int:
     _check_generator(args.kind, args.n, args.q, args.skew)
-    inst = generate_instance(args.kind, args.n, args.q, args.seed, args.skew)
-    Path(args.out).write_text(emit_instance(inst))
+    pair = generate_instance(args.kind, args.n, args.q, args.seed, args.skew)
+    Path(args.out).write_text(emit_instance(pair))
     return 0
 
 
@@ -150,10 +148,10 @@ def cmd_bench(args) -> int:
     for n in args.n:
         for q in args.q:
             _check_generator(args.kind, n, q, args.skew)
-            inst = generate_instance(args.kind, n, q, derive_seed(args.seed, n, q), args.skew)
-            estimate = _PIPELINES[args.kind]()[0]
+            pair = generate_instance(args.kind, n, q, derive_seed(args.seed, n, q), args.skew)
+            estimate = _PIPELINES[type(pair)]()[0]
             for eps in args.epsilon:
-                result = estimate(inst.pair, eps)
+                result = estimate(pair, eps)
                 rows.append(
                     f"{args.kind},{n},{q},{eps!r},{result.estimate!r},"
                     f"{result.d_lb!r},{result.max_support},{result.elapsed * 1e3!r}"

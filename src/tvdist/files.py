@@ -1,5 +1,7 @@
 """Instance and report documents, region CSV output, instance generation.
 
+An instance is its pair: parsing and the generators return a ProductPair
+or a MarkovPair, and the pair's type gives the document's "kind".
 Documents are JSON with a fixed key order; floats are serialized with
 Python's shortest round-trip repr, so emit(parse(emit(x))) is byte-stable
 and equal inputs hash identically.
@@ -9,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .markov import MarkovPair
 from .product import EstimateReport, ProductPair
 from .ratios import NPBoundary
@@ -25,22 +26,6 @@ ROW_SUM_TOL = 1e-6
 ROW_SUM_EXACT = 1e-13
 
 KINDS = ("product", "markov")
-
-
-@dataclass(frozen=True)
-class InstanceFile:
-    """A parsed problem instance: its kind plus the typed pair."""
-
-    kind: str
-    pair: ProductPair | MarkovPair
-
-    @property
-    def n(self) -> int:
-        return self.pair.n
-
-    @property
-    def q(self) -> int:
-        return self.pair.q
 
 
 def _normalized_rows(raw, name: str, q: int, count: int) -> np.ndarray:
@@ -63,7 +48,9 @@ def _normalized_rows(raw, name: str, q: int, count: int) -> np.ndarray:
     off = np.abs(sums - 1.0)
     if np.any(off > ROW_SUM_TOL):
         worst = int(np.argmax(off))
-        raise ParseError(f"{name} row {worst} sums to {sums[worst]!r}, off by more than {ROW_SUM_TOL}")
+        raise ParseError(
+            f"{name} row {worst} sums to {float(sums[worst])!r}, off by more than {ROW_SUM_TOL}"
+        )
     fix = off > ROW_SUM_EXACT
     if np.any(fix):
         rows = rows.copy()
@@ -77,7 +64,7 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def parse_instance(text: str) -> InstanceFile:
+def parse_instance(text: str) -> ProductPair | MarkovPair:
     """Parse an instance document, validating shapes and row sums."""
     # ValueError covers JSONDecodeError and integers past Python's digit
     # limit; RecursionError, arrays nested deeper than the decoder can go.
@@ -98,7 +85,7 @@ def parse_instance(text: str) -> InstanceFile:
     if kind == "product":
         p = _normalized_rows(_require(doc, "p"), "p", q, n)
         qd = _normalized_rows(_require(doc, "q_dist"), "q_dist", q, n)
-        return InstanceFile(kind, ProductPair(p, qd))
+        return ProductPair(p, qd)
     p_init = _normalized_rows(_require(doc, "p_init"), "p_init", q, 1)[0]
     q_init = _normalized_rows(_require(doc, "q_init"), "q_init", q, 1)[0]
     pk_raw = _require(doc, "p_kernels")
@@ -113,26 +100,24 @@ def parse_instance(text: str) -> InstanceFile:
     qk = np.stack(
         [_normalized_rows(k, f"q_kernels[{i}]", q, q) for i, k in enumerate(qk_raw)]
     ) if n > 1 else np.zeros((0, q, q))
-    return InstanceFile(kind, MarkovPair(p_init, q_init, pk, qk))
+    return MarkovPair(p_init, q_init, pk, qk)
 
 
-def emit_instance(inst: InstanceFile) -> str:
+def emit_instance(pair: ProductPair | MarkovPair) -> str:
     """Canonical text form of an instance: fixed key order, repr floats."""
-    if inst.kind == "product":
-        pair = inst.pair
+    if isinstance(pair, ProductPair):
         doc = {
             "kind": "product",
-            "n": inst.n,
-            "q": inst.q,
+            "n": pair.n,
+            "q": pair.q,
             "p": pair.p_marginals.tolist(),
             "q_dist": pair.q_marginals.tolist(),
         }
     else:
-        pair = inst.pair
         doc = {
             "kind": "markov",
-            "n": inst.n,
-            "q": inst.q,
+            "n": pair.n,
+            "q": pair.q,
             "p_init": pair.p_init.tolist(),
             "q_init": pair.q_init.tolist(),
             "p_kernels": pair.p_kernels.tolist(),
@@ -141,9 +126,9 @@ def emit_instance(inst: InstanceFile) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def instance_digest(inst: InstanceFile) -> str:
+def instance_digest(pair: ProductPair | MarkovPair) -> str:
     """SHA-256 of the canonical document, prefixed with the algorithm name."""
-    payload = emit_instance(inst).encode("utf-8")
+    payload = emit_instance(pair).encode("utf-8")
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
@@ -185,11 +170,20 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _random_rows(rng: np.random.Generator, shape: tuple[int, ...], skew: float) -> np.ndarray:
+    """Gamma draws of shape `skew`, normalized along the last axis.
+
+    A row whose draws all underflow to 0, or whose sum overflows, cannot be
+    normalized and raises ParameterError.
+    """
     draws = rng.gamma(shape=skew, scale=1.0, size=shape)
-    return draws / np.sum(draws, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        sums = np.sum(draws, axis=-1, keepdims=True)
+    if not np.all((sums > 0) & np.isfinite(sums)):
+        raise ParameterError(f"gamma draws at skew {skew!r} give a row that sums to 0 or overflows")
+    return draws / sums
 
 
-def generate_product_instance(n: int, q: int, seed: int, skew: float = 1.0) -> InstanceFile:
+def generate_product_instance(n: int, q: int, seed: int, skew: float = 1.0) -> ProductPair:
     """Seeded random product instance; identical arguments give identical files.
 
     Each marginal is an independent normalized vector of gamma draws with the
@@ -199,20 +193,22 @@ def generate_product_instance(n: int, q: int, seed: int, skew: float = 1.0) -> I
     rng = _rng(seed)
     p = _random_rows(rng, (n, q), skew)
     qd = _random_rows(rng, (n, q), skew)
-    return InstanceFile("product", ProductPair(p, qd))
+    return ProductPair(p, qd)
 
 
-def generate_markov_instance(n: int, q: int, seed: int, skew: float = 1.0) -> InstanceFile:
+def generate_markov_instance(n: int, q: int, seed: int, skew: float = 1.0) -> MarkovPair:
     """Seeded random chain instance; same determinism contract as products."""
     rng = _rng(seed)
     p_init = _random_rows(rng, (q,), skew)
     q_init = _random_rows(rng, (q,), skew)
     pk = _random_rows(rng, (n - 1, q, q), skew) if n > 1 else np.zeros((0, q, q))
     qk = _random_rows(rng, (n - 1, q, q), skew) if n > 1 else np.zeros((0, q, q))
-    return InstanceFile("markov", MarkovPair(p_init, q_init, pk, qk))
+    return MarkovPair(p_init, q_init, pk, qk)
 
 
-def generate_instance(kind: str, n: int, q: int, seed: int, skew: float = 1.0) -> InstanceFile:
+def generate_instance(
+    kind: str, n: int, q: int, seed: int, skew: float = 1.0
+) -> ProductPair | MarkovPair:
     if kind == "product":
         return generate_product_instance(n, q, seed, skew)
     if kind == "markov":

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .product import _estimate, _read_only_copy, _validate_rows
-from .ratios import DiscreteDist, tv_discrete
+from .product import _estimate, _read_only_copy
+from .ratios import _validate_rows, tv_discrete
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class MarkovPair:
     q_kernels: np.ndarray
 
     def __post_init__(self) -> None:
-        p_init = DiscreteDist(_read_only_copy(self.p_init)).masses
-        q_init = DiscreteDist(_read_only_copy(self.q_init)).masses
+        p_init = _validate_rows(_read_only_copy(self.p_init), "p_init", 1)
+        q_init = _validate_rows(_read_only_copy(self.q_init), "q_init", 1)
         object.__setattr__(self, "p_init", p_init)
         object.__setattr__(self, "q_init", q_init)
         q = p_init.size

@@ -26,8 +26,14 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
-from .ratios import VALIDITY_TOL, RatioDist, _fold, tv_discrete, tv_of_ratio
-from .sparsify import _low_cell_count, build_partition, sparsify_wrt_intervals, spread_wrt_intervals
+from .ratios import VALIDITY_TOL, RatioDist, _fold, _validate_rows, tv_discrete, tv_of_ratio
+from .sparsify import (
+    _is_real,
+    _low_cell_count,
+    build_partition,
+    sparsify_wrt_intervals,
+    spread_wrt_intervals,
+)
 
 
 def _read_only_copy(a) -> np.ndarray:
@@ -35,19 +41,6 @@ def _read_only_copy(a) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.flags.writeable = False
     return a
-
-
-def _validate_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-D array, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
-        raise ValidityError(f"{name} must be finite and nonnegative")
-    sums = np.sum(rows, axis=1)
-    if np.any(np.abs(sums - 1.0) > VALIDITY_TOL):
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValidityError(f"{name} row {worst} sums to {sums[worst]!r}, expected 1")
-    return rows
 
 
 @dataclass(frozen=True)
@@ -62,6 +55,8 @@ class ProductPair:
         q = _validate_rows(_read_only_copy(self.q_marginals), "q_marginals")
         if p.shape != q.shape:
             raise DimensionError(f"marginal shapes differ: {p.shape} vs {q.shape}")
+        if p.shape[0] < 1:
+            raise DimensionError("a product needs at least one coordinate")
         object.__setattr__(self, "p_marginals", p)
         object.__setattr__(self, "q_marginals", q)
 
@@ -204,8 +199,9 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     estimate: it lies in [(1 - eps) * TV, TV] with upper = 1, and nothing is
     folded.
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and 0.0 < eps < 1.0):
+    if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps!r}")
+    eps = float(eps)
     start = time.perf_counter()
     d_lb = lower_bound(pair)
     n = len(steps)
@@ -218,7 +214,7 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     elif d_lb == 0.0:
         estimate, ratio, max_support = 0.0, RatioDist([1.0], [1.0]), 1
     elif not return_ratio and (gap := max(d_lb, _affinity_gap(steps))) >= 1.0 - eps:
-        estimate, ratio, upper, eps_s = gap, None, 1.0, float(eps)
+        estimate, ratio, upper, eps_s = gap, None, 1.0, eps
     else:
         paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
         if _outgrows(n, pair.q, _low_cell_count(paper_eps, paper_delta)):
@@ -228,12 +224,12 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
             ratio, support = _fold(steps, merge, MAX_TABLE_ENTRIES)
             max_support = max(max_support, support)
         else:
-            eps_s = float(eps)
+            eps_s = eps
         iterations = n - 1
         estimate = tv_of_ratio(ratio)
     report = EstimateReport(
         estimate=estimate,
-        epsilon=float(eps),
+        epsilon=eps,
         d_lb=d_lb,
         max_support=max_support,
         iterations=iterations,

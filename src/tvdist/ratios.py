@@ -6,7 +6,10 @@ distributions: the total variation distance and the Neyman-Pearson boundary
 are read off from it directly, without revisiting the underlying sample
 space.  Products over independent coordinates and Markov steps are both
 mixtures of scaled tables (`concatenate`), and every pipeline builds its
-table with one fold over such steps (`_fold`).
+table with one fold over such steps (`_fold`).  Probability vectors are
+plain arrays: `_validate_rows` is the one check of every row the package
+takes, run by the public functions here on their inputs and by the pair
+types when they are built, so the fold trusts the rows it is given.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -32,25 +35,34 @@ def _as_float_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
-    """Probability vector over a finite sample space."""
+def _validate_rows(rows, name: str, ndim: int = 2) -> np.ndarray:
+    """`rows` as a float array whose last axis holds probability rows.
 
-    masses: np.ndarray
+    The array must have `ndim` dimensions (1 for a single row), and every
+    row must be nonempty, finite, nonnegative and sum to 1 within
+    VALIDITY_TOL.  Every probability row the package takes passes through it.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != ndim:
+        raise DimensionError(f"{name} must be a {ndim}-D array, got shape {rows.shape}")
+    if rows.shape[-1] == 0:
+        raise ValidityError(f"{name} rows need at least one outcome")
+    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
+        raise ValidityError(f"{name} must be finite and nonnegative")
+    sums = np.sum(rows, axis=-1).reshape(-1)
+    off = np.abs(sums - 1.0)
+    if np.any(off > VALIDITY_TOL):
+        worst = int(np.argmax(off))
+        raise ValidityError(f"{name} row {worst} sums to {float(sums[worst])!r}, expected 1")
+    return rows
 
-    def __post_init__(self) -> None:
-        masses = _as_float_vector(self.masses, "masses")
-        object.__setattr__(self, "masses", masses)
-        if masses.size == 0:
-            raise ValidityError("a distribution needs at least one outcome")
-        if not np.all(np.isfinite(masses)) or np.any(masses < 0):
-            raise ValidityError("masses must be finite and nonnegative")
-        total = float(np.sum(masses))
-        if abs(total - 1.0) > VALIDITY_TOL:
-            raise ValidityError(f"masses sum to {total!r}, expected 1 within {VALIDITY_TOL}")
 
-    def __len__(self) -> int:
-        return self.masses.size
+def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Two probability vectors over the same outcomes, checked."""
+    p, q = _validate_rows(p, "p", 1), _validate_rows(q, "q", 1)
+    if p.size != q.size:
+        raise DimensionError(f"outcome spaces differ: {p.size} vs {q.size}")
+    return p, q
 
 
 class MassPoint(NamedTuple):
@@ -138,16 +150,10 @@ class NPBoundary:
         return self.vertices.shape[0]
 
 
-def _dist(d) -> DiscreteDist:
-    return d if isinstance(d, DiscreteDist) else DiscreteDist(d)
-
-
 def tv_discrete(p, q) -> float:
     """Total variation distance between two aligned probability vectors."""
-    p, q = _dist(p), _dist(q)
-    if len(p) != len(q):
-        raise DimensionError(f"sample spaces differ: {len(p)} vs {len(q)} outcomes")
-    return 0.5 * float(np.sum(np.abs(p.masses - q.masses)))
+    p, q = _aligned(p, q)
+    return 0.5 * float(np.sum(np.abs(p - q)))
 
 
 def ratio_of(p, q) -> RatioDist:
@@ -158,8 +164,8 @@ def ratio_of(p, q) -> RatioDist:
     equal float ratios are grouped into one entry.  This is `concatenate`
     with the trivial table for every outcome.
     """
-    q = _dist(q)
-    return concatenate(p, q, (_ONE,) * len(q))
+    p, q = _aligned(p, q)
+    return _concatenate(p, q, (_ONE,) * q.size)
 
 
 def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
@@ -176,12 +182,10 @@ def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
     only arise from underflowing products; dropping them loses less mass
     than the validity tolerance resolves.
     """
-    px, qx = _dist(px), _dist(qx)
-    if len(px) != len(qx):
-        raise DimensionError(f"outcome spaces differ: {len(px)} vs {len(qx)}")
-    if len(tables) != len(qx):
-        raise DimensionError(f"got {len(tables)} tables for {len(qx)} outcomes")
-    return _concatenate(px.masses, qx.masses, tables)
+    px, qx = _aligned(px, qx)
+    if len(tables) != qx.size:
+        raise DimensionError(f"got {len(tables)} tables for {qx.size} outcomes")
+    return _concatenate(px, qx, tables)
 
 
 def _concatenate(px: np.ndarray, qx: np.ndarray, tables: Sequence[RatioDist]) -> RatioDist:

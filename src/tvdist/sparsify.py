@@ -13,6 +13,7 @@ can only raise the distance, so a fold of spreads bounds it from above.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +61,19 @@ class IntervalPartition:
 MAX_PARTITION_M = 2**26
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real scalar, numpy's included; a bool does not pass for 0 or 1."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _low_cell_count(eps_s: float, delta_s: float) -> float:
     """-log(delta_s) / log(1 + eps_s): the partition's m, before rounding up.
 
     Checks the parameters as build_partition does, without allocating.
     """
-    if not (isinstance(eps_s, (int, float)) and math.isfinite(eps_s) and eps_s > 0):
+    if not (_is_real(eps_s) and math.isfinite(eps_s) and eps_s > 0):
         raise ParameterError(f"eps_s must be a positive finite real, got {eps_s!r}")
-    if not (isinstance(delta_s, (int, float)) and 0.0 < delta_s < 1.0):
+    if not (_is_real(delta_s) and 0.0 < delta_s < 1.0):
         raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s!r}")
     return -math.log(delta_s) / math.log1p(eps_s)
 
@@ -83,8 +89,8 @@ def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
     cells = _low_cell_count(eps_s, delta_s)
     if not cells <= MAX_PARTITION_M:
         raise SizeError(
-            f"partition for eps_s={eps_s!r}, delta_s={delta_s!r} needs m={cells:.4g} "
-            f"low-side intervals, beyond the cap of {MAX_PARTITION_M}"
+            f"partition for eps_s={float(eps_s)!r}, delta_s={float(delta_s)!r} "
+            f"needs m={cells:.4g} low-side intervals, beyond the cap of {MAX_PARTITION_M}"
         )
     m = int(math.ceil(cells))
     a = -np.expm1(-math.log1p(eps_s) * np.arange(m + 1, dtype=np.float64))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tvdist import DiscreteDist, ratio_of
+from tvdist import ratio_of
 
 
 def random_dist(rng, size, allow_zeros=False):
@@ -14,7 +14,7 @@ def random_dist(rng, size, allow_zeros=False):
         if mask.all():
             mask[rng.integers(size)] = False
         raw = np.where(mask, 0.0, raw)
-    return DiscreteDist(raw / raw.sum())
+    return raw / raw.sum()
 
 
 def random_dist_pair(rng, size, zeros_in_p=False, zeros_in_q=False):

@@ -78,7 +78,7 @@ def _battery(kind):
                 estimate_markov_tv,
             )
         skew = SKEWS[(i // 24) % len(SKEWS)]
-        pair = gen(n, q, seed=910_000 + i, skew=skew).pair
+        pair = gen(n, q, seed=910_000 + i, skew=skew)
         cases.append(
             Case(
                 pair=pair,
@@ -229,7 +229,7 @@ def test_criterion_07_one_sidedness(product_battery, markov_battery):
 
 
 def test_criterion_08_scale_runs():
-    pair = generate_product_instance(2000, 10, seed=8, skew=0.15).pair
+    pair = generate_product_instance(2000, 10, seed=8, skew=0.15)
     start = time.perf_counter()
     report = estimate_product_tv(pair, 0.05)
     product_wall = time.perf_counter() - start
@@ -239,7 +239,7 @@ def test_criterion_08_scale_runs():
         and product_wall < 30.0
         and report.max_support <= 10 * part.interval_count
     )
-    chain = generate_markov_instance(500, 10, seed=8, skew=0.15).pair
+    chain = generate_markov_instance(500, 10, seed=8, skew=0.15)
     start = time.perf_counter()
     chain_report = estimate_markov_tv(chain, 0.05)
     chain_wall = time.perf_counter() - start
@@ -261,8 +261,8 @@ def test_criterion_11_certified_at_scale():
     p /= p.sum(axis=1, keepdims=True)
     q = p * np.exp(0.01 * rng.standard_normal(p.shape))
     runs = [
-        ("criterion 08 product", estimate_product_tv, generate_product_instance(2000, 10, seed=8, skew=0.15).pair),
-        ("criterion 08 markov", estimate_markov_tv, generate_markov_instance(500, 10, seed=8, skew=0.15).pair),
+        ("criterion 08 product", estimate_product_tv, generate_product_instance(2000, 10, seed=8, skew=0.15)),
+        ("criterion 08 markov", estimate_markov_tv, generate_markov_instance(500, 10, seed=8, skew=0.15)),
         ("near product n=1000 q=10", estimate_product_tv, ProductPair(p, q / q.sum(axis=1, keepdims=True))),
     ]
     eps, failed, details = 0.05, [], []
@@ -304,15 +304,15 @@ def test_criterion_09_boundary_structure():
 def test_criterion_10_degenerate_suite():
     checks = []
 
-    pair = generate_product_instance(5, 3, seed=1234).pair
+    pair = generate_product_instance(5, 3, seed=1234)
     same_product = ProductPair(pair.p_marginals, pair.p_marginals)
     checks.append(("product P==Q", estimate_product_tv(same_product, 0.3).estimate == 0.0))
 
-    chain = generate_markov_instance(5, 3, seed=1234).pair
+    chain = generate_markov_instance(5, 3, seed=1234)
     same_chain = MarkovPair(chain.p_init, chain.p_init, chain.p_kernels, chain.p_kernels)
     checks.append(("markov P==Q", estimate_markov_tv(same_chain, 0.3).estimate == 0.0))
 
-    single = generate_product_instance(1, 4, seed=55).pair
+    single = generate_product_instance(1, 4, seed=55)
     checks.append(
         (
             "product n=1 exact",
@@ -320,7 +320,7 @@ def test_criterion_10_degenerate_suite():
             == tv_discrete(single.p_marginals[0], single.q_marginals[0]),
         )
     )
-    chain1 = generate_markov_instance(1, 4, seed=55).pair
+    chain1 = generate_markov_instance(1, 4, seed=55)
     checks.append(
         (
             "markov n=1 exact",

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tvdist import estimate_product_tv, parse_instance, product
+from tvdist import ProductPair, estimate_product_tv, parse_instance, product
 from tvdist.cli import main
 from tvdist.files import derive_seed
 
@@ -27,8 +27,8 @@ def product_file(tmp_path, capsys):
 
 class TestGen:
     def test_writes_parseable_instance(self, product_file):
-        inst = parse_instance(product_file.read_text())
-        assert inst.kind == "product" and inst.n == 4 and inst.q == 3
+        pair = parse_instance(product_file.read_text())
+        assert isinstance(pair, ProductPair) and pair.n == 4 and pair.q == 3
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -38,7 +38,12 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "n,skew", [("0", "1.0"), ("2", "0"), ("2", "-1"), ("2", "nan"), ("2", "inf")]
+        "n,skew",
+        [
+            ("0", "1.0"), ("2", "0"), ("2", "-1"), ("2", "nan"), ("2", "inf"),
+            # gamma draws that underflow to a zero row, or overflow its sum
+            ("2", "1e-5"), ("2", "1e-300"), ("2", "1e308"),
+        ],
     )
     def test_rejects_bad_parameters(self, n, skew, tmp_path, capsys):
         code, _, err = run(
@@ -129,7 +134,7 @@ class TestEstimate:
         path = tmp_path / "spiky.json"
         run(capsys, "gen", "--kind", "product", "--n", "30", "--q", "4", "--seed", "2",
             "--skew", "0.15", "--out", str(path))
-        library = estimate_product_tv(parse_instance(path.read_text()).pair, 0.05)
+        library = estimate_product_tv(parse_instance(path.read_text()), 0.05)
         assert library.iterations == 0
         _, out, _ = run(capsys, "estimate", "--input", str(path), "--epsilon", "0.05")
         doc = json.loads(out)
@@ -233,7 +238,7 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error: size:")
 
-    @pytest.mark.parametrize("skew", ["0", "nan"])
+    @pytest.mark.parametrize("skew", ["0", "nan", "1e-5", "1e-300", "1e308"])
     def test_rejects_bad_skew(self, skew, capsys):
         code, out, err = run(
             capsys, "bench", "--kind", "markov", "--n", "2", "--q", "2",

@@ -40,14 +40,14 @@ class TestInstanceRoundTrip:
 
     def test_hand_authored_rows_renormalized_once(self):
         text = """{"kind": "product", "n": 1, "q": 2, "p": [[0.5000001, 0.5]], "q_dist": [[0.25, 0.75]]}"""
-        inst = parse_instance(text)
-        assert np.sum(inst.pair.p_marginals[0]) == pytest.approx(1.0, abs=1e-15)
-        again = parse_instance(emit_instance(inst))
-        np.testing.assert_array_equal(again.pair.p_marginals, inst.pair.p_marginals)
+        pair = parse_instance(text)
+        assert np.sum(pair.p_marginals[0]) == pytest.approx(1.0, abs=1e-15)
+        again = parse_instance(emit_instance(pair))
+        np.testing.assert_array_equal(again.p_marginals, pair.p_marginals)
 
     def test_rejects_row_sum_off_by_too_much(self):
         text = """{"kind": "product", "n": 1, "q": 2, "p": [[0.6, 0.5]], "q_dist": [[0.5, 0.5]]}"""
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"p row 0 sums to 1\.1, "):
             parse_instance(text)
 
     @pytest.mark.parametrize(
@@ -141,12 +141,12 @@ class TestRegionCsv:
 
 class TestGeneration:
     def test_skew_controls_spikiness(self):
-        spiky = generate_product_instance(1, 16, seed=7, skew=0.1).pair.p_marginals[0]
-        flat = generate_product_instance(1, 16, seed=7, skew=100.0).pair.p_marginals[0]
+        spiky = generate_product_instance(1, 16, seed=7, skew=0.1).p_marginals[0]
+        flat = generate_product_instance(1, 16, seed=7, skew=100.0).p_marginals[0]
         assert spiky.max() > flat.max()
 
     def test_markov_rows_are_stochastic(self):
-        pair = generate_markov_instance(5, 4, seed=8).pair
+        pair = generate_markov_instance(5, 4, seed=8)
         np.testing.assert_allclose(pair.p_kernels.sum(axis=2), 1.0, atol=1e-12)
         np.testing.assert_allclose(pair.q_kernels.sum(axis=2), 1.0, atol=1e-12)
 

@@ -26,7 +26,7 @@ from conftest import random_dist_pair, random_ratio
 
 class TestMarkovPair:
     def test_dimensions(self):
-        pair = generate_markov_instance(4, 3, seed=1).pair
+        pair = generate_markov_instance(4, 3, seed=1)
         assert pair.n == 4 and pair.q == 3
 
     def test_single_step_chain(self):
@@ -127,8 +127,8 @@ class TestConcatenate:
                 deficit = max(0.0, 1.0 - float(np.sum(r.values * r.masses)))
                 # canonical pair on r's support plus one deficit outcome:
                 # p-row re-weights each mass by its value, q-row keeps it
-                joint_p.extend(px.masses[x] * np.append(r.values * r.masses, deficit))
-                joint_q.extend(qx.masses[x] * np.append(r.masses, 0.0))
+                joint_p.extend(px[x] * np.append(r.values * r.masses, deficit))
+                joint_q.extend(qx[x] * np.append(r.masses, 0.0))
             direct = ratio_of(np.array(joint_p), np.array(joint_q))
             composed = concatenate(px, qx, cond)
             assert len(direct) == len(composed)
@@ -138,7 +138,7 @@ class TestConcatenate:
 
 class TestMarkovLowerBound:
     def test_zero_for_identical(self):
-        pair = generate_markov_instance(4, 3, seed=2).pair
+        pair = generate_markov_instance(4, 3, seed=2)
         same = MarkovPair(pair.p_init, pair.p_init, pair.p_kernels, pair.p_kernels)
         assert markov_lower_bound(same) == 0.0
 
@@ -158,7 +158,7 @@ class TestMarkovLowerBound:
     def test_bracket_against_oracle(self, rng):
         for seed in range(30):
             n, q = int(rng.integers(1, 6)), int(rng.integers(2, 4))
-            pair = generate_markov_instance(n, q, seed=5000 + seed).pair
+            pair = generate_markov_instance(n, q, seed=5000 + seed)
             star = brute_force_tv_markov(pair)
             d_lb = markov_lower_bound(pair)
             assert star / (2 * n) - 1e-9 <= d_lb <= star + 1e-9
@@ -166,7 +166,7 @@ class TestMarkovLowerBound:
 
 class TestEstimateMarkovTv:
     def test_rejects_bad_epsilon(self):
-        pair = generate_markov_instance(3, 2, seed=3).pair
+        pair = generate_markov_instance(3, 2, seed=3)
         with pytest.raises(ParameterError):
             estimate_markov_tv(pair, 1.0)
 
@@ -176,14 +176,14 @@ class TestEstimateMarkovTv:
         assert report.estimate == tv_discrete([0.9, 0.1], [0.4, 0.6])
 
     def test_identical_chains_short_circuit(self):
-        pair = generate_markov_instance(5, 3, seed=4).pair
+        pair = generate_markov_instance(5, 3, seed=4)
         same = MarkovPair(pair.p_init, pair.p_init, pair.p_kernels, pair.p_kernels)
         assert estimate_markov_tv(same, 0.9).estimate == 0.0
 
     def test_sandwich_random(self, rng):
         for trial in range(40):
             n, q = int(rng.integers(1, 7)), int(rng.integers(2, 4))
-            pair = generate_markov_instance(n, q, seed=6000 + trial, skew=0.7).pair
+            pair = generate_markov_instance(n, q, seed=6000 + trial, skew=0.7)
             star = brute_force_tv_markov(pair)
             for eps in (0.5, 0.05):
                 report = estimate_markov_tv(pair, eps)
@@ -193,9 +193,7 @@ class TestEstimateMarkovTv:
         # kernels whose rows ignore the conditioning state describe a product
         for trial in range(10):
             n, q = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-            prod = ProductPair(
-                *(np.stack([d.masses for d in rows]) for rows in _row_pairs(rng, n, q))
-            )
+            prod = ProductPair(*map(np.stack, _row_pairs(rng, n, q)))
             pk = np.repeat(prod.p_marginals[1:, None, :], q, axis=1)
             qk = np.repeat(prod.q_marginals[1:, None, :], q, axis=1)
             chain = MarkovPair(prod.p_marginals[0], prod.q_marginals[0], pk, qk)
@@ -207,7 +205,7 @@ class TestEstimateMarkovTv:
             assert (1 - eps) * star - 1e-9 <= via_product <= star + 1e-9
 
     def test_deterministic_rerun(self):
-        pair = generate_markov_instance(6, 3, seed=11).pair
+        pair = generate_markov_instance(6, 3, seed=11)
         a = estimate_markov_tv(pair, 0.2)
         b = estimate_markov_tv(pair, 0.2)
         assert a.estimate == b.estimate
@@ -216,7 +214,7 @@ class TestEstimateMarkovTv:
         # each state's first table has at most 3 entries, and q = 3 of them mix
         import tvdist.product as product_mod
 
-        pair = generate_markov_instance(4, 3, seed=5).pair
+        pair = generate_markov_instance(4, 3, seed=5)
         monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", 8)
         with pytest.raises(SizeError):
             estimate_markov_tv(pair, 0.1)
@@ -238,7 +236,7 @@ class TestEstimateMarkovTv:
     def test_per_state_support_control(self):
         from tvdist import build_partition
 
-        pair = generate_markov_instance(7, 3, seed=12).pair
+        pair = generate_markov_instance(7, 3, seed=12)
         eps = 0.1
         report = estimate_markov_tv(pair, eps)
         assert report.d_lb > 0

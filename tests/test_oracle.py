@@ -31,7 +31,7 @@ class TestBruteForce:
         assert brute_force_tv_product(ProductPair([[1.0, 0.0]], [[0.0, 1.0]])) == 1.0
 
     def test_product_cap(self):
-        pair = generate_product_instance(30, 4, seed=0).pair
+        pair = generate_product_instance(30, 4, seed=0)
         with pytest.raises(SizeError):
             brute_force_tv_product(pair)
 
@@ -48,7 +48,7 @@ class TestBruteForce:
         assert brute_force_tv_markov(pair) == 0.5
 
     def test_markov_cap(self):
-        pair = generate_markov_instance(30, 4, seed=0).pair
+        pair = generate_markov_instance(30, 4, seed=0)
         with pytest.raises(SizeError):
             brute_force_tv_markov(pair)
 
@@ -68,7 +68,7 @@ class TestExactPipelines:
         np.testing.assert_allclose(out.masses, [0.5625, 0.375, 0.0625], atol=0)
 
     def test_product_support_cap(self):
-        pair = generate_product_instance(25, 4, seed=1).pair
+        pair = generate_product_instance(25, 4, seed=1)
         with pytest.raises(SizeError):
             exact_ratio_product(pair, support_cap=10_000)
 
@@ -79,18 +79,18 @@ class TestExactPipelines:
         np.testing.assert_array_equal(out.values, ref.values)
 
     def test_markov_identical_chains(self):
-        pair = generate_markov_instance(5, 3, seed=9).pair
+        pair = generate_markov_instance(5, 3, seed=9)
         same = MarkovPair(pair.p_init, pair.p_init, pair.p_kernels, pair.p_kernels)
         assert exact_ratio_markov(same).points == [(1.0, 1.0)]
 
     def test_cross_oracle_agreement(self, rng):
         for trial in range(100):
             n, q = int(rng.integers(1, 9)), int(rng.integers(2, 5))
-            pair = generate_product_instance(n, q, seed=7000 + trial, skew=0.6).pair
+            pair = generate_product_instance(n, q, seed=7000 + trial, skew=0.6)
             exact = tv_of_ratio(exact_ratio_product(pair))
             assert abs(exact - brute_force_tv_product(pair)) <= 1e-10
         for trial in range(100):
             n, q = int(rng.integers(1, 8)), int(rng.integers(2, 4))
-            pair = generate_markov_instance(n, q, seed=8000 + trial, skew=0.6).pair
+            pair = generate_markov_instance(n, q, seed=8000 + trial, skew=0.6)
             exact = tv_of_ratio(exact_ratio_markov(pair))
             assert abs(exact - brute_force_tv_markov(pair)) <= 1e-10

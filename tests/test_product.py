@@ -32,8 +32,13 @@ class TestProductPair:
             ProductPair([[0.5, 0.5]], [[0.5, 0.25, 0.25]])
 
     def test_rejects_bad_rows(self):
-        with pytest.raises(ValidityError):
+        with pytest.raises(ValidityError, match=r"p_marginals row 0 sums to 0\.9, "):
             ProductPair([[0.5, 0.4]], [[0.5, 0.5]])
+
+    def test_rejects_zero_coordinates(self):
+        empty = np.zeros((0, 3))
+        with pytest.raises(DimensionError):
+            ProductPair(empty, empty)
 
     def test_dimensions(self):
         pair = small_pair()
@@ -67,7 +72,7 @@ class TestProductLowerBound:
     def test_bracket_against_oracle(self, rng):
         for seed in range(30):
             n, q = int(rng.integers(1, 7)), int(rng.integers(2, 5))
-            pair = generate_product_instance(n, q, seed=1000 + seed).pair
+            pair = generate_product_instance(n, q, seed=1000 + seed)
             star = brute_force_tv_product(pair)
             d_lb = product_lower_bound(pair)
             assert star / n - 1e-9 <= d_lb <= star + 1e-9
@@ -75,9 +80,15 @@ class TestProductLowerBound:
 
 class TestEstimateProductTv:
     def test_rejects_bad_epsilon(self):
-        for eps in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        for eps in (0.0, 1.0, -0.5, 1.5, float("nan"), True):
             with pytest.raises(ParameterError):
                 estimate_product_tv(small_pair(), eps)
+
+    def test_accepts_numpy_epsilon(self):
+        pair = generate_product_instance(6, 3, seed=21)
+        assert estimate_product_tv(pair, np.float32(0.25)).estimate == (
+            estimate_product_tv(pair, float(np.float32(0.25))).estimate
+        )
 
     def test_single_coordinate_is_exact(self):
         pair = ProductPair([[0.7, 0.2, 0.1]], [[0.3, 0.3, 0.4]])
@@ -99,7 +110,7 @@ class TestEstimateProductTv:
     def test_sandwich_random(self, rng):
         for trial in range(40):
             n, q = int(rng.integers(1, 8)), int(rng.integers(2, 5))
-            pair = generate_product_instance(n, q, seed=2000 + trial, skew=0.7).pair
+            pair = generate_product_instance(n, q, seed=2000 + trial, skew=0.7)
             star = brute_force_tv_product(pair)
             for eps in (0.5, 0.05):
                 report = estimate_product_tv(pair, eps)
@@ -107,7 +118,7 @@ class TestEstimateProductTv:
 
     def test_support_control(self, rng):
         for trial in range(10):
-            pair = generate_product_instance(6, 4, seed=3000 + trial).pair
+            pair = generate_product_instance(6, 4, seed=3000 + trial)
             eps = 0.1
             report = estimate_product_tv(pair, eps)
             if report.d_lb > 0:
@@ -131,7 +142,7 @@ class TestEstimateProductTv:
             assert (1 - eps) * star - 1e-22 <= est <= star + 1e-22
 
     def test_deterministic_rerun(self):
-        pair = generate_product_instance(12, 3, seed=77).pair
+        pair = generate_product_instance(12, 3, seed=77)
         a = estimate_product_tv(pair, 0.2)
         b = estimate_product_tv(pair, 0.2)
         assert a.estimate == b.estimate
@@ -141,7 +152,7 @@ class TestEstimateProductTv:
         # the first table has 3 entries, so the second step could build 3 * 3
         import tvdist.product as product_mod
 
-        pair = generate_product_instance(4, 3, seed=5).pair
+        pair = generate_product_instance(4, 3, seed=5)
         monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", 8)
         with pytest.raises(SizeError):
             estimate_product_tv(pair, 0.1)
@@ -163,6 +174,6 @@ class TestEstimateProductTv:
             seen.append(len(self.values))
 
         monkeypatch.setattr(ratios_mod.RatioDist, "__post_init__", spy)
-        pair = generate_product_instance(5, 3, seed=4).pair
+        pair = generate_product_instance(5, 3, seed=4)
         estimate_product_tv(pair, 0.2)
         assert len(seen) >= 2 * (pair.n - 1)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tvdist import (
     DimensionError,
-    DiscreteDist,
     RatioDist,
     ValidityError,
     concatenate,
@@ -31,20 +30,38 @@ def dist_pairs(draw, max_size=16, zeros=False):
         raw_p = np.where(kill, 0.0, raw_p)
         if not raw_p.any():
             raw_p[0] = 1.0
-    return DiscreteDist(raw_p / raw_p.sum()), DiscreteDist(raw_q / raw_q.sum())
+    return raw_p / raw_p.sum(), raw_q / raw_q.sum()
 
 
-class TestDiscreteDist:
+#: The public functions that check probability vectors, each given x as both.
+ROW_TAKERS = (
+    lambda x: tv_discrete(x, x),
+    lambda x: ratio_of(x, x),
+    lambda x: concatenate(x, x, (RatioDist([1.0], [1.0]),) * len(x)),
+)
+
+
+class TestRowCheck:
     def test_rejects_negative_mass(self):
-        with pytest.raises(ValidityError):
-            DiscreteDist([0.5, 0.6, -0.1])
+        for take in ROW_TAKERS:
+            with pytest.raises(ValidityError):
+                take([0.5, 0.6, -0.1])
 
     def test_rejects_bad_total(self):
-        with pytest.raises(ValidityError):
-            DiscreteDist([0.4, 0.4])
+        for take in ROW_TAKERS:
+            with pytest.raises(ValidityError, match=r"sums to 0\.8, expected 1"):
+                take([0.4, 0.4])
 
     def test_accepts_within_tolerance(self):
-        DiscreteDist([0.5, 0.5 + 5e-10])
+        for take in ROW_TAKERS:
+            take([0.5, 0.5 + 5e-10])
+
+    def test_rejects_empty_and_matrix_inputs(self):
+        for take in ROW_TAKERS:
+            with pytest.raises(ValidityError):
+                take([])
+            with pytest.raises(DimensionError):
+                take([[0.5, 0.5]])
 
 
 class TestTvDiscrete:
@@ -175,7 +192,7 @@ class TestIndpProduct:
         for _ in range(20):
             a, b, c = (random_dist_pair(rng, rng.integers(1, 12), zeros_in_p=True) for _ in range(3))
             left = concatenate(c[0], c[1], (indp_product(a, b),) * len(c[1]))
-            joint = tuple(np.outer(x.masses, y.masses).ravel() for x, y in zip(b, c))
+            joint = tuple(np.outer(x, y).ravel() for x, y in zip(b, c))
             right = indp_product(a, joint)
             assert len(left) == len(right)
             np.testing.assert_allclose(left.values, right.values, rtol=1e-12)
@@ -195,8 +212,8 @@ class TestIndpProduct:
             size1, size2 = rng.integers(2, 8, size=2)
             p1, q1 = random_dist_pair(rng, size1, zeros_in_p=True)
             p2, q2 = random_dist_pair(rng, size2, zeros_in_p=True)
-            joint_p = DiscreteDist(np.outer(p1.masses, p2.masses).ravel())
-            joint_q = DiscreteDist(np.outer(q1.masses, q2.masses).ravel())
+            joint_p = np.outer(p1, p2).ravel()
+            joint_q = np.outer(q1, q2).ravel()
             direct = ratio_of(joint_p, joint_q)
             composed = indp_product((p1, q1), (p2, q2))
             assert len(direct) == len(composed)

@@ -55,10 +55,16 @@ class TestBuildPartition:
         with pytest.raises(SizeError):
             build_partition(5e-8, 5e-8)
 
-    @pytest.mark.parametrize("eps,delta", [(0.0, 0.5), (-1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.5, 2.0)])
+    @pytest.mark.parametrize(
+        "eps,delta", [(0.0, 0.5), (-1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.5, 2.0), (True, 0.5)]
+    )
     def test_rejects_bad_parameters(self, eps, delta):
         with pytest.raises(ParameterError):
             build_partition(eps, delta)
+
+    def test_accepts_numpy_reals(self):
+        part = build_partition(np.float32(1.0), np.float32(0.25))
+        np.testing.assert_array_equal(part.a, build_partition(1.0, 0.25).a)
 
 
 class TestLocateInterval:
