@@ -4,20 +4,24 @@ An instance is its pair: parsing and the generators return a ProductPair
 or a MarkovPair, and the pair's type gives the document's "kind".
 Documents are JSON with a fixed key order; floats are serialized with
 Python's shortest round-trip repr, so emit(parse(emit(x))) is byte-stable
-and equal inputs hash identically.
+and equal inputs hash identically.  The generators refuse sizes and gamma
+shapes they cannot draw (`_check_generator`) before drawing anything.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, SizeError
 from .markov import MarkovPair
 from .product import EstimateReport, ProductPair
 from .ratios import NPBoundary
+from .sparsify import _is_real
 
 #: Accepted drift of an input row sum away from 1 before parsing fails.
 ROW_SUM_TOL = 1e-6
@@ -26,6 +30,11 @@ ROW_SUM_TOL = 1e-6
 ROW_SUM_EXACT = 1e-13
 
 KINDS = ("product", "markov")
+
+#: Largest row-entry count, n * q for a product and n * q * q for a chain,
+#: that the generators draw for one instance; 2**24 floats take 128 MiB
+#: per side, and the instance document is larger still.
+MAX_GENERATED_ENTRIES = 2**24
 
 
 def _normalized_rows(raw, name: str, q: int, count: int) -> np.ndarray:
@@ -165,6 +174,23 @@ def region_csv(boundary: NPBoundary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_generator(kind: str, n: int, q: int, skew: float) -> None:
+    """Refuse sizes that are not integers of at least 1 or that pass the cap,
+    and gamma shapes that are not positive finite reals, before anything is drawn."""
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (n, q)):
+        raise ParameterError(f"n and q must be integers, got n={n}, q={q}")
+    if n < 1 or q < 1:
+        raise ParameterError(f"n and q must be at least 1, got n={n}, q={q}")
+    entries = int(n) * int(q) ** (2 if kind == "markov" else 1)
+    if entries > MAX_GENERATED_ENTRIES:
+        raise SizeError(
+            f"a {kind} instance with n={n}, q={q} has {entries} row entries, "
+            f"beyond the cap of {MAX_GENERATED_ENTRIES}"
+        )
+    if not (_is_real(skew) and math.isfinite(skew) and skew > 0):
+        raise ParameterError(f"skew must be positive and finite, got {skew}")
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) % 2**64)
 
@@ -190,6 +216,7 @@ def generate_product_instance(n: int, q: int, seed: int, skew: float = 1.0) -> P
     given shape, so small skews give spiky marginals and large skews give
     near-uniform ones.
     """
+    _check_generator("product", n, q, skew)
     rng = _rng(seed)
     p = _random_rows(rng, (n, q), skew)
     qd = _random_rows(rng, (n, q), skew)
@@ -198,11 +225,12 @@ def generate_product_instance(n: int, q: int, seed: int, skew: float = 1.0) -> P
 
 def generate_markov_instance(n: int, q: int, seed: int, skew: float = 1.0) -> MarkovPair:
     """Seeded random chain instance; same determinism contract as products."""
+    _check_generator("markov", n, q, skew)
     rng = _rng(seed)
     p_init = _random_rows(rng, (q,), skew)
     q_init = _random_rows(rng, (q,), skew)
-    pk = _random_rows(rng, (n - 1, q, q), skew) if n > 1 else np.zeros((0, q, q))
-    qk = _random_rows(rng, (n - 1, q, q), skew) if n > 1 else np.zeros((0, q, q))
+    pk = _random_rows(rng, (n - 1, q, q), skew)
+    qk = _random_rows(rng, (n - 1, q, q), skew)
     return MarkovPair(p_init, q_init, pk, qk)
 
 

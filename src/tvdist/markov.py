@@ -51,11 +51,8 @@ class MarkovPair:
             raise DimensionError(
                 f"kernels must both have shape (n-1, {q}, {q}), got {pk.shape} and {qk.shape}"
             )
-        for step in range(pk.shape[0]):
-            _validate_rows(pk[step], f"p_kernels[{step}]")
-            _validate_rows(qk[step], f"q_kernels[{step}]")
-        object.__setattr__(self, "p_kernels", pk)
-        object.__setattr__(self, "q_kernels", qk)
+        object.__setattr__(self, "p_kernels", _validate_rows(pk, "p_kernels", 3))
+        object.__setattr__(self, "q_kernels", _validate_rows(qk, "q_kernels", 3))
 
     @property
     def n(self) -> int:

@@ -200,7 +200,7 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     folded.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps!r}")
+        raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
     eps = float(eps)
     start = time.perf_counter()
     d_lb = lower_bound(pair)

@@ -38,9 +38,10 @@ def _as_float_vector(x, name: str) -> np.ndarray:
 def _validate_rows(rows, name: str, ndim: int = 2) -> np.ndarray:
     """`rows` as a float array whose last axis holds probability rows.
 
-    The array must have `ndim` dimensions (1 for a single row), and every
-    row must be nonempty, finite, nonnegative and sum to 1 within
-    VALIDITY_TOL.  Every probability row the package takes passes through it.
+    The array must have `ndim` dimensions (1 for a single row, 3 for a stack
+    of matrices), and every row must be nonempty, finite, nonnegative and sum
+    to 1 within VALIDITY_TOL.  Every probability row the package takes passes
+    through it.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != ndim:
@@ -53,7 +54,11 @@ def _validate_rows(rows, name: str, ndim: int = 2) -> np.ndarray:
     off = np.abs(sums - 1.0)
     if np.any(off > VALIDITY_TOL):
         worst = int(np.argmax(off))
-        raise ValidityError(f"{name} row {worst} sums to {float(sums[worst])!r}, expected 1")
+        total = float(sums[worst])
+        if ndim == 3:  # name the matrix, then its row
+            step, worst = divmod(worst, rows.shape[1])
+            name = f"{name}[{step}]"
+        raise ValidityError(f"{name} row {worst} sums to {total!r}, expected 1")
     return rows
 
 

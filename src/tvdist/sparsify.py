@@ -72,9 +72,9 @@ def _low_cell_count(eps_s: float, delta_s: float) -> float:
     Checks the parameters as build_partition does, without allocating.
     """
     if not (_is_real(eps_s) and math.isfinite(eps_s) and eps_s > 0):
-        raise ParameterError(f"eps_s must be a positive finite real, got {eps_s!r}")
+        raise ParameterError(f"eps_s must be a positive finite real, got {eps_s}")
     if not (_is_real(delta_s) and 0.0 < delta_s < 1.0):
-        raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s!r}")
+        raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s}")
     return -math.log(delta_s) / math.log1p(eps_s)
 
 

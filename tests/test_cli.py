@@ -4,7 +4,19 @@ import json
 
 import pytest
 
-from tvdist import ProductPair, estimate_product_tv, parse_instance, product
+from tvdist import (
+    DimensionError,
+    ParameterError,
+    ParseError,
+    ProductPair,
+    SizeError,
+    TVDistError,
+    ValidityError,
+    cli,
+    estimate_product_tv,
+    parse_instance,
+    product,
+)
 from tvdist.cli import main
 from tvdist.files import derive_seed
 
@@ -193,6 +205,22 @@ class TestEstimate:
             capsys, "estimate", "--input", str(tmp_path / "nope.json"), "--epsilon", "0.1"
         )
         assert code == 1 and err.startswith("error: io:")
+
+    @pytest.mark.parametrize(
+        "error,kind",
+        [
+            (ParseError, "parse"), (ParameterError, "parameter"), (SizeError, "size"),
+            (DimensionError, "dimension"), (ValidityError, "validity"),
+            (TVDistError, "internal"), (OSError, "io"),
+        ],
+    )
+    def test_error_kinds(self, error, kind, product_file, monkeypatch, capsys):
+        def refuse(text):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "parse_instance", refuse)
+        code, out, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "0.1")
+        assert (code, out, err) == (1, "", f"error: {kind}: refused\n")
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

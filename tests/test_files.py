@@ -7,10 +7,13 @@ import pytest
 
 from tvdist import (
     EstimateReport,
+    ParameterError,
     ParseError,
+    SizeError,
     derive_seed,
     emit_instance,
     emit_report,
+    files,
     generate_instance,
     generate_markov_instance,
     generate_product_instance,
@@ -152,6 +155,23 @@ class TestGeneration:
 
     def test_negative_seed_accepted(self):
         generate_product_instance(2, 2, seed=-1)
+
+    @pytest.mark.parametrize("generate", [generate_product_instance, generate_markov_instance])
+    @pytest.mark.parametrize(
+        "n,q,skew,error",
+        [
+            (0, 2, 1.0, ParameterError),
+            (-3, 2, 1.0, ParameterError),
+            (2, 2, -1.0, ParameterError),
+            (2.5, 2, 1.0, ParameterError),
+            (True, 2, 1.0, ParameterError),
+            (10**8, 10**5, 1.0, SizeError),
+        ],
+    )
+    def test_refuses_before_drawing(self, generate, n, q, skew, error, monkeypatch):
+        monkeypatch.setattr(files, "_rng", lambda seed: pytest.fail("drew before refusing"))
+        with pytest.raises(error):
+            generate(n, q, seed=1, skew=skew)
 
     def test_derive_seed_deterministic(self):
         assert derive_seed(9, 4, 3) == derive_seed(9, 4, 3)

@@ -9,6 +9,7 @@ from tvdist import (
     ParameterError,
     RatioDist,
     SizeError,
+    ValidityError,
     brute_force_tv_markov,
     concatenate,
     estimate_markov_tv,
@@ -43,6 +44,17 @@ class TestMarkovPair:
         assert pair.q_kernels.tolist() == np.full((2, 2, 2), 0.5).tolist()
         for array in (pair.p_init, pair.q_init, pair.p_kernels, pair.q_kernels):
             assert not array.flags.writeable
+
+    def test_rejects_bad_kernel_rows(self):
+        kernels = np.full((3, 2, 2), 0.5)
+        bad = kernels.copy()
+        bad[1, 0] = [0.6, 0.5]
+        with pytest.raises(ValidityError, match=r"^p_kernels\[1\] row 0 sums to 1\.1, expected 1$"):
+            MarkovPair([0.5, 0.5], [0.5, 0.5], bad, kernels)
+        bad = kernels.copy()
+        bad[2, 1] = [0.5, 0.4]
+        with pytest.raises(ValidityError, match=r"^q_kernels\[2\] row 1 sums to 0\.9, expected 1$"):
+            MarkovPair([0.5, 0.5], [0.5, 0.5], kernels, bad)
 
     def test_rejects_mismatched_inits(self):
         with pytest.raises(DimensionError):

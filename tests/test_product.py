@@ -80,8 +80,9 @@ class TestProductLowerBound:
 
 class TestEstimateProductTv:
     def test_rejects_bad_epsilon(self):
-        for eps in (0.0, 1.0, -0.5, 1.5, float("nan"), True):
-            with pytest.raises(ParameterError):
+        # a numpy scalar prints as a plain number
+        for eps in (0.0, 1.0, -0.5, 1.5, float("nan"), True, np.float64(1.5)):
+            with pytest.raises(ParameterError, match=r"got (-?[\d.]+|nan|True)$"):
                 estimate_product_tv(small_pair(), eps)
 
     def test_accepts_numpy_epsilon(self):

@@ -56,10 +56,15 @@ class TestBuildPartition:
             build_partition(5e-8, 5e-8)
 
     @pytest.mark.parametrize(
-        "eps,delta", [(0.0, 0.5), (-1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.5, 2.0), (True, 0.5)]
+        "eps,delta",
+        [
+            (0.0, 0.5), (-1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.5, 2.0), (True, 0.5),
+            # a numpy scalar prints as a plain number
+            pytest.param(np.float64(-1.0), 0.5, id="numpy-scalar"),
+        ],
     )
     def test_rejects_bad_parameters(self, eps, delta):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"got (-?[\d.]+|True)$"):
             build_partition(eps, delta)
 
     def test_accepts_numpy_reals(self):
