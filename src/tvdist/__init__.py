@@ -41,7 +41,6 @@ from .product import (
 )
 from .ratios import (
     VALIDITY_TOL,
-    MassPoint,
     NPBoundary,
     RatioDist,
     concatenate,
@@ -54,7 +53,6 @@ from .ratios import (
 from .sparsify import (
     IntervalPartition,
     build_partition,
-    sparsify,
     sparsify_wrt_intervals,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "EstimateReport",
     "IntervalPartition",
     "MarkovPair",
-    "MassPoint",
     "NPBoundary",
     "ParameterError",
     "ParseError",
@@ -97,7 +94,6 @@ __all__ = [
     "product_lower_bound",
     "ratio_of",
     "region_csv",
-    "sparsify",
     "sparsify_wrt_intervals",
     "tv_discrete",
     "tv_of_ratio",

@@ -20,14 +20,11 @@ import numpy as np
 from .errors import ParameterError, ParseError, SizeError
 from .markov import MarkovPair
 from .product import EstimateReport, ProductPair
-from .ratios import NPBoundary
+from .ratios import ROW_SUM_EXACT, NPBoundary
 from .sparsify import _is_real
 
 #: Accepted drift of an input row sum away from 1 before parsing fails.
 ROW_SUM_TOL = 1e-6
-#: Row sums closer to 1 than this are taken as already normalized, which
-#: keeps parse(emit(...)) byte-stable instead of renormalizing forever.
-ROW_SUM_EXACT = 1e-13
 
 KINDS = ("product", "markov")
 
@@ -241,7 +238,7 @@ def generate_instance(
         return generate_product_instance(n, q, seed, skew)
     if kind == "markov":
         return generate_markov_instance(n, q, seed, skew)
-    raise ParseError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    raise ParameterError(f"unknown kind {kind!r}, expected one of {KINDS}")
 
 
 def derive_seed(seed: int, n: int, q: int) -> int:

@@ -2,8 +2,8 @@
 
 Works backwards from the last step through the shared fold
 (`ratios._fold`), keeping one ratio table per conditioning state.  Each
-step sparsifies the per-state tables and then concatenates them with the
-preceding transition rows; the final step mixes against the initial
+step merges every state's table and mixes them all with the preceding
+transition rows at once; the final step mixes against the initial
 distributions, yielding the trajectory-level ratio.  The Bhattacharyya
 coefficient of the two trajectory distributions factorizes over the same
 steps, so when the Hellinger lower bound 1 - BC already reaches 1 - eps the
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .product import _estimate, _read_only_copy
-from .ratios import _validate_rows, tv_discrete
+from .product import _estimate, _pair_rows
+from .ratios import tv_discrete
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,18 @@ class MarkovPair:
     q_kernels: np.ndarray
 
     def __post_init__(self) -> None:
-        p_init = _validate_rows(_read_only_copy(self.p_init), "p_init", 1)
-        q_init = _validate_rows(_read_only_copy(self.q_init), "q_init", 1)
+        p_init = _pair_rows(self.p_init, "p_init", 1)
+        q_init = _pair_rows(self.q_init, "q_init", 1)
         object.__setattr__(self, "p_init", p_init)
         object.__setattr__(self, "q_init", q_init)
         q = p_init.size
         if q_init.size != q:
             raise DimensionError(f"initial distributions differ in length: {q} vs {q_init.size}")
-        pk = _read_only_copy(self.p_kernels)
-        qk = _read_only_copy(self.q_kernels)
-        if pk.ndim != 3 or pk.shape[1:] != (q, q) or pk.shape != qk.shape:
-            raise DimensionError(
-                f"kernels must both have shape (n-1, {q}, {q}), got {pk.shape} and {qk.shape}"
-            )
-        object.__setattr__(self, "p_kernels", _validate_rows(pk, "p_kernels", 3))
-        object.__setattr__(self, "q_kernels", _validate_rows(qk, "q_kernels", 3))
+        pk, qk = np.shape(self.p_kernels), np.shape(self.q_kernels)
+        if len(pk) != 3 or pk[1:] != (q, q) or pk != qk:
+            raise DimensionError(f"kernels must both have shape (n-1, {q}, {q}), got {pk} and {qk}")
+        object.__setattr__(self, "p_kernels", _pair_rows(self.p_kernels, "p_kernels", 3))
+        object.__setattr__(self, "q_kernels", _pair_rows(self.q_kernels, "q_kernels", 3))
 
     @property
     def n(self) -> int:

@@ -56,9 +56,9 @@ def exact_ratio_product(pair: ProductPair, *, support_cap: int = DEFAULT_SUPPORT
     the two products.  The cap is checked against the worst-case table size
     before each multiplication.
     """
-    return _fold(_product_steps(pair), None, support_cap)[0]
+    return RatioDist(*_fold(_product_steps(pair), None, support_cap)[:2])
 
 
 def exact_ratio_markov(pair: MarkovPair, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> RatioDist:
     """Run the backward concatenation recursion with no sparsification."""
-    return _fold(_chain_steps(pair), None, support_cap)[0]
+    return RatioDist(*_fold(_chain_steps(pair), None, support_cap)[:2])

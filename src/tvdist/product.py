@@ -26,21 +26,21 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
-from .ratios import VALIDITY_TOL, RatioDist, _fold, _validate_rows, tv_discrete, tv_of_ratio
-from .sparsify import (
-    _is_real,
-    _low_cell_count,
-    build_partition,
-    sparsify_wrt_intervals,
-    spread_wrt_intervals,
-)
+from .ratios import ROW_SUM_EXACT, VALIDITY_TOL, _fold, _table, _tv, _validate_rows, tv_discrete
+from .sparsify import _is_real, _low_cell_count, _merge_cells, _spread_cells, build_partition
 
 
-def _read_only_copy(a) -> np.ndarray:
-    """A float copy the caller cannot change: pairs keep their own inputs."""
-    a = np.array(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _pair_rows(a, name: str, ndim: int = 2) -> np.ndarray:
+    """A checked float copy of `a` that the caller cannot change: pairs keep their own rows.
+
+    A row accepted within VALIDITY_TOL but off 1 by more than ROW_SUM_EXACT is
+    divided by its sum, so every pipeline measures the distribution it means.
+    """
+    rows = _validate_rows(np.array(a, dtype=np.float64), name, ndim)
+    sums = np.sum(rows, axis=-1, keepdims=True)
+    np.divide(rows, sums, out=rows, where=np.abs(sums - 1.0) > ROW_SUM_EXACT)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class ProductPair:
     q_marginals: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _validate_rows(_read_only_copy(self.p_marginals), "p_marginals")
-        q = _validate_rows(_read_only_copy(self.q_marginals), "q_marginals")
+        p = _pair_rows(self.p_marginals, "p_marginals")
+        q = _pair_rows(self.q_marginals, "q_marginals")
         if p.shape != q.shape:
             raise DimensionError(f"marginal shapes differ: {p.shape} vs {q.shape}")
         if p.shape[0] < 1:
@@ -148,26 +148,26 @@ def _affinity_gap(steps) -> float:
 
 
 def _certified(steps, eps: float, paper_eps: float, paper_delta: float):
-    """One try at cells of width eps; return (ratio, peak support, upper).
+    """One try at cells of width eps; return (final table, peak support, upper).
 
     The merge fold's estimate lower-bounds the distance at any width
     (merging a cell to its mean is a garbling).  Unless that estimate
     already reaches 1 - eps, which certifies it with upper = 1, the spread
-    fold's distance plus any q-mass that underflowed to 0 upper-bounds the
+    fold's distance plus the q-mass it dropped (`_step`) upper-bounds the
     distance (a mean-preserving spread under a convex functional).  The tail
     mass is the paper's, scaled by the factor the width exceeds the paper's.
     `upper` comes back None when the bracket is too wide to certify.
     """
     part = build_partition(eps, min(eps / paper_eps * paper_delta, 0.5))
-    ratio, peak = _fold(steps, partial(sparsify_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
-    estimate = tv_of_ratio(ratio)
+    values, masses, peak = _fold(steps, partial(_merge_cells, part), MAX_TABLE_ENTRIES)
+    estimate = _tv(values, masses)
     if estimate >= 1.0 - eps:
-        return ratio, peak, 1.0
-    spread, support = _fold(steps, partial(spread_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
-    upper = tv_of_ratio(spread) + max(0.0, 1.0 - float(np.sum(spread.masses)))
+        return (values, masses), peak, 1.0
+    spread, weights, support = _fold(steps, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
+    upper = _tv(spread, weights) + max(0.0, 1.0 - float(np.sum(weights)))
     if estimate < (1.0 - eps) * upper * CERTIFY_MARGIN:
         upper = None
-    return ratio, max(peak, support), upper
+    return (values, masses), max(peak, support), upper
 
 
 def _outgrows(n: int, q: int, cells: float) -> bool:
@@ -185,19 +185,15 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     """Shared body of the product and Markov estimators.
 
     The paper's partition has relative width eps / (slack * n) and tail mass
-    (eps / (2 * n)) * d_lb.  When the unmerged tables could outgrow it
-    before the last step, the run first tries cells of width eps
-    (`_certified`) and keeps that try if its bracket proves the (1 - eps)
-    band.  Otherwise, or when no coarse try could shrink the tables, it
-    folds once at the paper's width, where the a priori guarantee needs no
-    certificate and `upper` and `eps_s` stay None.  A single
-    step is never sparsified, so it reports the half-L1 distance of its rows,
-    bit-identical to it.  A zero lower bound forces the true distance to
-    zero, so that case returns 0 outright rather than dividing the tail
-    parameter by zero.  When no table is asked for and a lower bound, d_lb
-    or the affinity gap 1 - BC, already reaches 1 - eps, that bound is the
-    estimate: it lies in [(1 - eps) * TV, TV] with upper = 1, and nothing is
-    folded.
+    (eps / (2 * n)) * d_lb.  When the unmerged tables could outgrow it, the
+    run first tries cells of width eps (`_certified`) and keeps the try if
+    its bracket proves the (1 - eps) band; otherwise it folds once at the
+    paper's width, where the a priori guarantee needs no certificate
+    (`upper` and `eps_s` stay None).  A single step reports the half-L1
+    distance of its rows, bit for bit, and a zero d_lb, which forces the
+    distance to 0, an estimate of 0.  When no table is asked for and d_lb or
+    the affinity gap 1 - BC already reaches 1 - eps, that bound is the
+    estimate, in [(1 - eps) * TV, TV] with upper = 1, and nothing is folded.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
@@ -210,34 +206,28 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     if n == 1:
         [(p_rows, q_rows)] = steps
         estimate = tv_discrete(p_rows[0], q_rows[0])
-        ratio, max_support = _fold(steps, None, MAX_TABLE_ENTRIES)  # one step: nothing to reduce
+        *table, max_support = _fold(steps, None, MAX_TABLE_ENTRIES)  # one step: nothing to reduce
     elif d_lb == 0.0:
-        estimate, ratio, max_support = 0.0, RatioDist([1.0], [1.0]), 1
+        estimate, table, max_support = 0.0, (np.ones(1), np.ones(1)), 1
     elif not return_ratio and (gap := max(d_lb, _affinity_gap(steps))) >= 1.0 - eps:
-        estimate, ratio, upper, eps_s = gap, None, 1.0, eps
+        estimate, upper, eps_s = gap, 1.0, eps
     else:
         paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
         if _outgrows(n, pair.q, _low_cell_count(paper_eps, paper_delta)):
-            ratio, max_support, upper = _certified(steps, eps, paper_eps, paper_delta)
+            table, max_support, upper = _certified(steps, eps, paper_eps, paper_delta)
         if upper is None:
-            merge = partial(sparsify_wrt_intervals, part=build_partition(paper_eps, paper_delta))
-            ratio, support = _fold(steps, merge, MAX_TABLE_ENTRIES)
+            merge = partial(_merge_cells, build_partition(paper_eps, paper_delta))
+            *table, support = _fold(steps, merge, MAX_TABLE_ENTRIES)
             max_support = max(max_support, support)
         else:
             eps_s = eps
         iterations = n - 1
-        estimate = tv_of_ratio(ratio)
+        estimate = _tv(*table)
     report = EstimateReport(
-        estimate=estimate,
-        epsilon=eps,
-        d_lb=d_lb,
-        max_support=max_support,
-        iterations=iterations,
-        elapsed=time.perf_counter() - start,
-        upper=upper,
-        eps_s=eps_s,
+        estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support, iterations=iterations,
+        elapsed=time.perf_counter() - start, upper=upper, eps_s=eps_s,
     )
-    return (report, ratio) if return_ratio else report
+    return (report, _table(*table)) if return_ratio else report
 
 
 def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = False):

@@ -6,10 +6,13 @@ distributions: the total variation distance and the Neyman-Pearson boundary
 are read off from it directly, without revisiting the underlying sample
 space.  Products over independent coordinates and Markov steps are both
 mixtures of scaled tables (`concatenate`), and every pipeline builds its
-table with one fold over such steps (`_fold`).  Probability vectors are
-plain arrays: `_validate_rows` is the one check of every row the package
-takes, run by the public functions here on their inputs and by the pair
-types when they are built, so the fold trusts the rows it is given.
+table with one fold over such steps (`_fold`).  Inside the fold the tables
+of all states are flat arrays of values, masses and state ids, which one
+step scales all at once (`_step`), unsorted and unchecked; a table leaves
+the fold as a sorted, checked `RatioDist` (`_table`).  Probability vectors
+are plain arrays: `_validate_rows` is the one check of every row the
+package takes, run by the public functions here and by the pair types when
+they are built, so the fold trusts the rows it is given.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -18,7 +21,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +29,10 @@ from .errors import DimensionError, SizeError, ValidityError
 
 #: Absolute tolerance for mass-conservation and expectation invariants.
 VALIDITY_TOL = 1e-9
+#: Row sums closer to 1 than this are taken as already normalized; the pair
+#: types and the parser divide every other accepted row by its sum.  The
+#: threshold keeps parse(emit(...)) byte-stable instead of renormalizing forever.
+ROW_SUM_EXACT = 1e-13
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:
@@ -70,13 +77,6 @@ def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-class MassPoint(NamedTuple):
-    """One table entry: a ratio value and its probability under q."""
-
-    value: float
-    mass: float
-
-
 @dataclass(frozen=True)
 class RatioDist:
     """Finite likelihood-ratio distribution: a sorted table of (value, mass).
@@ -112,18 +112,6 @@ class RatioDist:
         mean = float(np.sum(values * masses))
         if not mean <= 1.0 + VALIDITY_TOL:
             raise ValidityError(f"expectation {mean!r} exceeds 1: not a valid ratio")
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "RatioDist":
-        """Build a table from (value, mass) pairs given in any order."""
-        pts = sorted(points)
-        values = np.array([v for v, _ in pts], dtype=np.float64)
-        masses = np.array([m for _, m in pts], dtype=np.float64)
-        return cls(values, masses)
-
-    @property
-    def points(self) -> list[MassPoint]:
-        return [MassPoint(float(v), float(m)) for v, m in zip(self.values, self.masses)]
 
     def __len__(self) -> int:
         return self.values.size
@@ -165,12 +153,11 @@ def ratio_of(p, q) -> RatioDist:
     """Likelihood-ratio distribution of the pair (p, q), sampling under q.
 
     Outcomes where q vanishes contribute nothing; their p-mass shows up only
-    as an expectation deficit of the resulting table.  Outcomes with exactly
-    equal float ratios are grouped into one entry.  This is `concatenate`
-    with the trivial table for every outcome.
+    as an expectation deficit.  Outcomes with exactly equal float ratios are
+    grouped into one entry.  This is one fold step from the table {1: 1}.
     """
     p, q = _aligned(p, q)
-    return _concatenate(p, q, (_ONE,) * q.size)
+    return _table(*_step(np.ones(1), np.ones(1), np.ones(1, np.intp), p[None], q[None])[:2])
 
 
 def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
@@ -180,87 +167,101 @@ def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
     px[x]/qx[x]: the joint likelihood ratio factorizes into the
     first-outcome ratio times the conditional one.  With one table repeated
     for every outcome this is the ratio of the independent product.
-    Outcomes with qx[x] = 0 contribute nothing and are skipped outright, so
-    their tables never touch the result.  The scaled entries are sorted
-    stably and masses of exactly equal values are summed left to right, so
-    the result is deterministic for a fixed input order.  Zero masses can
-    only arise from underflowing products; dropping them loses less mass
-    than the validity tolerance resolves.
+    Outcomes with qx[x] = 0 are skipped, so their tables never touch the
+    result.  This is one fold step, its equal values then combined.
     """
     px, qx = _aligned(px, qx)
     if len(tables) != qx.size:
         raise DimensionError(f"got {len(tables)} tables for {qx.size} outcomes")
-    return _concatenate(px, qx, tables)
+    sizes = np.array([len(r) for r in tables], dtype=np.intp)
+    values = np.concatenate([r.values for r in tables])
+    masses = np.concatenate([r.masses for r in tables])
+    return _table(*_step(values, masses, sizes, px[None], qx[None])[:2])
 
 
-def _concatenate(px: np.ndarray, qx: np.ndarray, tables: Sequence[RatioDist]) -> RatioDist:
-    """`concatenate` on rows already checked as aligned probability vectors."""
-    live = np.flatnonzero(qx > 0)
-    # Runs go straight into one buffer each for values and masses: a
-    # temporary per run costs fresh pages on every call for large tables.
-    ends = np.cumsum([len(tables[x]) for x in live])
-    values = np.empty(ends[-1])
-    masses = np.empty(ends[-1])
-    start = 0
-    for x, end in zip(live, ends):
-        r = tables[x]
-        np.multiply(px[x] / qx[x], r.values, out=values[start:end])
-        np.multiply(qx[x], r.masses, out=masses[start:end])
-        start = end
-    order = np.argsort(values, kind="stable")
-    values, masses = values[order], masses[order]
-    if values.size > 1:
-        starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-        if starts.size != values.size:
-            masses = np.add.reduceat(masses, starts)
-            values = values[starts]
-    keep = masses > 0
+def _step(values, masses, sizes, p_rows: np.ndarray, q_rows: np.ndarray):
+    """One fold step on flat tables: every state's table for every live pair at once.
+
+    The tables lie end to end in state order, `sizes` giving their lengths;
+    a single table serves every column.  Row r's new table holds, for each
+    column s with Q[r, s] > 0 in order, table s with its values times
+    P[r, s] / Q[r, s] and its masses times Q[r, s].  Entries whose mass
+    underflows to 0 or whose value overflows (which takes a mass below 1e-308)
+    are dropped: the distance only loses from them, and an upper bound adds
+    their q-mass back.  Returns flat (values, masses, state) and row sizes.
+    """
+    rows, s = np.nonzero(q_rows > 0)
+    weight = q_rows[rows, s]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = p_rows[rows, s] / weight
+        if sizes.size == 1:
+            lens = np.full(rows.size, values.size)
+            values = np.multiply.outer(ratio, values).ravel()
+            masses = np.multiply.outer(weight, masses).ravel()
+        else:
+            lens = sizes[s]
+            # entry i of the run for pair j reads entry i of table s[j]
+            take = np.repeat(np.cumsum(sizes)[s] - sizes[s] - np.cumsum(lens) + lens, lens)
+            take += np.arange(take.size)
+            values = values[take] * np.repeat(ratio, lens)
+            masses = masses[take] * np.repeat(weight, lens)
+    state = np.repeat(rows, lens)
+    keep = (masses > 0) & (values < np.inf)
     if not np.all(keep):
-        values = values[keep]
-        masses = masses[keep]
-    return RatioDist(values, masses)
+        values, masses, state = values[keep], masses[keep], state[keep]
+    return values, masses, state, np.bincount(state, minlength=q_rows.shape[0])
 
 
-#: Ratio table of two equal distributions; the fold starts from it.
-_ONE = RatioDist(np.array([1.0]), np.array([1.0]))
+def _combine(values, masses, state):
+    """Flat tables sorted by (state, value), equal values' masses summed in step order."""
+    order = np.lexsort((values, state))
+    values, masses, state = values[order], masses[order], state[order]
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = (values[1:] != values[:-1]) | (state[1:] != state[:-1])
+    starts = np.flatnonzero(new)
+    return values[starts], np.add.reduceat(masses, starts), state[starts]
 
 
-def _fold(
-    steps: Iterable[tuple[np.ndarray, np.ndarray]],
-    reduce: Callable[[RatioDist], RatioDist] | None,
-    cap: int,
-) -> tuple[RatioDist, int]:
-    """Fold row-pair steps into one ratio table; return it and its peak support.
+def _table(values, masses) -> RatioDist:
+    """A one-state flat table as a checked RatioDist: how a table leaves the fold."""
+    return RatioDist(*_combine(values, masses, np.zeros(values.size, dtype=np.intp))[:2])
+
+
+def _fold(steps: Iterable, reduce: Callable | None, cap: int) -> tuple:
+    """Fold row-pair steps into one flat table; return its values, masses and peak.
 
     Each step is a pair of row matrices (P, Q) of shape (rows, cols).  The
-    fold keeps one table per conditioning state, starting from the single
-    table `_ONE`, and a single table serves every column.  Before every step
-    but the first, `reduce` replaces each table (a merge for the estimators;
-    None, merging nothing, for the exact pipelines), and SizeError is raised
-    when a table times cols, the worst case for the step's new tables,
-    exceeds `cap`.  The step then mixes the tables into one new table per
-    row with `concatenate`, trusting the rows, which the pair types checked
-    when they were built; every new table is still validated.  The peak
-    support is the largest table any step built.  The last step must have a
-    single row.
+    fold keeps one table per conditioning state (`_step`), starting from the
+    table {1: 1}.  Before every step but the first, `reduce` (a `sparsify`
+    merge or spread) maps every state's table at once, and SizeError is
+    raised when a state's table times cols, the worst case for the step's
+    new tables, exceeds `cap`.  The exact pipelines pass None and instead
+    combine equal values after every step.  The peak is the largest single
+    state's table any step built.  The last step has a single row; its table
+    comes back unsorted unless `reduce` is None.
     """
-    tables = (_ONE,)
+    values, masses, state, sizes = np.ones(1), np.ones(1), np.zeros(1, np.intp), np.ones(1, np.intp)
     peak = 0
     for k, (p_rows, q_rows) in enumerate(steps):
-        cols = p_rows.shape[1]
-        # The unreduced tables stay alive until their successors exist:
-        # freeing them first lets the allocator hand their pages back to the
-        # system, and every step would then fault fresh pages in again.
-        reduced = tuple(map(reduce, tables)) if k and reduce else tables
-        worst = max(map(len, reduced)) * cols
-        if k and worst > cap:
-            raise SizeError(f"a table could reach {worst} entries, beyond the cap of {cap}")
-        if len(reduced) == 1:
-            reduced *= cols
-        tables = tuple(_concatenate(p, q, reduced) for p, q in zip(p_rows, q_rows))
-        peak = max(peak, *map(len, tables))
-    (ratio,) = tables
-    return ratio, peak
+        if k:
+            if reduce is not None:
+                values, masses, state = reduce(values, masses, state, sizes)
+                sizes = np.bincount(state, minlength=sizes.size)
+            worst = int(sizes.max()) * p_rows.shape[1]
+            if worst > cap:
+                raise SizeError(f"a table could reach {worst} entries, beyond the cap of {cap}")
+        values, masses, state, sizes = _step(values, masses, sizes, p_rows, q_rows)
+        if reduce is None:
+            values, masses, state = _combine(values, masses, state)
+            sizes = np.bincount(state, minlength=sizes.size)
+        peak = max(peak, int(sizes.max()))
+    return values, masses, peak
+
+
+def _tv(values, masses) -> float:
+    """E[(1-R) 1(R<1)] over a flat table, in any order."""
+    below = values < 1.0
+    return float(np.sum((1.0 - values[below]) * masses[below]))
 
 
 def expectation(r: RatioDist) -> float:
@@ -270,10 +271,7 @@ def expectation(r: RatioDist) -> float:
 
 def tv_of_ratio(r: RatioDist) -> float:
     """Total variation distance of the pair realizing `r`: E[(1-R) 1(R<1)]."""
-    below = r.values < 1.0
-    if not np.any(below):
-        return 0.0
-    return float(np.sum((1.0 - r.values[below]) * r.masses[below]))
+    return _tv(r.values, r.masses)
 
 
 def np_boundary(r: RatioDist) -> NPBoundary:

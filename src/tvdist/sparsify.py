@@ -8,6 +8,8 @@ support of any table by the number of cells while preserving its total
 variation distance exactly.  Spreading is its counterpart: each cell's mass
 moves onto the cell's lowest and highest value with its mean kept, which
 can only raise the distance, so a fold of spreads bounds it from above.
+Both reduce the fold's flat tables of all states at once, with one keying
+pass per step and per-(state, cell) sums by `np.bincount`, and no sort.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError, ValidityError
-from .ratios import RatioDist, expectation
+from .ratios import RatioDist
 
 
 @dataclass(frozen=True)
@@ -121,89 +123,108 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
     reaching infinity.  High-side membership is decided through the stored
     low-side table applied to the reciprocal.
     """
-    keys = np.empty(values.size, dtype=np.int64)
+    keys = np.full(values.size, part.m + 1, dtype=np.int64)
     low = values < 1.0
     high = values > 1.0
     keys[low] = _low_index(part, values[low])
-    keys[~low & ~high] = part.m + 1
     keys[high] = 2 * part.m + 2 - _low_index(part, np.reciprocal(values[high]))
     return keys
 
 
-def _cells(part: IntervalPartition, v: np.ndarray, p: np.ndarray):
-    """The nonempty cells of a sorted table: keys, cell starts and ends, q-mass, p-mass.
+def _cell_sums(part: IntervalPartition, values, masses, state, sizes):
+    """Occupied slots s * (2m + 3) + key of flat tables, in order, and their sums.
 
-    Entry i lies in the cell of keys[i]; cell j holds the entries
-    starts[j]:ends[j], whose masses sum to gmass[j] and whose value-weighted
-    masses sum to gnum[j].
+    Keys every entry once (`_interval_keys`).  Per slot: q-mass, p-mass (sum
+    of value * mass), lowest and highest value.  The slot map is dense, so
+    states pass in blocks of at most max(entries, 2m + 3, 2**16) slots.
     """
-    keys = _interval_keys(part, v)
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    ends = np.append(starts[1:], v.size)
-    return keys, starts, ends, np.add.reduceat(p, starts), np.add.reduceat(v * p, starts)
+    keys = _interval_keys(part, values)
+    width = part.interval_count
+    block = max(1, max(values.size, 2**16) // width)
+    ends = np.cumsum(sizes)
+    parts = []
+    for first in range(0, sizes.size, block):
+        last = min(first + block, sizes.size)
+        entries = slice(ends[first] - sizes[first], ends[last - 1])
+        v, p = values[entries], masses[entries]
+        slot = keys[entries] + (state[entries] - first) * width
+        seen = np.zeros((last - first) * width, dtype=bool)
+        seen[slot] = True
+        occupied = np.flatnonzero(seen)
+        # only occupied slots are read back, so the map need not be cleared
+        index = np.empty(seen.size, dtype=np.intp)
+        index[occupied] = np.arange(occupied.size)
+        cell = index[slot]
+        del seen, index, slot
+        lo = np.full(occupied.size, np.inf)
+        hi = np.full(occupied.size, -np.inf)
+        np.minimum.at(lo, cell, v)
+        np.maximum.at(hi, cell, v)
+        gmass, gnum = np.bincount(cell, p, occupied.size), np.bincount(cell, v * p, occupied.size)
+        parts.append((occupied + first * width, gmass, gnum, lo, hi))
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _merge_cells(part: IntervalPartition, values, masses, state, sizes):
+    """Merge every state's table within each cell into one point, all states at once.
+
+    Each occupied (state, cell) gives its q-mass at its mean ratio, clipped
+    into the hull of its values: low-side merges stay below 1, one-value
+    cells bitwise.  A state's expectation deficit (p-mass at infinity)
+    raises its top cell's value when that cell holds q-mass, and otherwise
+    stays a deficit.  Flat output, sorted by state, then value.
+    """
+    slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, state, sizes)
+    merged = np.clip(gnum / gmass, lo, hi)
+    state, cell = np.divmod(slots, part.interval_count)
+    top = np.flatnonzero(cell == part.interval_count - 1)
+    deficit = 1.0 - np.bincount(state, gnum)[state[top]]
+    top, deficit = top[deficit > 0], deficit[deficit > 0]
+    with np.errstate(over="ignore"):
+        raised = (gnum[top] + deficit) / gmass[top]
+    merged[top] = np.clip(raised, lo[top], np.finfo(np.float64).max)  # else part stays a deficit
+    return merged, gmass, state
+
+
+def _spread_cells(part: IntervalPartition, values, masses, state, sizes):
+    """Move each (state, cell)'s q-mass onto its lowest and highest value, keeping its mean.
+
+    A mean-preserving spread, so each state's distance can only rise.  The
+    points are the cell's own extreme values, so the unbounded top cell and
+    cells whose boundaries tie need no special case; the deficit stays one.
+    """
+    slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, state, sizes)
+    # The mass at hi that keeps the cell's mean: (gnum - lo * gmass) / (hi - lo),
+    # clamped into [0, gmass] against rounding; one-value cells put none there.
+    gap = hi - lo
+    spread = gap > 0
+    top = np.zeros_like(gmass)
+    top[spread] = (gnum[spread] - lo[spread] * gmass[spread]) / gap[spread]
+    np.clip(top, 0.0, gmass, out=top)
+    values = np.column_stack((lo, hi)).ravel()
+    masses = np.column_stack((gmass - top, top)).ravel()
+    keep = masses > 0
+    return values[keep], masses[keep], np.repeat(slots // part.interval_count, 2)[keep]
 
 
 def sparsify_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDist:
     """Merge all table mass within each partition cell into one point.
 
-    Each nonempty cell contributes one entry whose mass is the cell's total
-    q-mass and whose value is the mass-weighted mean ratio there, i.e. the
-    cell's p-mass divided by its q-mass.  The p-mass sitting at infinity
-    (the expectation deficit 1 - E[R]) belongs to the top high-side cell:
-    when that cell holds q-mass the deficit raises its merged value, and
-    otherwise it stays off the support and surfaces again as a deficit.
-
-    Merged values are clamped into their cell's hull of input values, which
-    keeps the output strictly sorted and keeps low-side merges strictly
-    below 1, so the output's total variation distance equals the input's.
-    Cells holding a single point pass it through unchanged.
+    The one-state `_merge_cells`: each nonempty cell gives one entry, its
+    q-mass at its mean ratio (its p-mass over its q-mass), the top cell
+    raised by the expectation deficit.  The output is strictly sorted and
+    keeps the input's total variation distance.
     """
-    v, p = ratio.values, ratio.masses
-    keys, starts, ends, gmass, gnum = _cells(part, v, p)
-    lo = v[starts]
-    hi = v[ends - 1]
-    merged = np.clip(gnum / gmass, lo, hi)
-    single = ends - starts == 1
-    merged[single] = lo[single]
-    inf_mass = max(0.0, 1.0 - expectation(ratio))
-    if inf_mass > 0.0 and keys[-1] == 2 * part.m + 2:
-        merged[-1] = max((gnum[-1] + inf_mass) / gmass[-1], lo[-1])
-    return RatioDist(merged, gmass)
+    one = (np.zeros(len(ratio), np.intp), np.array([len(ratio)]))
+    return RatioDist(*_merge_cells(part, ratio.values, ratio.masses, *one)[:2])
 
 
 def spread_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDist:
     """Spread each cell's q-mass onto its lowest and highest value, keeping its mean.
 
-    The counterpart of `sparsify_wrt_intervals`: a mean-preserving spread
-    instead of a merge, so the output's total variation distance is at least
-    the input's, and a fold that spreads before every step yields an upper
-    bound on the distance.  The two points are the cell's own extreme table
-    values, not its boundaries, so the unbounded top cell and cells whose
-    boundaries tie in float arithmetic need no special case.  Cells holding
-    a single point pass it through unchanged, and the expectation deficit
-    stays a deficit.  The output has at most two entries per nonempty cell.
+    The one-state `_spread_cells`: the output's total variation distance is
+    at least the input's, so a fold that spreads before every step bounds
+    the distance from above.  At most two entries per nonempty cell.
     """
-    v, p = ratio.values, ratio.masses
-    _, starts, ends, gmass, gnum = _cells(part, v, p)
-    lo = v[starts]
-    hi = v[ends - 1]
-    # The mass at hi that keeps the cell's mean: (gnum - lo * gmass) / (hi - lo),
-    # clamped into [0, gmass] against rounding; single-point cells put none there.
-    width = hi - lo
-    spread = width > 0
-    top = np.zeros_like(gmass)
-    top[spread] = (gnum[spread] - lo[spread] * gmass[spread]) / width[spread]
-    np.clip(top, 0.0, gmass, out=top)
-    values = np.column_stack((lo, hi)).ravel()
-    masses = np.column_stack((gmass - top, top)).ravel()
-    keep = masses > 0
-    return RatioDist(values[keep], masses[keep])
-
-
-def sparsify(ratio: RatioDist, eps_s: float, delta_s: float) -> RatioDist:
-    """Sparsify `ratio` against the geometric partition for (eps_s, delta_s).
-
-    The output support never exceeds 2m + 3 cells for
-    m = ceil(-log(delta_s) / log(1 + eps_s)).
-    """
-    return sparsify_wrt_intervals(ratio, build_partition(eps_s, delta_s))
+    one = (np.zeros(len(ratio), np.intp), np.array([len(ratio)]))
+    return RatioDist(*_spread_cells(part, ratio.values, ratio.masses, *one)[:2])

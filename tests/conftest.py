@@ -6,6 +6,11 @@ import pytest
 from tvdist import ratio_of
 
 
+def entries(r):
+    """A table's (value, mass) pairs in order, as plain floats."""
+    return list(zip(r.values.tolist(), r.masses.tolist()))
+
+
 def random_dist(rng, size, allow_zeros=False):
     """Normalized positive vector; optionally with some outcomes zeroed."""
     raw = rng.gamma(shape=1.0, scale=1.0, size=size) + 1e-12

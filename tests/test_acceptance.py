@@ -28,7 +28,7 @@ from tvdist import (
     np_boundary,
     product_lower_bound,
     ratio_of,
-    sparsify,
+    sparsify_wrt_intervals,
     tv_discrete,
     tv_of_ratio,
 )
@@ -116,7 +116,7 @@ def ratio_battery():
         ratio = ratio_of(raw_p / raw_p.sum(), raw_q / raw_q.sum())
         eps_s = float(rng.uniform(0.005, 2.0))
         delta_s = float(rng.uniform(1e-6, 0.5))
-        cases.append((ratio, eps_s, delta_s, sparsify(ratio, eps_s, delta_s)))
+        cases.append((ratio, eps_s, delta_s, sparsify_wrt_intervals(ratio, build_partition(eps_s, delta_s))))
     return cases
 
 

@@ -39,8 +39,8 @@ from tvdist import (
 from tvdist.markov import _steps as chain_steps
 from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap
 from tvdist.product import _steps as product_steps
-from tvdist.ratios import VALIDITY_TOL, _fold
-from tvdist.sparsify import _interval_keys, spread_wrt_intervals
+from tvdist.ratios import VALIDITY_TOL, _fold, _tv
+from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, spread_wrt_intervals
 
 from conftest import random_ratio
 
@@ -87,10 +87,10 @@ partitions = st.builds(
 
 
 def _bracket(steps, part):
-    est, _ = _fold(steps, partial(sparsify_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
-    spread, _ = _fold(steps, partial(spread_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
-    upper = tv_of_ratio(spread) + max(0.0, 1.0 - float(np.sum(spread.masses)))
-    return tv_of_ratio(est), upper
+    est, masses, _ = _fold(steps, partial(_merge_cells, part), MAX_TABLE_ENTRIES)
+    spread, weights, _ = _fold(steps, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
+    upper = _tv(spread, weights) + max(0.0, 1.0 - float(np.sum(weights)))
+    return _tv(est, masses), upper
 
 
 def _paper(pair, lower_bound, slack, eps=0.2):
@@ -179,8 +179,8 @@ class TestSchedule:
         report = estimate_product_tv(pair, 0.1)
         assert report.upper is None and report.eps_s is None
         part = build_partition(0.1 / 4, (0.1 / 4) * report.d_lb)
-        ratio, _ = _fold(product_steps(pair), partial(sparsify_wrt_intervals, part=part), MAX_TABLE_ENTRIES)
-        assert report.estimate == tv_of_ratio(ratio)
+        values, masses, _ = _fold(product_steps(pair), partial(_merge_cells, part), MAX_TABLE_ENTRIES)
+        assert report.estimate == _tv(values, masses)
 
     def test_first_try_certifies_a_near_pair(self):
         rng = np.random.default_rng(6)
@@ -205,9 +205,9 @@ class TestSchedule:
         paper = eps / (2 * pair.n)
         assert widths == [0.2, paper]
         assert report.upper is None and report.eps_s is None
-        merge = partial(sparsify_wrt_intervals, part=build_partition(paper, paper * report.d_lb))
-        ratio, support = _fold(product_steps(pair), merge, MAX_TABLE_ENTRIES)
-        assert report.estimate == tv_of_ratio(ratio) and report.max_support >= support
+        merge = partial(_merge_cells, build_partition(paper, paper * report.d_lb))
+        values, masses, support = _fold(product_steps(pair), merge, MAX_TABLE_ENTRIES)
+        assert report.estimate == _tv(values, masses) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
 
     def test_no_mass_is_dropped(self):
@@ -229,10 +229,10 @@ class TestSchedule:
     def test_saturated_try_certifies_without_the_spread_fold(self, monkeypatch):
         pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
 
-        def no_spread(table, part):
+        def no_spread(*tables):
             raise AssertionError("spread fold ran")
 
-        monkeypatch.setattr(product_mod, "spread_wrt_intervals", no_spread)
+        monkeypatch.setattr(product_mod, "_spread_cells", no_spread)
         # asking for the table keeps the Hellinger bound from skipping the fold
         report, _ = estimate_product_tv(pair, 0.05, return_ratio=True)
         assert report.upper == 1.0 and report.estimate >= 0.95
@@ -351,3 +351,61 @@ class TestHellingerCertificate:
         ]
         again = estimate_product_tv(pair, 0.05)
         assert again.estimate.hex() == report.estimate.hex()
+
+
+# ------------------------------------------- zeros, underflow, rows off 1
+
+_UNDERFLOW = [1e-170, 0.5, 0.5]  # two steps' q-mass, 1e-340, underflows to 0
+
+BAND_CASES = {
+    "product-zeros-in-q": ProductPair(np.tile([0.5, 0.3, 0.2], (6, 1)), np.tile([0.55, 0.45, 0.0], (6, 1))),
+    "product-underflow": ProductPair(np.tile([0.3, 0.4, 0.3], (4, 1)), np.tile(_UNDERFLOW, (4, 1))),
+    "markov-zeros-in-q": MarkovPair(
+        [0.5, 0.5], [0.6, 0.4], np.tile([[0.7, 0.3], [0.2, 0.8]], (4, 1, 1)),
+        np.tile([[1.0, 0.0], [0.3, 0.7]], (4, 1, 1)),
+    ),
+    "markov-underflow": MarkovPair(
+        [0.2, 0.3, 0.5], _UNDERFLOW, np.tile([[0.3, 0.4, 0.3], [0.2, 0.4, 0.4], [0.1, 0.5, 0.4]], (3, 1, 1)),
+        np.tile([_UNDERFLOW, [0.2, 0.5, 0.3], [0.3, 0.4, 0.3]], (3, 1, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("return_ratio", [False, True])
+@pytest.mark.parametrize("eps", [0.3, 0.05])
+@pytest.mark.parametrize("name", list(BAND_CASES))
+def test_band_holds_with_zeros_in_q_and_underflowing_masses(name, eps, return_ratio):
+    pair = BAND_CASES[name]
+    estimate, brute_force, _, _ = _kind(pair)
+    report = estimate(pair, eps, return_ratio=return_ratio)
+    if return_ratio:
+        report, ratio = report
+        assert report.estimate == pytest.approx(tv_of_ratio(ratio), rel=1e-14, abs=0)
+    tv = brute_force(pair)
+    assert tv > 0.0
+    assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
+    if report.upper is not None:
+        assert tv <= report.upper + TOL
+        assert report.estimate >= (1 - eps) * report.upper
+
+
+# Rows that sum to 1 only within VALIDITY_TOL: uniform rows on one side and
+# the same rows times 1 + 4.5e-10 on the other, or a chain whose q_init is
+# heavier by 0.9e-9.  Unless the pair renormalizes them, the estimate lands
+# at twice the distance of the stored rows, or at 0 below d_lb.
+_U = np.full((2, 2), 0.5)
+OFF_ONE_CASES = {
+    "product-heavier-q": ProductPair(_U, _U * (1 + 4.5e-10)),
+    "product-heavier-p": ProductPair(_U * (1 + 4.5e-10), _U),
+    "product-apart": ProductPair([[0.75, 0.25]] * 2, np.array([[0.25, 0.75]] * 2) * (1 + 4.5e-10)),
+    "markov-heavier-q-init": MarkovPair([0.5, 0.5], np.array([0.5, 0.5]) * (1 + 0.9e-9), [_U], [_U]),
+}
+
+
+@pytest.mark.parametrize("name", list(OFF_ONE_CASES))
+def test_rows_off_one_are_measured_as_stored(name):
+    pair = OFF_ONE_CASES[name]
+    estimate, brute_force, _, _ = _kind(pair)
+    tv, eps = brute_force(pair), 0.1
+    for report in (estimate(pair, eps), estimate(pair, eps, return_ratio=True)[0]):
+        assert (1 - eps) * tv * (1 - 1e-12) <= report.estimate <= tv * (1 + 1e-12)

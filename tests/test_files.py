@@ -172,6 +172,9 @@ class TestGeneration:
         monkeypatch.setattr(files, "_rng", lambda seed: pytest.fail("drew before refusing"))
         with pytest.raises(error):
             generate(n, q, seed=1, skew=skew)
+        # an unknown kind is a bad argument too: no document was read
+        with pytest.raises(ParameterError, match="unknown kind 'exotic'"):
+            generate_instance("exotic", n, q, seed=1, skew=skew)
 
     def test_derive_seed_deterministic(self):
         assert derive_seed(9, 4, 3) == derive_seed(9, 4, 3)

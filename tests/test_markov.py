@@ -1,5 +1,8 @@
 """Markov-chain estimator: conditional ratios, concatenation, lower bound."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,9 @@ from tvdist import (
     tv_of_ratio,
 )
 from tvdist.product import ProductPair
+from tvdist.sparsify import _low_cell_count
 
-from conftest import random_dist_pair, random_ratio
+from conftest import entries, random_dist_pair, random_ratio
 
 
 class TestMarkovPair:
@@ -83,43 +87,43 @@ class TestKernelConditionalRatio:
     def test_identical_kernels(self):
         kern = np.array([[0.3, 0.7], [0.6, 0.4]])
         for r in kernel_conditional_ratio(kern, kern):
-            assert r.points == [(1.0, 1.0)]
+            assert entries(r) == [(1.0, 1.0)]
 
     def test_worked_example(self):
         pk = np.array([[1.0, 0.0], [0.0, 1.0]])
         qk = np.array([[0.5, 0.5], [0.5, 0.5]])
         per_state = kernel_conditional_ratio(pk, qk)
-        assert per_state[0].points == [(0.0, 0.5), (2.0, 0.5)]
-        assert per_state[1].points == [(0.0, 0.5), (2.0, 0.5)]
+        assert entries(per_state[0]) == [(0.0, 0.5), (2.0, 0.5)]
+        assert entries(per_state[1]) == [(0.0, 0.5), (2.0, 0.5)]
 
     def test_single_state(self):
         (r,) = kernel_conditional_ratio(np.array([[1.0]]), np.array([[1.0]]))
-        assert r.points == [(1.0, 1.0)]
+        assert entries(r) == [(1.0, 1.0)]
 
 
 class TestConcatenate:
     def test_identical_chains(self):
         cond = (RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0]))
         out = concatenate([0.5, 0.5], [0.5, 0.5], cond)
-        assert out.points == [(1.0, 1.0)]
+        assert entries(out) == [(1.0, 1.0)]
 
     def test_uninformative_tail(self):
         cond = (RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0]))
         out = concatenate([0.8, 0.2], [0.5, 0.5], cond)
-        assert out.points == [(0.4, 0.5), (1.6, 0.5)]
+        assert entries(out) == [(0.4, 0.5), (1.6, 0.5)]
         assert tv_of_ratio(out) == pytest.approx(0.3, abs=1e-15)
         assert tv_of_ratio(out) == pytest.approx(tv_discrete([0.8, 0.2], [0.5, 0.5]), abs=1e-15)
 
     def test_merges_identical_scaled_lists(self):
-        half = RatioDist.from_points([(0.0, 0.5), (2.0, 0.5)])
+        half = RatioDist([0.0, 2.0], [0.5, 0.5])
         out = concatenate([0.5, 0.5], [0.5, 0.5], (half, half))
-        assert out.points == [(0.0, 0.5), (2.0, 0.5)]
+        assert entries(out) == [(0.0, 0.5), (2.0, 0.5)]
 
     def test_skips_unreachable_states(self):
         poison = RatioDist([0.25], [1.0])  # would shift the result if mixed in
         ok = RatioDist([1.0], [1.0])
         out = concatenate([0.5, 0.5], [1.0, 0.0], (ok, poison))
-        assert out.points == [(0.5, 1.0)]
+        assert entries(out) == [(0.5, 1.0)]
 
     def test_rejects_mismatched_sizes(self):
         cond = (RatioDist([1.0], [1.0]),)
@@ -186,6 +190,22 @@ class TestEstimateMarkovTv:
         pair = MarkovPair([0.9, 0.1], [0.4, 0.6], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
         report = estimate_markov_tv(pair, 0.5)
         assert report.estimate == tv_discrete([0.9, 0.1], [0.4, 0.6])
+
+    def test_paper_width_chain_stays_within_its_memory(self):
+        # m = 1,471,928 low-side cells for each of 10 states: counters for
+        # every state at once would take about 235 MB per array
+        pair = generate_markov_instance(3, 10, seed=3)
+        eps = 1e-4
+        d_lb = markov_lower_bound(pair)
+        assert math.ceil(_low_cell_count(eps / 12, eps / 6 * d_lb)) == 1_471_928
+        tracemalloc.start()
+        try:
+            report = estimate_markov_tv(pair, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert report.estimate == pytest.approx(0.7741855854552042, rel=1e-14, abs=0)
 
     def test_identical_chains_short_circuit(self):
         pair = generate_markov_instance(5, 3, seed=4)

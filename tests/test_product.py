@@ -1,17 +1,21 @@
 """Product-distribution estimator: examples, guarantees, support control."""
 
-import numpy as np
+import math
 
+import numpy as np
 import pytest
 
 from tvdist import (
     DimensionError,
+    MarkovPair,
     ParameterError,
     ProductPair,
     SizeError,
+    VALIDITY_TOL,
     ValidityError,
     brute_force_tv_product,
     build_partition,
+    estimate_markov_tv,
     estimate_product_tv,
     generate_product_instance,
     product_lower_bound,
@@ -160,21 +164,52 @@ class TestEstimateProductTv:
 
     def test_returns_final_ratio(self):
         report, ratio = estimate_product_tv(small_pair(), 0.1, return_ratio=True)
-        assert abs(sum(m for _, m in ratio.points) - 1.0) <= 1e-9
+        assert abs(float(np.sum(ratio.masses)) - 1.0) <= 1e-9
 
-    def test_intermediate_tables_stay_valid(self, monkeypatch):
-        # every intermediate construction runs the RatioDist invariants; spy
-        # on them to make sure the loop actually builds tables to validate
+    @pytest.mark.parametrize("reducer", ["_merge_cells", "_spread_cells"])
+    def test_flat_tables_keep_their_invariants(self, reducer, monkeypatch):
+        # the fold trusts its flat tables; check them after every step and
+        # every reduction of a run that folds both ways
+        import tvdist.product as product_mod
         import tvdist.ratios as ratios_mod
+        from tvdist.sparsify import _interval_keys
+
+        def check(values, masses, state, states):
+            assert np.all(np.isfinite(values)) and np.all(values >= 0)
+            assert np.all(masses > 0)
+            assert np.all((state >= 0) & (state < states)) and np.all(np.diff(state) >= 0)
+            sums = np.bincount(state, masses, states)
+            np.testing.assert_allclose(sums, 1.0, rtol=0, atol=VALIDITY_TOL)
+            assert np.all(np.bincount(state, values * masses, states) <= 1.0 + VALIDITY_TOL)
 
         seen = []
-        orig = ratios_mod.RatioDist.__post_init__
+        step, reduce = ratios_mod._step, getattr(product_mod, reducer)
 
-        def spy(self):
-            orig(self)
-            seen.append(len(self.values))
+        def checked_step(values, masses, sizes, p_rows, q_rows):
+            out = step(values, masses, sizes, p_rows, q_rows)
+            check(*out[:3], q_rows.shape[0])
+            seen.append("step")
+            return out
 
-        monkeypatch.setattr(ratios_mod.RatioDist, "__post_init__", spy)
-        pair = generate_product_instance(5, 3, seed=4)
-        estimate_product_tv(pair, 0.2)
-        assert len(seen) >= 2 * (pair.n - 1)
+        def checked_reduce(part, values, masses, state, sizes):
+            out = reduce(part, values, masses, state, sizes)
+            check(*out, sizes.size)
+            # a merge keeps every occupied low-side cell below 1
+            if reducer == "_merge_cells":
+                low = _interval_keys(part, values) <= part.m
+                cells = np.unique(state[low] * part.interval_count + _interval_keys(part, values[low]))
+                assert np.count_nonzero(out[0] < 1.0) == cells.size
+            seen.append("reduce")
+            return out
+
+        monkeypatch.setattr(ratios_mod, "_step", checked_step)
+        monkeypatch.setattr(product_mod, reducer, checked_reduce)
+        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)  # fold at both widths
+        # a near chain, long enough for the coarse try
+        rng = np.random.default_rng(4)
+        p = rng.gamma(1.0, size=(12, 3, 3))
+        q = p * np.exp(0.1 * rng.standard_normal(p.shape))
+        p, q = p / p.sum(axis=2, keepdims=True), q / q.sum(axis=2, keepdims=True)
+        pair = MarkovPair(p[0, 0], q[0, 0], p[1:], q[1:])
+        assert estimate_markov_tv(pair, 0.2).estimate < 0.5
+        assert seen.count("reduce") >= pair.n - 1 and seen.count("step") == 3 * pair.n

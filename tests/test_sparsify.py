@@ -11,13 +11,12 @@ from tvdist import (
     SizeError,
     build_partition,
     expectation,
-    sparsify,
     sparsify_wrt_intervals,
     tv_of_ratio,
 )
 from tvdist.sparsify import _interval_keys
 
-from conftest import random_ratio
+from conftest import entries, random_ratio
 
 
 def support_bound(eps_s, delta_s):
@@ -108,30 +107,30 @@ class TestLocateInterval:
 class TestSparsify:
     def test_point_mass_at_one(self):
         r = RatioDist([1.0], [1.0])
-        out = sparsify(r, 0.5, 0.1)
-        assert out.points == [(1.0, 1.0)]
+        out = sparsify_wrt_intervals(r, build_partition(0.5, 0.1))
+        assert entries(out) == [(1.0, 1.0)]
 
     def test_merges_within_interval(self):
-        r = RatioDist.from_points([(0.55, 0.4), (0.6, 0.3), (0.7, 0.3)])
-        out = sparsify(r, 1.0, 0.25)
+        r = RatioDist([0.55, 0.6, 0.7], [0.4, 0.3, 0.3])
+        out = sparsify_wrt_intervals(r, build_partition(1.0, 0.25))
         assert len(out) == 1
-        assert out.points[0].mass == 1.0
-        assert out.points[0].value == pytest.approx(0.61, abs=1e-15)
+        assert out.masses[0] == 1.0
+        assert out.values[0] == pytest.approx(0.61, abs=1e-15)
 
     def test_unfolded_infinity_mass_stays_deficit(self):
         # all mass sits below 1; the alternative's infinity mass has no cell
         # holding ratio mass, so the output keeps the expectation deficit
         r = RatioDist([0.5], [1.0])
-        out = sparsify(r, 1.0, 0.25)
-        assert out.points == [(0.5, 1.0)]
+        out = sparsify_wrt_intervals(r, build_partition(1.0, 0.25))
+        assert entries(out) == [(0.5, 1.0)]
         assert expectation(out) == 0.5
 
     def test_infinity_mass_folds_into_top_cell(self):
         # expectation deficit 0.08 and the top cell (2, inf] holds mass 0.2,
         # so its merged value rises to (3.0 * 0.2 + 0.08) / 0.2 = 3.4
-        r = RatioDist.from_points([(0.4, 0.8), (3.0, 0.2)])
-        out = sparsify(r, 1.0, 0.25)
-        assert out.points[-1].value == pytest.approx(3.4, abs=1e-12)
+        r = RatioDist([0.4, 3.0], [0.8, 0.2])
+        out = sparsify_wrt_intervals(r, build_partition(1.0, 0.25))
+        assert out.values[-1] == pytest.approx(3.4, abs=1e-12)
         assert expectation(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_support_bound(self, rng):
@@ -139,7 +138,7 @@ class TestSparsify:
             eps = float(rng.uniform(0.01, 2.0))
             delta = float(rng.uniform(1e-5, 0.5))
             r = random_ratio(rng, int(rng.integers(1, 500)))
-            out = sparsify(r, eps, delta)
+            out = sparsify_wrt_intervals(r, build_partition(eps, delta))
             assert len(out) <= support_bound(eps, delta)
 
     def test_tv_preserved_exactly(self, rng):
@@ -147,20 +146,20 @@ class TestSparsify:
             eps = float(rng.uniform(0.01, 2.0))
             delta = float(rng.uniform(1e-5, 0.5))
             r = random_ratio(rng, int(rng.integers(1, 500)))
-            out = sparsify(r, eps, delta)
+            out = sparsify_wrt_intervals(r, build_partition(eps, delta))
             assert abs(tv_of_ratio(out) - tv_of_ratio(r)) <= 1e-12
 
     def test_expectation_never_drops(self, rng):
         for _ in range(100):
             r = random_ratio(rng, int(rng.integers(1, 300)))
-            out = sparsify(r, 0.2, 0.01)
+            out = sparsify_wrt_intervals(r, build_partition(0.2, 0.01))
             assert expectation(out) >= expectation(r) - 1e-12
 
     def test_output_always_valid(self, rng):
         # RatioDist construction enforces the invariants; re-check key ones
         for _ in range(100):
             r = random_ratio(rng, int(rng.integers(1, 300)))
-            out = sparsify(r, 0.1, 0.01)
+            out = sparsify_wrt_intervals(r, build_partition(0.1, 0.01))
             assert abs(float(np.sum(out.masses)) - 1.0) <= 1e-9
             assert expectation(out) <= 1.0 + 1e-9
             assert np.all(np.diff(out.values) > 0)
@@ -182,7 +181,7 @@ class TestSparsify:
 
     def test_idempotent_bitwise_without_residual(self):
         # dyadic table with expectation exactly 1: no deficit ever refolds
-        r = RatioDist.from_points([(0.5, 0.5), (1.5, 0.5)])
+        r = RatioDist([0.5, 1.5], [0.5, 0.5])
         assert expectation(r) == 1.0
         part = build_partition(1.0, 0.25)
         once = sparsify_wrt_intervals(r, part)
@@ -192,8 +191,8 @@ class TestSparsify:
 
     def test_single_point_cells_pass_through(self, rng):
         # spread-out table: every point alone in its cell, values untouched
-        r = RatioDist.from_points([(0.01, 0.3), (0.5, 0.3), (0.93, 0.4)])
-        out = sparsify(r, 0.05, 0.05)
+        r = RatioDist([0.01, 0.5, 0.93], [0.3, 0.3, 0.4])
+        out = sparsify_wrt_intervals(r, build_partition(0.05, 0.05))
         np.testing.assert_array_equal(out.values, r.values)
         np.testing.assert_array_equal(out.masses, r.masses)
 
@@ -203,6 +202,6 @@ class TestSparsify:
         masses = np.full(values.size, 1.0 / values.size)
         masses[0] += 1.0 - masses.sum()
         r = RatioDist(values, masses)
-        out = sparsify(r, 0.1, 0.01)
+        out = sparsify_wrt_intervals(r, build_partition(0.1, 0.01))
         assert len(out) <= support_bound(0.1, 0.01)
 
