@@ -1,7 +1,11 @@
 """Instance and report documents, region CSV output, instance generation.
 
 An instance is its pair: parsing and the generators return a ProductPair
-or a MarkovPair, and the pair's type gives the document's "kind".
+or a MarkovPair, and the pair's type gives the document's "kind".  The
+parser checks only what the document's layout asks for, rows of JSON
+numbers in the right count and length; the pair it builds applies the
+package's row rule (`ratios._validate_rows`), and a row that breaks it is
+a ParseError naming the pair's field.
 Documents are JSON with a fixed key order; floats are serialized with
 Python's shortest round-trip repr, so emit(parse(emit(x))) is byte-stable
 and equal inputs hash identically.  The generators refuse sizes and gamma
@@ -11,20 +15,18 @@ shapes they cannot draw (`_check_generator`) before drawing anything.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, SizeError
+from .errors import ParameterError, ParseError, SizeError, ValidityError
 from .markov import MarkovPair
 from .product import EstimateReport, ProductPair
-from .ratios import ROW_SUM_EXACT, NPBoundary
+from .ratios import NPBoundary
 from .sparsify import _is_real
-
-#: Accepted drift of an input row sum away from 1 before parsing fails.
-ROW_SUM_TOL = 1e-6
 
 KINDS = ("product", "markov")
 
@@ -34,33 +36,29 @@ KINDS = ("product", "markov")
 MAX_GENERATED_ENTRIES = 2**24
 
 
-def _normalized_rows(raw, name: str, q: int, count: int) -> np.ndarray:
-    """`count` rows of length `q`, checked and renormalized; a flat list is one row."""
+def _rows(raw, name: str, q: int, count: int) -> np.ndarray:
+    """`count` rows of length `q` of JSON numbers, as floats; a flat list is one row.
+
+    Only the shape and the entries' types are checked here: the pair built
+    from the rows applies the row rule (`ratios._validate_rows`).
+    """
     try:
         rows = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{name} is not a numeric array: {exc}") from exc
     if rows.ndim == 1:
-        rows = rows[None, :]
-    if rows.ndim != 2:
+        rows, entries = rows[None, :], raw
+    elif rows.ndim == 2:
+        entries = itertools.chain.from_iterable(raw)
+    else:
         raise ParseError(f"{name} must be a matrix of rows, got shape {rows.shape}")
+    # np.asarray reads strings and booleans as numbers; JSON numbers parse to int or float
+    if not set(map(type, entries)) <= {int, float}:
+        raise ParseError(f"{name} entries must be JSON numbers")
     if rows.shape[1] != q:
         raise ParseError(f"{name} rows have length {rows.shape[1]}, expected q={q}")
     if rows.shape[0] != count:
         raise ParseError(f"{name} has {rows.shape[0]} rows, expected {count}")
-    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
-        raise ParseError(f"{name} entries must be finite and nonnegative")
-    sums = np.sum(rows, axis=1)
-    off = np.abs(sums - 1.0)
-    if np.any(off > ROW_SUM_TOL):
-        worst = int(np.argmax(off))
-        raise ParseError(
-            f"{name} row {worst} sums to {float(sums[worst])!r}, off by more than {ROW_SUM_TOL}"
-        )
-    fix = off > ROW_SUM_EXACT
-    if np.any(fix):
-        rows = rows.copy()
-        rows[fix] /= sums[fix, None]
     return rows
 
 
@@ -70,8 +68,16 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _kernels(doc: dict, key: str, n: int, q: int) -> np.ndarray:
+    """The `n - 1` kernels under `key`, each `q` rows of length `q`, as one array."""
+    raw = _require(doc, key)
+    if not isinstance(raw, list) or len(raw) != n - 1:
+        raise ParseError(f"{key} must be a list of {n - 1} matrices")
+    return np.reshape([_rows(k, f"{key}[{i}]", q, q) for i, k in enumerate(raw)], (n - 1, q, q))
+
+
 def parse_instance(text: str) -> ProductPair | MarkovPair:
-    """Parse an instance document, validating shapes and row sums."""
+    """Parse an instance document into its pair; any malformed document raises ParseError."""
     # ValueError covers JSONDecodeError and integers past Python's digit
     # limit; RecursionError, arrays nested deeper than the decoder can go.
     try:
@@ -89,24 +95,16 @@ def parse_instance(text: str) -> ProductPair | MarkovPair:
     if not (type(n) is int and type(q) is int and n >= 1 and q >= 1):
         raise ParseError(f"n and q must be positive integers, got n={n!r}, q={q!r}")
     if kind == "product":
-        p = _normalized_rows(_require(doc, "p"), "p", q, n)
-        qd = _normalized_rows(_require(doc, "q_dist"), "q_dist", q, n)
-        return ProductPair(p, qd)
-    p_init = _normalized_rows(_require(doc, "p_init"), "p_init", q, 1)[0]
-    q_init = _normalized_rows(_require(doc, "q_init"), "q_init", q, 1)[0]
-    pk_raw = _require(doc, "p_kernels")
-    qk_raw = _require(doc, "q_kernels")
-    if not isinstance(pk_raw, list) or not isinstance(qk_raw, list):
-        raise ParseError("p_kernels and q_kernels must be lists of matrices")
-    if len(pk_raw) != n - 1 or len(qk_raw) != n - 1:
-        raise ParseError(f"expected {n - 1} kernels, got {len(pk_raw)} and {len(qk_raw)}")
-    pk = np.stack(
-        [_normalized_rows(k, f"p_kernels[{i}]", q, q) for i, k in enumerate(pk_raw)]
-    ) if n > 1 else np.zeros((0, q, q))
-    qk = np.stack(
-        [_normalized_rows(k, f"q_kernels[{i}]", q, q) for i, k in enumerate(qk_raw)]
-    ) if n > 1 else np.zeros((0, q, q))
-    return MarkovPair(p_init, q_init, pk, qk)
+        make = ProductPair
+        rows = [_rows(_require(doc, key), key, q, n) for key in ("p", "q_dist")]
+    else:
+        make = MarkovPair
+        rows = [_rows(_require(doc, key), key, q, 1)[0] for key in ("p_init", "q_init")]
+        rows += [_kernels(doc, key, n, q) for key in ("p_kernels", "q_kernels")]
+    try:
+        return make(*rows)
+    except ValidityError as exc:  # the pair's row rule; a bad row is a malformed document
+        raise ParseError(str(exc)) from exc
 
 
 def emit_instance(pair: ProductPair | MarkovPair) -> str:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .product import _estimate, _pair_rows
-from .ratios import tv_discrete
+from .product import _estimate
+from .ratios import _validate_rows, tv_discrete
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class MarkovPair:
     q_kernels: np.ndarray
 
     def __post_init__(self) -> None:
-        p_init = _pair_rows(self.p_init, "p_init", 1)
-        q_init = _pair_rows(self.q_init, "q_init", 1)
+        p_init = _validate_rows(self.p_init, "p_init", 1)
+        q_init = _validate_rows(self.q_init, "q_init", 1)
         object.__setattr__(self, "p_init", p_init)
         object.__setattr__(self, "q_init", q_init)
         q = p_init.size
@@ -48,8 +48,8 @@ class MarkovPair:
         pk, qk = np.shape(self.p_kernels), np.shape(self.q_kernels)
         if len(pk) != 3 or pk[1:] != (q, q) or pk != qk:
             raise DimensionError(f"kernels must both have shape (n-1, {q}, {q}), got {pk} and {qk}")
-        object.__setattr__(self, "p_kernels", _pair_rows(self.p_kernels, "p_kernels", 3))
-        object.__setattr__(self, "q_kernels", _pair_rows(self.q_kernels, "q_kernels", 3))
+        object.__setattr__(self, "p_kernels", _validate_rows(self.p_kernels, "p_kernels", 3))
+        object.__setattr__(self, "q_kernels", _validate_rows(self.q_kernels, "q_kernels", 3))
 
     @property
     def n(self) -> int:

@@ -26,21 +26,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
-from .ratios import ROW_SUM_EXACT, VALIDITY_TOL, _fold, _table, _tv, _validate_rows, tv_discrete
+from .ratios import VALIDITY_TOL, _fold, _table, _tv, _validate_rows, tv_discrete
 from .sparsify import _is_real, _low_cell_count, _merge_cells, _spread_cells, build_partition
-
-
-def _pair_rows(a, name: str, ndim: int = 2) -> np.ndarray:
-    """A checked float copy of `a` that the caller cannot change: pairs keep their own rows.
-
-    A row accepted within VALIDITY_TOL but off 1 by more than ROW_SUM_EXACT is
-    divided by its sum, so every pipeline measures the distribution it means.
-    """
-    rows = _validate_rows(np.array(a, dtype=np.float64), name, ndim)
-    sums = np.sum(rows, axis=-1, keepdims=True)
-    np.divide(rows, sums, out=rows, where=np.abs(sums - 1.0) > ROW_SUM_EXACT)
-    rows.flags.writeable = False
-    return rows
 
 
 @dataclass(frozen=True)
@@ -51,8 +38,8 @@ class ProductPair:
     q_marginals: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _pair_rows(self.p_marginals, "p_marginals")
-        q = _pair_rows(self.q_marginals, "q_marginals")
+        p = _validate_rows(self.p_marginals, "p_marginals")
+        q = _validate_rows(self.q_marginals, "q_marginals")
         if p.shape != q.shape:
             raise DimensionError(f"marginal shapes differ: {p.shape} vs {q.shape}")
         if p.shape[0] < 1:

@@ -10,9 +10,11 @@ table with one fold over such steps (`_fold`).  Inside the fold the tables
 of all states are flat arrays of values, masses and state ids, which one
 step scales all at once (`_step`), unsorted and unchecked; a table leaves
 the fold as a sorted, checked `RatioDist` (`_table`).  Probability vectors
-are plain arrays: `_validate_rows` is the one check of every row the
-package takes, run by the public functions here and by the pair types when
-they are built, so the fold trusts the rows it is given.
+are plain arrays, and `_validate_rows` is the package's one row rule: the
+public functions here and the pair types (so the parser too) refuse a row
+unless it is finite, nonnegative and sums to 1 within ROW_SUM_TOL, and
+divide it by its sum past ROW_SUM_EXACT.  The fold trusts the rows it is
+given, and every pipeline measures the same distributions.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -27,11 +29,13 @@ import numpy as np
 
 from .errors import DimensionError, SizeError, ValidityError
 
-#: Absolute tolerance for mass-conservation and expectation invariants.
+#: Absolute tolerance for the invariants of ratio tables and reports.
 VALIDITY_TOL = 1e-9
-#: Row sums closer to 1 than this are taken as already normalized; the pair
-#: types and the parser divide every other accepted row by its sum.  The
-#: threshold keeps parse(emit(...)) byte-stable instead of renormalizing forever.
+#: Largest drift of a probability row's sum away from 1 that is accepted.
+ROW_SUM_TOL = 1e-6
+#: Row sums closer to 1 than this are taken as already normalized; every
+#: other accepted row is divided by its sum.  The threshold keeps
+#: parse(emit(...)) byte-stable instead of renormalizing forever.
 ROW_SUM_EXACT = 1e-13
 
 
@@ -43,34 +47,37 @@ def _as_float_vector(x, name: str) -> np.ndarray:
 
 
 def _validate_rows(rows, name: str, ndim: int = 2) -> np.ndarray:
-    """`rows` as a float array whose last axis holds probability rows.
+    """`rows` as a read-only float copy whose last axis holds probability rows.
 
     The array must have `ndim` dimensions (1 for a single row, 3 for a stack
     of matrices), and every row must be nonempty, finite, nonnegative and sum
-    to 1 within VALIDITY_TOL.  Every probability row the package takes passes
-    through it.
+    to 1 within ROW_SUM_TOL.  A row off 1 by more than ROW_SUM_EXACT is
+    divided by its sum, so every pipeline measures the distribution it means.
+    Every probability row the package takes passes through it.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.array(rows, dtype=np.float64)
     if rows.ndim != ndim:
         raise DimensionError(f"{name} must be a {ndim}-D array, got shape {rows.shape}")
     if rows.shape[-1] == 0:
         raise ValidityError(f"{name} rows need at least one outcome")
     if not np.all(np.isfinite(rows)) or np.any(rows < 0):
         raise ValidityError(f"{name} must be finite and nonnegative")
-    sums = np.sum(rows, axis=-1).reshape(-1)
+    sums = np.sum(rows, axis=-1, keepdims=True)
     off = np.abs(sums - 1.0)
-    if np.any(off > VALIDITY_TOL):
+    if np.any(off > ROW_SUM_TOL):
         worst = int(np.argmax(off))
-        total = float(sums[worst])
+        total = float(sums.flat[worst])
         if ndim == 3:  # name the matrix, then its row
             step, worst = divmod(worst, rows.shape[1])
             name = f"{name}[{step}]"
         raise ValidityError(f"{name} row {worst} sums to {total!r}, expected 1")
+    np.divide(rows, sums, out=rows, where=off > ROW_SUM_EXACT)
+    rows.flags.writeable = False
     return rows
 
 
 def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Two probability vectors over the same outcomes, checked."""
+    """Two probability vectors over the same outcomes, checked and normalized."""
     p, q = _validate_rows(p, "p", 1), _validate_rows(q, "q", 1)
     if p.size != q.size:
         raise DimensionError(f"outcome spaces differ: {p.size} vs {q.size}")

@@ -389,22 +389,29 @@ def test_band_holds_with_zeros_in_q_and_underflowing_masses(name, eps, return_ra
         assert report.estimate >= (1 - eps) * report.upper
 
 
-# Rows that sum to 1 only within VALIDITY_TOL: uniform rows on one side and
-# the same rows times 1 + 4.5e-10 on the other, or a chain whose q_init is
-# heavier by 0.9e-9.  Unless the pair renormalizes them, the estimate lands
-# at twice the distance of the stored rows, or at 0 below d_lb.
+# Rows that sum to 1 only within ROW_SUM_TOL: uniform rows on one side and
+# the same rows times 1 + 4.5e-10 on the other, a chain whose q_init is
+# heavier by 0.9e-9, and a product and a chain off by 1e-7 throughout.
+# Unless the pair renormalizes them, the estimate lands at twice the
+# distance of the stored rows, or at 0 below d_lb.
 _U = np.full((2, 2), 0.5)
+_APART = np.array([[0.75, 0.25], [0.25, 0.75]])
 OFF_ONE_CASES = {
-    "product-heavier-q": ProductPair(_U, _U * (1 + 4.5e-10)),
-    "product-heavier-p": ProductPair(_U * (1 + 4.5e-10), _U),
-    "product-apart": ProductPair([[0.75, 0.25]] * 2, np.array([[0.25, 0.75]] * 2) * (1 + 4.5e-10)),
-    "markov-heavier-q-init": MarkovPair([0.5, 0.5], np.array([0.5, 0.5]) * (1 + 0.9e-9), [_U], [_U]),
+    "product-heavier-q": (ProductPair, _U, _U * (1 + 4.5e-10)),
+    "product-heavier-p": (ProductPair, _U * (1 + 4.5e-10), _U),
+    "product-apart": (ProductPair, [[0.75, 0.25]] * 2, np.array([[0.25, 0.75]] * 2) * (1 + 4.5e-10)),
+    "markov-heavier-q-init": (MarkovPair, [0.5, 0.5], np.array([0.5, 0.5]) * (1 + 0.9e-9), [_U], [_U]),
+    "product-off-1e-7": (ProductPair, _APART * (1 + 1e-7), _APART[::-1]),
+    "markov-off-1e-7": (
+        MarkovPair, _APART[0], _APART[1] * (1 + 1e-7), [_APART * (1 + 1e-7)] * 2, [_APART[::-1]] * 2
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(OFF_ONE_CASES))
 def test_rows_off_one_are_measured_as_stored(name):
-    pair = OFF_ONE_CASES[name]
+    make, *rows = OFF_ONE_CASES[name]
+    pair = make(*rows)
     estimate, brute_force, _, _ = _kind(pair)
     tv, eps = brute_force(pair), 0.1
     for report in (estimate(pair, eps), estimate(pair, eps, return_ratio=True)[0]):

@@ -229,6 +229,29 @@ class TestEstimate:
             code, _, err = run(capsys, "estimate", "--input", str(bad), "--epsilon", "0.1")
             assert code == 1 and err.startswith("error: parse:"), content
 
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            (
+                {"kind": "product", "n": 1, "q": 2, "p": [[0.6, 0.5]], "q_dist": [[0.5, 0.5]]},
+                "p_marginals row 0 sums to 1.1, expected 1",
+            ),
+            (
+                {
+                    "kind": "markov", "n": 3, "q": 2, "p_init": [0.5, 0.5], "q_init": [0.5, 0.5],
+                    "p_kernels": [[[1, 0], [0, 1]], [[0.6, 0.5], [0, 1]]],
+                    "q_kernels": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+                },
+                "p_kernels[1] row 0 sums to 1.1, expected 1",
+            ),
+        ],
+    )
+    def test_bad_row_is_a_parse_error(self, document, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        code, out, err = run(capsys, "estimate", "--input", str(bad), "--epsilon", "0.1")
+        assert (code, out, err) == (1, "", f"error: parse: {message}\n")
+
 
 class TestBench:
     def test_grid_csv(self, tmp_path, capsys):

@@ -50,7 +50,7 @@ class TestInstanceRoundTrip:
 
     def test_rejects_row_sum_off_by_too_much(self):
         text = """{"kind": "product", "n": 1, "q": 2, "p": [[0.6, 0.5]], "q_dist": [[0.5, 0.5]]}"""
-        with pytest.raises(ParseError, match=r"p row 0 sums to 1\.1, "):
+        with pytest.raises(ParseError, match=r"p_marginals row 0 sums to 1\.1, "):
             parse_instance(text)
 
     @pytest.mark.parametrize(
@@ -83,6 +83,32 @@ class TestInstanceRoundTrip:
             ),
             pytest.param('{"kind": "product", "n": ' + "1" * 5000 + ', "q": 2}', id="5000-digit-integer"),
             pytest.param("[" * 200_000, id="nested-200000-deep"),
+            pytest.param(
+                '{"kind": "product", "n": 1, "q": 2, "p": [[' + "1" * 400 + ', 0.5]], "q_dist": [[0.5, 0.5]]}',
+                id="entry-past-float-range",
+            ),
+            pytest.param(
+                '{"kind": "product", "n": 1, "q": 2, "p": [["0.5", "0.5"]], "q_dist": [[0.5, 0.5]]}',
+                id="string-entries",
+            ),
+            pytest.param(
+                '{"kind": "product", "n": 1, "q": 2, "p": [[0.5, 0.5]], "q_dist": [[true, false]]}',
+                id="boolean-entries",
+            ),
+            pytest.param(
+                '{"kind": "product", "n": 1, "q": 2, "p": [true, 0.0], "q_dist": [[0.5, 0.5]]}',
+                id="boolean-among-floats",
+            ),
+            pytest.param(
+                '{"kind": "markov", "n": 2, "q": 2, "p_init": [0.5, 0.5], "q_init": ["0.5", 0.5], '
+                '"p_kernels": [[[1, 0], [0, 1]]], "q_kernels": [[[1, 0], [0, 1]]]}',
+                id="string-among-init-entries",
+            ),
+            pytest.param(
+                '{"kind": "markov", "n": 2, "q": 2, "p_init": [0.5, 0.5], "q_init": [0.5, 0.5], '
+                '"p_kernels": [[[1, 0], [0, 1]]], "q_kernels": [[[true, 0.0], [0, 1]]]}',
+                id="boolean-among-kernel-entries",
+            ),
         ],
     )
     def test_rejects_malformed_documents(self, text):

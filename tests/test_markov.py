@@ -59,6 +59,9 @@ class TestMarkovPair:
         bad[2, 1] = [0.5, 0.4]
         with pytest.raises(ValidityError, match=r"^q_kernels\[2\] row 1 sums to 0\.9, expected 1$"):
             MarkovPair([0.5, 0.5], [0.5, 0.5], kernels, bad)
+        bad[2, 1] = [0.5, 0.5 + 2e-6]  # off by twice ROW_SUM_TOL
+        with pytest.raises(ValidityError, match=r"^q_kernels\[2\] row 1 sums to 1\.0000019999999998, expected 1$"):
+            MarkovPair([0.5, 0.5], [0.5, 0.5], kernels, bad)
 
     def test_rejects_mismatched_inits(self):
         with pytest.raises(DimensionError):

@@ -38,6 +38,9 @@ class TestProductPair:
     def test_rejects_bad_rows(self):
         with pytest.raises(ValidityError, match=r"p_marginals row 0 sums to 0\.9, "):
             ProductPair([[0.5, 0.4]], [[0.5, 0.5]])
+        # ROW_SUM_TOL is 1e-6: a row off by 2e-6 is refused, however near
+        with pytest.raises(ValidityError, match=r"^q_marginals row 1 sums to 1\.0000019999999998, expected 1$"):
+            ProductPair([[0.5, 0.5]] * 2, [[0.5, 0.5], [0.5, 0.5 + 2e-6]])
 
     def test_rejects_zero_coordinates(self):
         empty = np.zeros((0, 3))

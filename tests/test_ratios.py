@@ -51,10 +51,32 @@ class TestRowCheck:
         for take in ROW_TAKERS:
             with pytest.raises(ValidityError, match=r"sums to 0\.8, expected 1"):
                 take([0.4, 0.4])
+            with pytest.raises(ValidityError, match=r"sums to 1\.0000019999999998, expected 1"):
+                take([0.5, 0.5 + 2e-6])  # twice ROW_SUM_TOL
 
     def test_accepts_within_tolerance(self):
         for take in ROW_TAKERS:
             take([0.5, 0.5 + 5e-10])
+            take([0.5, 0.5 + 5e-7])  # half ROW_SUM_TOL
+
+    @pytest.mark.parametrize("drift", [4.5e-10, 1e-7])
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            pytest.param([0.5, 0.5], [0.5, 0.5], id="equal"),
+            pytest.param([0.75, 0.25], [0.25, 0.75], id="apart"),
+            pytest.param([0.6, 0.3, 0.1], [0.2, 0.3, 0.5], id="three-outcomes"),
+        ],
+    )
+    def test_takers_measure_rows_renormalized(self, drift, p, q):
+        # q heavier by `drift`: tv_discrete and the ratio tables must agree on
+        # the distance of the renormalized rows, not each measure its own pair
+        heavy = np.array(q) * (1 + drift)
+        tv = tv_discrete(p, heavy)
+        assert tv == pytest.approx(tv_discrete(p, q), rel=4 * 2**-52, abs=0)
+        ones = (RatioDist([1.0], [1.0]),) * len(q)
+        for table in (ratio_of(p, heavy), concatenate(p, heavy, ones)):
+            assert tv_of_ratio(table) == pytest.approx(tv, rel=4 * 2**-52, abs=0)
 
     def test_rejects_empty_and_matrix_inputs(self):
         for take in ROW_TAKERS:
