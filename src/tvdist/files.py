@@ -140,20 +140,17 @@ def emit_report(report: EstimateReport, mode: str, digest: str) -> str:
     """Report document of one run in `mode` on the instance with `digest`.
 
     The keys come in a fixed order; `epsilon` is left out when the run has
-    none, as exact and oracle runs do.  A certified run's `upper` and
+    none, as exact and oracle runs do, and so is `tries`, which follows
+    `max_support` in an estimator's run.  A certified run's `upper` and
     `eps_s` follow all the other keys; runs without them leave them out.
     """
     doc = {"mode": mode, "estimate": report.estimate}
     if report.epsilon is not None:
         doc["epsilon"] = report.epsilon
-    doc.update(
-        {
-            "d_lb": report.d_lb,
-            "max_support": report.max_support,
-            "elapsed_ms": report.elapsed * 1e3,
-            "instance_digest": digest,
-        }
-    )
+    doc.update({"d_lb": report.d_lb, "max_support": report.max_support})
+    if report.epsilon is not None:
+        doc["tries"] = report.tries
+    doc.update({"elapsed_ms": report.elapsed * 1e3, "instance_digest": digest})
     if report.upper is not None:
         doc["upper"] = report.upper
     if report.eps_s is not None:

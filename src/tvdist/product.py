@@ -4,16 +4,26 @@ A product is the one-state case of the shared fold (`ratios._fold`): each
 coordinate is one step whose single row pair multiplies into the running
 table, in coordinate order, and the table is sparsified before each step so
 its support stays bounded.  The returned estimate always lower-bounds the
-true total variation distance and is within a (1 - eps) factor of it:
-either by the paper's a priori choice of cell width, or, at a coarser
-width, by an upper bound the run computes for itself with a second fold
-that spreads cells instead of merging them.  When the Hellinger lower bound
-1 - BC (BC the Bhattacharyya coefficient, computed in one pass over the
-steps) already reaches 1 - eps, it is the estimate and no step is folded:
-such a report has `iterations` 0 and `upper` 1.0.  A caller that asks for
-the final table (`return_ratio=True`, the CLI's `--emit-region`) always
-gets a fold, since no table matches the certificate.  The Markov estimator
-runs its steps through `_estimate` here as well.
+true total variation distance and is within a (1 - eps) factor of it,
+proven one of three ways:
+
+- by a certified try (`_certified`): a merge fold's estimate at a coarse
+  cell width, held against the upper bound of a second fold that spreads
+  cells instead of merging them.  The bracket's relative width grows as
+  n * w**2 in the cell width w, so the first try is at sqrt(25 * eps / n),
+  and a try that misses sets the width of one more;
+- by the paper's a priori cell width eps / (slack * n), the last resort
+  when no try certifies or the unmerged tables could never outgrow the
+  paper's partition (`_outgrows`);
+- by the Hellinger lower bound 1 - BC (BC the Bhattacharyya coefficient,
+  computed in one pass over the steps), when it already reaches 1 - eps:
+  it is then the estimate and no step is folded, so the report has
+  `iterations` 0, `tries` 0 and `upper` 1.0.
+
+A caller that asks for the final table (`return_ratio=True`, the CLI's
+`--emit-region`) always gets a fold, since no table matches the last
+certificate.  The Markov estimator runs its steps through `_estimate` here
+as well.
 """
 
 from __future__ import annotations
@@ -61,14 +71,19 @@ class EstimateReport:
     """The record of one run: its estimate, accuracy target and diagnostics.
 
     The estimators fill in `epsilon`; exact and oracle runs, which merge
-    nothing, leave it None and report no iterations.  A run that certified
-    its own accuracy sets `upper`, a proven upper bound on the distance with
-    estimate >= (1 - epsilon) * upper, and `eps_s`, the relative cell width
-    it was certified at.  A run at the paper's a priori width leaves both
-    None.  A run certified by the Hellinger bound alone folded no step: it
-    reports `iterations` 0, `max_support` 0, `upper` 1.0 and `eps_s` equal
-    to `epsilon`.  Asking for the final table (`return_ratio=True`) forces
-    the fold.
+    nothing, leave it None and report no iterations and no tries.
+    `iterations` counts the steps a fold mixed in after its first, and
+    `tries` the partitions the run folded at: 0 when nothing was folded at
+    a partition, 1 for a single fold at the paper's a priori width, and 1
+    to 3 on the certified schedule (two law-sized tries, then the paper's
+    width).  A run that certified its own accuracy sets `upper`, a proven
+    upper bound on the distance with estimate >= (1 - epsilon) * upper, the
+    smallest of its tries' bounds, and `eps_s`, the relative cell width of
+    the try whose estimate it reports.  A run that ends at the paper's
+    width leaves both None.  A run certified by the Hellinger bound alone
+    folded no step: it reports `iterations` 0, `tries` 0, `max_support` 0,
+    `upper` 1.0 and `eps_s` equal to `epsilon`.  Asking for the final table
+    (`return_ratio=True`) forces the fold.
     """
 
     estimate: float
@@ -79,6 +94,7 @@ class EstimateReport:
     elapsed: float
     upper: float | None = None
     eps_s: float | None = None
+    tries: int = 0
 
     def __post_init__(self) -> None:
         if not -VALIDITY_TOL <= self.estimate <= 1.0 + VALIDITY_TOL:
@@ -101,6 +117,12 @@ MAX_TABLE_ENTRIES = 2**26
 #: paper-width estimate, the certificate holds up to the folds' rounding; the
 #: few ulps of margin only keep the final comparison from accepting a tie.
 CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
+
+#: The first certified try's width is sqrt(BRACKET_LAW_K * eps / n).  The
+#: relative bracket of a try at width w measured about c * n * w**2, with c
+#: from 0.015 to 0.018 on near pairs and up to 0.14 on far ones that do not
+#: saturate, so K = 25 aims the bracket at eps / 2 when c = 0.02.
+BRACKET_LAW_K = 25
 
 
 def product_lower_bound(pair: ProductPair) -> float:
@@ -134,27 +156,75 @@ def _affinity_gap(steps) -> float:
     return -math.expm1(log_bc)
 
 
-def _certified(steps, eps: float, paper_eps: float, paper_delta: float):
-    """One try at cells of width eps; return (final table, peak support, upper).
+def _merged(steps, part):
+    """The merge fold at `part`: its final table, its estimate and its peak.
 
-    The merge fold's estimate lower-bounds the distance at any width
-    (merging a cell to its mean is a garbling).  Unless that estimate
-    already reaches 1 - eps, which certifies it with upper = 1, the spread
-    fold's distance plus the q-mass it dropped (`_step`) upper-bounds the
-    distance (a mean-preserving spread under a convex functional).  The tail
-    mass is the paper's, scaled by the factor the width exceeds the paper's.
-    `upper` comes back None when the bracket is too wide to certify.
+    The estimate lower-bounds the distance at any width: merging a cell to
+    its mean is a garbling.
     """
-    part = build_partition(eps, min(eps / paper_eps * paper_delta, 0.5))
     values, masses, peak = _fold(steps, partial(_merge_cells, part), MAX_TABLE_ENTRIES)
-    estimate = _tv(values, masses)
+    return (values, masses), _tv(values, masses), peak
+
+
+def _spread(steps, part):
+    """The spread fold at `part`: an upper bound on the distance, and its peak.
+
+    The fold's distance plus the q-mass it dropped (`_step`) bounds the
+    distance from above at any width: a mean-preserving spread under a
+    convex functional.
+    """
+    values, masses, peak = _fold(steps, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
+    return _tv(values, masses) + max(0.0, 1.0 - float(np.sum(masses))), peak
+
+
+def _certified(steps, eps: float, paper_eps: float, paper_delta: float):
+    """At most two tries at widths the bracket law sets; return (table, width, upper, peak, tries).
+
+    A try at relative width w brackets the distance between its merge
+    estimate and its spread bound, and the relative bracket 1 - est/upper
+    measures about c * n * w**2.  The first try is at sqrt(K * eps / n),
+    K = BRACKET_LAW_K, which aims the bracket at eps / 2 when c = 0.02.  A
+    first try that misses measures its own c: the second runs at
+    w * sqrt(eps / (2 * b)), b its bracket, unless that is no coarser than
+    the paper's width.  Both ends are sound at any width, so the run keeps
+    the larger estimate, with its table and width, and the smaller upper
+    bound; the second try needs no spread fold when its estimate already
+    certifies against the first's bound.  An estimate of at least 1 - eps
+    certifies with upper = 1 and no spread.  The tail mass is the paper's,
+    scaled by the factor the width exceeds the paper's.  `table`, `width`
+    and `upper` come back None when no try certifies; `tries` counts the
+    partitions folded at.
+    """
+
+    def partition(width):
+        return build_partition(width, min(width / paper_eps * paper_delta, 0.5))
+
+    def holds(estimate, upper):
+        return estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN
+
+    width = math.sqrt(BRACKET_LAW_K * eps / len(steps))
+    part = partition(width)
+    table, estimate, peak = _merged(steps, part)
     if estimate >= 1.0 - eps:
-        return (values, masses), peak, 1.0
-    spread, weights, support = _fold(steps, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
-    upper = _tv(spread, weights) + max(0.0, 1.0 - float(np.sum(weights)))
-    if estimate < (1.0 - eps) * upper * CERTIFY_MARGIN:
-        upper = None
-    return (values, masses), max(peak, support), upper
+        return table, width, 1.0, peak, 1
+    upper, support = _spread(steps, part)
+    peak = max(peak, support)
+    if holds(estimate, upper):
+        return table, width, upper, peak, 1
+    retry = width * math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
+    if retry <= paper_eps:
+        return None, None, None, peak, 1
+    part = partition(retry)
+    retry_table, retry_estimate, support = _merged(steps, part)
+    peak = max(peak, support)
+    if not holds(retry_estimate, upper):
+        retry_upper, support = _spread(steps, part)
+        upper, peak = min(upper, retry_upper), max(peak, support)
+    if retry_estimate > estimate:
+        table, estimate, width = retry_table, retry_estimate, retry
+    if not holds(estimate, upper):
+        return None, None, None, peak, 2
+    return table, width, upper, peak, 2
 
 
 def _outgrows(n: int, q: int, cells: float) -> bool:
@@ -173,14 +243,15 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
 
     The paper's partition has relative width eps / (slack * n) and tail mass
     (eps / (2 * n)) * d_lb.  When the unmerged tables could outgrow it, the
-    run first tries cells of width eps (`_certified`) and keeps the try if
-    its bracket proves the (1 - eps) band; otherwise it folds once at the
-    paper's width, where the a priori guarantee needs no certificate
+    run first makes the certified tries (`_certified`) and keeps their best
+    estimate when their combined bracket proves the (1 - eps) band;
+    otherwise it folds once at the paper's width, where the a priori guarantee needs no certificate
     (`upper` and `eps_s` stay None).  A single step reports the half-L1
     distance of its rows, bit for bit, and a zero d_lb, which forces the
-    distance to 0, an estimate of 0.  When no table is asked for and d_lb or
-    the affinity gap 1 - BC already reaches 1 - eps, that bound is the
-    estimate, in [(1 - eps) * TV, TV] with upper = 1, and nothing is folded.
+    distance to 0, an estimate of 0; neither folds at a partition.  When no
+    table is asked for and d_lb or the affinity gap 1 - BC already reaches
+    1 - eps, that bound is the estimate, in [(1 - eps) * TV, TV] with
+    upper = 1, and nothing is folded.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
@@ -188,7 +259,7 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     start = time.perf_counter()
     d_lb = lower_bound(pair)
     n = len(steps)
-    iterations = max_support = 0
+    iterations = max_support = tries = 0
     upper = eps_s = None
     if n == 1:
         [(p_rows, q_rows)] = steps
@@ -201,18 +272,16 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     else:
         paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
         if _outgrows(n, pair.q, _low_cell_count(paper_eps, paper_delta)):
-            table, max_support, upper = _certified(steps, eps, paper_eps, paper_delta)
+            table, eps_s, upper, max_support, tries = _certified(steps, eps, paper_eps, paper_delta)
         if upper is None:
-            merge = partial(_merge_cells, build_partition(paper_eps, paper_delta))
-            *table, support = _fold(steps, merge, MAX_TABLE_ENTRIES)
+            table, _, support = _merged(steps, build_partition(paper_eps, paper_delta))
             max_support = max(max_support, support)
-        else:
-            eps_s = eps
+            tries += 1
         iterations = n - 1
         estimate = _tv(*table)
     report = EstimateReport(
         estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support, iterations=iterations,
-        elapsed=time.perf_counter() - start, upper=upper, eps_s=eps_s,
+        elapsed=time.perf_counter() - start, upper=upper, eps_s=eps_s, tries=tries,
     )
     return (report, _table(*table)) if return_ratio else report
 

@@ -12,7 +12,8 @@ step scales all at once (`_step`), unsorted and unchecked; a table leaves
 the fold as a sorted, checked `RatioDist` (`_table`).  Probability vectors
 are plain arrays, and `_validate_rows` is the package's one row rule: the
 public functions here and the pair types (so the parser too) refuse a row
-unless it is finite, nonnegative and sums to 1 within ROW_SUM_TOL, and
+unless its entries are real numbers, finite and nonnegative, and it sums to
+1 within ROW_SUM_TOL, and
 divide it by its sum past ROW_SUM_EXACT.  The fold trusts the rows it is
 given, and every pipeline measures the same distributions.
 
@@ -22,6 +23,7 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -46,6 +48,23 @@ def _as_float_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real scalar, numpy's included; a bool does not pass for 0 or 1."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _all_real(x) -> bool:
+    """Whether x is a real scalar, or an array or nested list or tuple of them.
+
+    A real or integer array passes whole; a boolean does not pass for 0 or 1.
+    """
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "fiu"
+    if isinstance(x, (list, tuple)):
+        return all(map(_all_real, x))
+    return _is_real(x)
+
+
 def _validate_rows(rows, name: str, ndim: int = 2) -> np.ndarray:
     """`rows` as a read-only float copy whose last axis holds probability rows.
 
@@ -53,9 +72,19 @@ def _validate_rows(rows, name: str, ndim: int = 2) -> np.ndarray:
     of matrices), and every row must be nonempty, finite, nonnegative and sum
     to 1 within ROW_SUM_TOL.  A row off 1 by more than ROW_SUM_EXACT is
     divided by its sum, so every pipeline measures the distribution it means.
-    Every probability row the package takes passes through it.
+    Every entry must be a real number: booleans, strings, objects and complex
+    numbers are refused, also inside nested lists, where numpy would read a
+    boolean or a numeric string as a float.  Every probability row the
+    package takes passes through it.
     """
-    rows = np.array(rows, dtype=np.float64)
+    if not _all_real(rows):
+        raise ValidityError(f"{name} entries must be real numbers")
+    try:
+        rows = np.array(rows, dtype=np.float64)
+    except ValueError as exc:  # nested lists of unequal lengths
+        raise DimensionError(f"{name} is not a rectangular array: {exc}") from exc
+    except OverflowError as exc:  # an integer past the float range
+        raise ValidityError(f"{name} has an entry past the float range") from exc
     if rows.ndim != ndim:
         raise DimensionError(f"{name} must be a {ndim}-D array, got shape {rows.shape}")
     if rows.shape[-1] == 0:

@@ -15,13 +15,12 @@ pass per step and per-(state, cell) sums by `np.bincount`, and no sort.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SizeError, ValidityError
-from .ratios import RatioDist
+from .ratios import RatioDist, _is_real
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,6 @@ class IntervalPartition:
 #: and the benchmark build has m = 903,203, while a product estimate at
 #: eps = 1e-3 and n = 10**4 would need m = 336,224,866.
 MAX_PARTITION_M = 2**26
-
-
-def _is_real(x) -> bool:
-    """Whether x is a real scalar, numpy's included; a bool does not pass for 0 or 1."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _low_cell_count(eps_s: float, delta_s: float) -> float:

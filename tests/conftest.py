@@ -1,4 +1,7 @@
-"""Shared generators for random distributions, ratios and instances."""
+"""Shared generators for random distributions, ratios and instances, and an
+exact distance oracle for small pairs."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +40,46 @@ def random_ratio(rng, support, zeros=True):
     """
     p, q = random_dist_pair(rng, support, zeros_in_p=zeros)
     return ratio_of(p, q)
+
+
+def _scaled(rows):
+    """Float rows as integer numerators over one common power-of-two denominator.
+
+    Every float is a dyadic rational, so the largest denominator is a
+    multiple of all the others and the conversion is exact.
+    """
+    fractions = [Fraction(float(x)) for x in np.ravel(rows)]
+    den = max(f.denominator for f in fractions)
+    nums = [f.numerator * (den // f.denominator) for f in fractions]
+    return np.array(nums, dtype=object).reshape(np.shape(rows)), den
+
+
+def _half_l1(p, q, den) -> Fraction:
+    return Fraction(int(np.sum(np.abs(p - q))), 2 * den)
+
+
+def exact_tv_product(pair) -> Fraction:
+    """The exact distance between the pair's stored products, by enumeration."""
+    p = q = np.ones(1, dtype=object)
+    den = 1
+    for p_row, q_row in zip(pair.p_marginals, pair.q_marginals):
+        (p_nums, q_nums), d = _scaled([p_row, q_row])
+        p, q, den = np.multiply.outer(p, p_nums).ravel(), np.multiply.outer(q, q_nums).ravel(), den * d
+    return _half_l1(p, q, den)
+
+
+def exact_tv_markov(pair) -> Fraction:
+    """The exact distance between the pair's stored path distributions, by enumeration.
+
+    Paths are kept flat, their last state the fastest-varying index.
+    """
+    (p, q), den = _scaled([pair.p_init, pair.q_init])
+    for p_kernel, q_kernel in zip(pair.p_kernels, pair.q_kernels):
+        (p_nums, q_nums), d = _scaled([p_kernel, q_kernel])
+        p = (p.reshape(-1, pair.q)[:, :, None] * p_nums).ravel()
+        q = (q.reshape(-1, pair.q)[:, :, None] * q_nums).ravel()
+        den *= d
+    return _half_l1(p, q, den)
 
 
 @pytest.fixture

@@ -6,12 +6,15 @@ Property tests run both folds against brute-force enumeration on small
 adversarial pairs: zeros in q (expectation deficit), zeros in p, ratios of
 exactly 1, repeated ratio values, one-step pairs, and partitions coarse
 enough that whole tables share a cell or fine enough that boundaries tie at
-1.0 in float arithmetic.
+1.0 in float arithmetic.  The band tests on small products and chains
+compare with the exact distance in rational arithmetic (`conftest`), so
+they check the band relatively, with no tolerance.
 """
 
 import json
 import math
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -31,6 +34,8 @@ from tvdist import (
     estimate_markov_tv,
     estimate_product_tv,
     expectation,
+    generate_markov_instance,
+    generate_product_instance,
     markov_lower_bound,
     product_lower_bound,
     sparsify_wrt_intervals,
@@ -42,7 +47,7 @@ from tvdist.product import _steps as product_steps
 from tvdist.ratios import VALIDITY_TOL, _fold, _tv
 from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, spread_wrt_intervals
 
-from conftest import random_ratio
+from conftest import exact_tv_markov, exact_tv_product, random_ratio
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -127,6 +132,8 @@ def test_estimates_stay_in_the_band_and_below_their_upper_bound(pair, eps):
         tv, report = brute_force_tv_markov(pair), estimate_markov_tv(pair, eps)
     assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
     assert (report.upper is None) == (report.eps_s is None)
+    # a run folds at a partition exactly when it folds a step, at most thrice
+    assert (report.tries == 0) == (report.iterations == 0) and report.tries <= 3
     if report.upper is not None:
         assert tv <= report.upper + TOL
         assert report.estimate >= (1 - eps) * report.upper
@@ -172,24 +179,84 @@ def _record_widths(monkeypatch):
     return widths
 
 
+def _record_spreads(monkeypatch):
+    """The cell width of every spread fold the schedule runs, in order."""
+    widths, spread = [], product_mod._spread
+    monkeypatch.setattr(product_mod, "_spread", lambda steps, part: widths.append(part.eps_s) or spread(steps, part))
+    return widths
+
+
+def _law_width(eps, n):
+    return math.sqrt(25 * eps / n)
+
+
+def _try_bracket(pair, eps, width):
+    """(estimate, upper) of the schedule's try at `width`, folded again here."""
+    _, _, lower_bound, steps = _kind(pair)
+    slack = 2 if isinstance(pair, ProductPair) else 4
+    paper_eps, paper_delta = eps / (slack * pair.n), (eps / (2 * pair.n)) * lower_bound(pair)
+    return _bracket(steps, build_partition(width, min(width / paper_eps * paper_delta, 0.5)))
+
+
+def _predicted_retry(pair, eps):
+    est, upper = _try_bracket(pair, eps, _law_width(eps, pair.n))
+    return _law_width(eps, pair.n) * math.sqrt(eps / (2 * (1 - est / upper)))
+
+
+def _near_product(seed, n, q, sigma):
+    rng = np.random.default_rng(seed)
+    p = rng.gamma(1.0, size=(n, q))
+    p /= p.sum(axis=1, keepdims=True)
+    q = p * np.exp(sigma * rng.standard_normal(p.shape))
+    return ProductPair(p, q / q.sum(axis=1, keepdims=True))
+
+
+def _near_chain(seed, n, q, sigma):
+    rng = np.random.default_rng(seed)
+    p = rng.gamma(1.0, size=(n, q, q))
+    p /= p.sum(axis=2, keepdims=True)
+    q = p * np.exp(sigma * rng.standard_normal(p.shape))
+    q /= q.sum(axis=2, keepdims=True)
+    return MarkovPair(p[0, 0], q[0, 0], p[1:], q[1:])
+
+
+# Far pairs of gamma(1) rows whose first try misses at eps = 0.05: the
+# second try certifies after its own spread fold (seed 8), or against the
+# first try's bound with no spread fold of its own (seed 1).
+RETRY_SPREADS = generate_product_instance(8, 4, seed=8, skew=1.0)
+RETRY_NO_SPREAD = generate_product_instance(8, 4, seed=1, skew=1.0)
+
+
 class TestSchedule:
     def test_small_tables_run_once_at_the_paper_width(self):
         # (n - 1) log q <= log(2m + 3): no coarse try could shrink the tables
         pair = ProductPair([[0.75, 0.25]] * 2, [[0.25, 0.75]] * 2)
         report = estimate_product_tv(pair, 0.1)
         assert report.upper is None and report.eps_s is None
+        assert report.tries == 1
         part = build_partition(0.1 / 4, (0.1 / 4) * report.d_lb)
         values, masses, _ = _fold(product_steps(pair), partial(_merge_cells, part), MAX_TABLE_ENTRIES)
         assert report.estimate == _tv(values, masses)
 
+    @pytest.mark.parametrize(
+        "pair,eps",
+        [
+            (_near_product(6, 40, 10, 0.02), 0.05),
+            (_near_product(6, 40, 10, 0.02), 0.2),
+            (_near_chain(3, 16, 4, 0.02), 0.05),
+        ],
+    )
+    def test_first_width_follows_the_bracket_law(self, pair, eps, monkeypatch):
+        widths = _record_widths(monkeypatch)
+        estimate, _, _, _ = _kind(pair)
+        report = estimate(pair, eps)
+        assert widths == [_law_width(eps, pair.n)]
+        assert (report.eps_s, report.tries) == (widths[0], 1)
+
     def test_first_try_certifies_a_near_pair(self):
-        rng = np.random.default_rng(6)
-        p = rng.gamma(1.0, size=(40, 10))
-        p /= p.sum(axis=1, keepdims=True)
-        q = p * np.exp(0.02 * rng.standard_normal(p.shape))
-        pair = ProductPair(p, q / q.sum(axis=1, keepdims=True))
+        pair = _near_product(6, 40, 10, 0.02)
         report = estimate_product_tv(pair, 0.05)
-        assert report.eps_s == 0.05
+        assert report.eps_s == _law_width(0.05, pair.n) and report.tries == 1
         assert report.estimate < 0.95 and report.upper < 1.0
         assert report.estimate >= 0.95 * report.upper
         again = estimate_product_tv(pair, 0.05)
@@ -197,18 +264,58 @@ class TestSchedule:
             report.estimate, report.upper, report.max_support
         )
 
+    def test_a_missed_first_try_retries_at_the_predicted_width(self, monkeypatch):
+        pair, eps = RETRY_SPREADS, 0.05
+        widths, spreads = _record_widths(monkeypatch), _record_spreads(monkeypatch)
+        report = estimate_product_tv(pair, eps)
+        first, retry = _law_width(eps, pair.n), _predicted_retry(pair, eps)
+        assert widths == spreads == [first, retry] and report.tries == 2
+        (est1, upper1), (est2, upper2) = _try_bracket(pair, eps, first), _try_bracket(pair, eps, retry)
+        assert est1 < (1 - eps) * upper1 * product_mod.CERTIFY_MARGIN
+        # both ends are sound at any width: the run keeps the best of each
+        assert report.upper == min(upper1, upper2)
+        assert (report.estimate, report.eps_s) == max((est1, first), (est2, retry))
+        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+
+    def test_a_second_try_that_certifies_skips_its_spread_fold(self, monkeypatch):
+        pair, eps = RETRY_NO_SPREAD, 0.05
+        widths, spreads = _record_widths(monkeypatch), _record_spreads(monkeypatch)
+        report = estimate_product_tv(pair, eps)
+        first, retry = _law_width(eps, pair.n), _predicted_retry(pair, eps)
+        assert widths == [first, retry] and spreads == [first]
+        (_, upper1), (est2, _) = _try_bracket(pair, eps, first), _try_bracket(pair, eps, retry)
+        assert (report.estimate, report.upper, report.eps_s, report.tries) == (est2, upper1, retry, 2)
+        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+
     def test_an_uncertified_try_falls_back_to_the_paper_width(self, monkeypatch):
+        # with no certificate possible the run folds at exactly three widths:
+        # the law's, the one its bracket predicts, and the paper's
         pair = ProductPair(np.tile([0.3, 0.3, 0.4], (12, 1)), np.tile([0.2, 0.5, 0.3], (12, 1)))
         eps, widths = 0.2, _record_widths(monkeypatch)
         monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
         report = estimate_product_tv(pair, eps)
         paper = eps / (2 * pair.n)
-        assert widths == [0.2, paper]
-        assert report.upper is None and report.eps_s is None
+        assert widths == [_law_width(eps, pair.n), _predicted_retry(pair, eps), paper]
+        assert report.upper is None and report.eps_s is None and report.tries == 3
         merge = partial(_merge_cells, build_partition(paper, paper * report.d_lb))
         values, masses, support = _fold(product_steps(pair), merge, MAX_TABLE_ENTRIES)
         assert report.estimate == _tv(values, masses) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
+
+    def test_a_long_near_pair_never_folds_at_the_paper_width(self, monkeypatch):
+        # a try at width eps misses this pair and a paper-width fold takes
+        # minutes; the law's width certifies it in about a second
+        pair, eps = _near_product(11, 1000, 10, 0.01), 0.2
+        build, paper = product_mod.build_partition, eps / (2 * pair.n)
+
+        def no_paper_width(eps_s, delta_s):
+            assert eps_s != paper, "folded at the paper's width"
+            return build(eps_s, delta_s)
+
+        monkeypatch.setattr(product_mod, "build_partition", no_paper_width)
+        report = estimate_product_tv(pair, eps)
+        assert report.upper is not None and 1 <= report.tries <= 2
+        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
 
     def test_no_mass_is_dropped(self):
         # q-mass 1e-12 on the first outcome of two coordinates, at ratio 1:
@@ -219,7 +326,7 @@ class TestSchedule:
         same = np.tile([0.2, 0.3, 0.5], (8, 1))
         pair = ProductPair(np.vstack([rows[0], rows[0], same]), np.vstack([rows[1], rows[1], same]))
         report, ratio = estimate_product_tv(pair, 0.1, return_ratio=True)
-        assert report.eps_s == 0.1 and report.upper < 1.0
+        assert report.eps_s == _law_width(0.1, pair.n) and report.upper < 1.0
         [tiny] = ratio.masses[ratio.values == 1.0]
         assert tiny == pytest.approx(1e-24, rel=1e-9, abs=0)
         # every cell holds one point, so the bracket is exact and upper has
@@ -237,6 +344,48 @@ class TestSchedule:
         report, _ = estimate_product_tv(pair, 0.05, return_ratio=True)
         assert report.upper == 1.0 and report.estimate >= 0.95
         assert report.iterations == pair.n - 1
+
+
+# ----------------------------------------------- the band, checked exactly
+
+# Small pairs with the number of partitions each folds at and whether it
+# certifies: near pairs certify on the first try, far ones on the second,
+# one chain misses twice and ends at the paper's width, and at TV 1e-10 the
+# paper's partition holds every table, so the run folds only there.
+EXACT_CASES = {
+    "near-product": (_near_product(5, 8, 4, 0.05), 1, True),
+    "near-chain": (_near_chain(5, 8, 4, 0.05), 1, True),
+    "far-product-retry-spreads": (RETRY_SPREADS, 2, True),
+    "far-product-retry-no-spread": (RETRY_NO_SPREAD, 2, True),
+    "far-chain-misses-twice": (generate_markov_instance(8, 4, seed=30, skew=1.0), 3, False),
+    "product-at-tv-1e-10": (_near_product(5, 8, 4, 1e-10), 1, False),
+}
+
+
+def _assert_exact_band(pair, eps):
+    """(1 - eps) * TV <= estimate <= TV <= upper in exact arithmetic: relative, with no tolerance."""
+    estimate, _, _, _ = _kind(pair)
+    exact = exact_tv_product if isinstance(pair, ProductPair) else exact_tv_markov
+    report, tv = estimate(pair, eps), exact(pair)
+    assert (1 - Fraction(eps)) * tv <= Fraction(report.estimate) <= tv
+    if report.upper is not None:
+        assert tv <= Fraction(report.upper)
+    return report
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_the_band_holds_exactly_on_every_exit(name):
+    pair, tries, certified = EXACT_CASES[name]
+    report = _assert_exact_band(pair, 0.05)
+    assert (report.tries, report.upper is not None) == (tries, certified)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+@pytest.mark.parametrize("kind", ["product", "markov"])
+def test_the_band_holds_exactly_on_generated_pairs(kind, eps):
+    generate = generate_product_instance if kind == "product" else generate_markov_instance
+    for seed in range(8):
+        _assert_exact_band(generate(8, 4, seed=seed, skew=1.0), eps)
 
 
 # ------------------------------------------------- the Hellinger certificate
@@ -304,7 +453,7 @@ def test_the_certificate_fires_only_inside_the_band(case, eps):
     assert (report.iterations == 0 and report.upper == 1.0) == fired
     if fired:
         assert report.estimate == bound
-        assert (report.upper, report.eps_s, report.max_support) == (1.0, eps, 0)
+        assert (report.upper, report.eps_s, report.max_support, report.tries) == (1.0, eps, 0, 0)
     assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
 
 
@@ -342,11 +491,11 @@ class TestHellingerCertificate:
         pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
         report = estimate_product_tv(pair, 0.05)
         assert report.estimate == _affinity_gap(product_steps(pair))
-        assert (report.iterations, report.max_support) == (0, 0)
+        assert (report.iterations, report.max_support, report.tries) == (0, 0, 0)
         assert (report.upper, report.eps_s) == (1.0, 0.05)
         doc = json.loads(emit_report(report, "fptas", "sha256:00"))
         assert list(doc) == [
-            "mode", "estimate", "epsilon", "d_lb", "max_support", "elapsed_ms",
+            "mode", "estimate", "epsilon", "d_lb", "max_support", "tries", "elapsed_ms",
             "instance_digest", "upper", "eps_s",
         ]
         again = estimate_product_tv(pair, 0.05)

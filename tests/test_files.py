@@ -134,18 +134,19 @@ class TestReportRoundTrip:
             ("epsilon", 0.1),
             ("d_lb", 0.2),
             ("max_support", 37),
+            ("tries", 0),
             ("elapsed_ms", 0.0015 * 1e3),
             ("instance_digest", "sha256:00"),
         ]
 
     def test_certified_report_appends_its_bracket(self):
-        rep = EstimateReport(0.25, 0.1, 0.2, 37, 5, 0.0015, upper=0.26, eps_s=0.1)
+        rep = EstimateReport(0.25, 0.1, 0.2, 37, 5, 0.0015, upper=0.26, eps_s=0.1, tries=2)
         doc = json.loads(emit_report(rep, "fptas", "sha256:00"))
         assert list(doc) == [
-            "mode", "estimate", "epsilon", "d_lb", "max_support", "elapsed_ms",
+            "mode", "estimate", "epsilon", "d_lb", "max_support", "tries", "elapsed_ms",
             "instance_digest", "upper", "eps_s",
         ]
-        assert (doc["upper"], doc["eps_s"]) == (0.26, 0.1)
+        assert (doc["tries"], doc["upper"], doc["eps_s"]) == (2, 0.26, 0.1)
 
     def test_oracle_report_omits_epsilon(self):
         rep = EstimateReport(0.25, None, 0.2, 0, 0, 0.0015)

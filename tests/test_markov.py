@@ -49,6 +49,13 @@ class TestMarkovPair:
         for array in (pair.p_init, pair.q_init, pair.p_kernels, pair.q_kernels):
             assert not array.flags.writeable
 
+    def test_rejects_entries_that_are_not_real(self):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValidityError, match=r"^q_init entries must be real numbers$"):
+            MarkovPair([0.5, 0.5], ["0.5", 0.5], [eye], [eye])
+        with pytest.raises(ValidityError, match=r"^q_kernels entries must be real numbers$"):
+            MarkovPair([0.5, 0.5], [0.5, 0.5], [eye], [[[True, 0.0], [0.0, 1.0]]])
+
     def test_rejects_bad_kernel_rows(self):
         kernels = np.full((3, 2, 2), 0.5)
         bad = kernels.copy()

@@ -42,6 +42,16 @@ class TestProductPair:
         with pytest.raises(ValidityError, match=r"^q_marginals row 1 sums to 1\.0000019999999998, expected 1$"):
             ProductPair([[0.5, 0.5]] * 2, [[0.5, 0.5], [0.5, 0.5 + 2e-6]])
 
+    def test_rejects_entries_that_are_not_real(self):
+        with pytest.raises(ValidityError, match=r"^p_marginals entries must be real numbers$"):
+            ProductPair([["0.5", "0.5"]], [[True, False]])
+        with pytest.raises(ValidityError, match=r"^q_marginals entries must be real numbers$"):
+            ProductPair([[0.5, 0.5]], [[True, 0.0]])
+        with pytest.raises(ValidityError, match=r"^q_marginals entries must be real numbers$"):
+            ProductPair([[0.5, 0.5]], [np.array([True, False])])
+        pair = ProductPair(np.array([[1, 0]]), np.array([[0.5, 0.5]], dtype=np.float32))
+        assert pair.q_marginals.dtype == np.float64 and pair.p_marginals.tolist() == [[1.0, 0.0]]
+
     def test_rejects_zero_coordinates(self):
         empty = np.zeros((0, 3))
         with pytest.raises(DimensionError):
@@ -207,7 +217,7 @@ class TestEstimateProductTv:
 
         monkeypatch.setattr(ratios_mod, "_step", checked_step)
         monkeypatch.setattr(product_mod, reducer, checked_reduce)
-        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)  # fold at both widths
+        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)  # fold at all three widths
         # a near chain, long enough for the coarse try
         rng = np.random.default_rng(4)
         p = rng.gamma(1.0, size=(12, 3, 3))
@@ -215,4 +225,5 @@ class TestEstimateProductTv:
         p, q = p / p.sum(axis=2, keepdims=True), q / q.sum(axis=2, keepdims=True)
         pair = MarkovPair(p[0, 0], q[0, 0], p[1:], q[1:])
         assert estimate_markov_tv(pair, 0.2).estimate < 0.5
-        assert seen.count("reduce") >= pair.n - 1 and seen.count("step") == 3 * pair.n
+        # two tries of a merge and a spread fold each, then the paper's merge
+        assert seen.count("reduce") >= pair.n - 1 and seen.count("step") == 5 * pair.n

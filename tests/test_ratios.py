@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tvdist import (
     DimensionError,
+    ProductPair,
     RatioDist,
     ValidityError,
     concatenate,
@@ -77,6 +78,44 @@ class TestRowCheck:
         ones = (RatioDist([1.0], [1.0]),) * len(q)
         for table in (ratio_of(p, heavy), concatenate(p, heavy, ones)):
             assert tv_of_ratio(table) == pytest.approx(tv, rel=4 * 2**-52, abs=0)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param(["0.5", "0.5"], id="strings"),
+            pytest.param(["0.5", 0.5], id="string-among-floats"),
+            pytest.param([True, False], id="booleans"),
+            pytest.param([True, 0.0], id="boolean-among-floats"),
+            pytest.param((np.True_, 0.0), id="numpy-boolean-in-a-tuple"),
+            pytest.param([0.5 + 0j, 0.5], id="complex-entries"),
+            pytest.param([None, 1.0], id="none"),
+            pytest.param(np.array([True, False]), id="boolean-array"),
+            pytest.param(np.array([0.5, 0.5], dtype=object), id="object-array"),
+            pytest.param(np.array([0.5 + 0j, 0.5]), id="complex-array"),
+            pytest.param(np.array(["0.5", "0.5"]), id="string-array"),
+        ],
+    )
+    def test_rejects_entries_that_are_not_real(self, row):
+        # np.asarray would read most of these as floats
+        for take in ROW_TAKERS:
+            with pytest.raises(ValidityError, match=r"^[pq]x? entries must be real numbers$"):
+                take(row)
+        with pytest.raises(ValidityError, match=r"^q entries must be real numbers$"):
+            tv_discrete([0.5, 0.5], row)
+
+    def test_ragged_and_overflowing_rows_raise_typed_errors(self):
+        for take in ROW_TAKERS:
+            with pytest.raises(DimensionError, match=r"^p is not a rectangular array"):
+                take([0.5, [0.5]])
+            with pytest.raises(ValidityError, match=r"^p has an entry past the float range$"):
+                take([10**400, 0])
+        with pytest.raises(DimensionError, match=r"^p_marginals is not a rectangular array"):
+            ProductPair([[0.5, 0.5], [1.0]], [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_real_and_integer_arrays_still_pass(self):
+        assert tv_discrete(np.array([1, 0]), np.array([0.5, 0.5], dtype=np.float32)) == 0.5
+        assert tv_discrete(np.array([1, 0], dtype=np.uint8), [np.float64(0.5), 0.5]) == 0.5
+        assert tv_discrete([1, 0], [0.25, 0.75]) == 0.75
 
     def test_rejects_empty_and_matrix_inputs(self):
         for take in ROW_TAKERS:
