@@ -25,8 +25,7 @@ import numpy as np
 from .errors import ParameterError, ParseError, SizeError, ValidityError
 from .markov import MarkovPair
 from .product import EstimateReport, ProductPair
-from .ratios import NPBoundary
-from .sparsify import _is_real
+from .ratios import NPBoundary, _is_real
 
 KINDS = ("product", "markov")
 

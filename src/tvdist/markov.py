@@ -45,11 +45,14 @@ class MarkovPair:
         q = p_init.size
         if q_init.size != q:
             raise DimensionError(f"initial distributions differ in length: {q} vs {q_init.size}")
-        pk, qk = np.shape(self.p_kernels), np.shape(self.q_kernels)
-        if len(pk) != 3 or pk[1:] != (q, q) or pk != qk:
-            raise DimensionError(f"kernels must both have shape (n-1, {q}, {q}), got {pk} and {qk}")
-        object.__setattr__(self, "p_kernels", _validate_rows(self.p_kernels, "p_kernels", 3))
-        object.__setattr__(self, "q_kernels", _validate_rows(self.q_kernels, "q_kernels", 3))
+        pk = _validate_rows(self.p_kernels, "p_kernels", 3)
+        qk = _validate_rows(self.q_kernels, "q_kernels", 3)
+        if pk.shape[1:] != (q, q) or pk.shape != qk.shape:
+            raise DimensionError(
+                f"kernels must both have shape (n-1, {q}, {q}), got {pk.shape} and {qk.shape}"
+            )
+        object.__setattr__(self, "p_kernels", pk)
+        object.__setattr__(self, "q_kernels", qk)
 
     @property
     def n(self) -> int:

@@ -2,8 +2,10 @@
 
 Brute force enumerates the whole sample space in lexicographic order; the
 exact pipelines run the estimators' fold (`ratios._fold`) over the same
-steps and merge nothing.  Both are capped: past the caps the problem is
-genuinely out of reach for exact methods.
+steps and merge nothing: they combine equal values before each step.  Both
+are capped, at ENUMERATION_CAP outcomes and SUPPORT_CAP table entries, read
+at call time: past the caps the problem is genuinely out of reach for exact
+methods.
 """
 
 from __future__ import annotations
@@ -15,20 +17,20 @@ from .markov import MarkovPair
 from .markov import _steps as _chain_steps
 from .product import ProductPair
 from .product import _steps as _product_steps
-from .ratios import RatioDist, _fold
+from .ratios import RatioDist, _combine, _fold, _table
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
-DEFAULT_SUPPORT_CAP = 1_000_000
-
-
-def _check_enumeration(q: int, n: int, cap: int) -> None:
-    if q**n > cap:
-        raise SizeError(f"enumeration needs {q}**{n} outcomes, beyond the cap of {cap}")
+ENUMERATION_CAP = 10_000_000
+SUPPORT_CAP = 1_000_000
 
 
-def brute_force_tv_product(pair: ProductPair, *, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def _check_enumeration(q: int, n: int) -> None:
+    if q**n > ENUMERATION_CAP:
+        raise SizeError(f"enumeration needs {q}**{n} outcomes, beyond the cap of {ENUMERATION_CAP}")
+
+
+def brute_force_tv_product(pair: ProductPair) -> float:
     """Half-L1 distance over all of [q]^n, enumerated lexicographically."""
-    _check_enumeration(pair.q, pair.n, cap)
+    _check_enumeration(pair.q, pair.n)
     vp = pair.p_marginals[0]
     vq = pair.q_marginals[0]
     for i in range(1, pair.n):
@@ -37,9 +39,9 @@ def brute_force_tv_product(pair: ProductPair, *, cap: int = DEFAULT_ENUMERATION_
     return 0.5 * float(np.sum(np.abs(vp - vq)))
 
 
-def brute_force_tv_markov(pair: MarkovPair, *, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def brute_force_tv_markov(pair: MarkovPair) -> float:
     """Half-L1 distance over all length-n trajectories."""
-    _check_enumeration(pair.q, pair.n, cap)
+    _check_enumeration(pair.q, pair.n)
     q = pair.q
     vp = pair.p_init
     vq = pair.q_init
@@ -49,16 +51,16 @@ def brute_force_tv_markov(pair: MarkovPair, *, cap: int = DEFAULT_ENUMERATION_CA
     return 0.5 * float(np.sum(np.abs(vp - vq)))
 
 
-def exact_ratio_product(pair: ProductPair, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> RatioDist:
+def exact_ratio_product(pair: ProductPair) -> RatioDist:
     """Fold the per-coordinate ratios into the full product ratio, unmerged.
 
     The total variation distance of the result is the exact distance between
     the two products.  The cap is checked against the worst-case table size
     before each multiplication.
     """
-    return RatioDist(*_fold(_product_steps(pair), None, support_cap)[:2])
+    return _table(*_fold(_product_steps(pair), _combine, SUPPORT_CAP)[:2])
 
 
-def exact_ratio_markov(pair: MarkovPair, *, support_cap: int = DEFAULT_SUPPORT_CAP) -> RatioDist:
+def exact_ratio_markov(pair: MarkovPair) -> RatioDist:
     """Run the backward concatenation recursion with no sparsification."""
-    return RatioDist(*_fold(_chain_steps(pair), None, support_cap)[:2])
+    return _table(*_fold(_chain_steps(pair), _combine, SUPPORT_CAP)[:2])

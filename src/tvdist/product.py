@@ -5,16 +5,12 @@ coordinate is one step whose single row pair multiplies into the running
 table, in coordinate order, and the table is sparsified before each step so
 its support stays bounded.  The returned estimate always lower-bounds the
 true total variation distance and is within a (1 - eps) factor of it,
-proven one of three ways:
+proven one of two ways:
 
-- by a certified try (`_certified`): a merge fold's estimate at a coarse
-  cell width, held against the upper bound of a second fold that spreads
-  cells instead of merging them.  The bracket's relative width grows as
-  n * w**2 in the cell width w, so the first try is at sqrt(25 * eps / n),
-  and a try that misses sets the width of one more;
-- by the paper's a priori cell width eps / (slack * n), the last resort
-  when no try certifies or the unmerged tables could never outgrow the
-  paper's partition (`_outgrows`);
+- by the width schedule (`_schedule`): merge folds at up to three cell
+  widths, each held against the upper bound of a fold that spreads cells
+  instead of merging them, and the paper's a priori width
+  eps / (slack * n) last;
 - by the Hellinger lower bound 1 - BC (BC the Bhattacharyya coefficient,
   computed in one pass over the steps), when it already reaches 1 - eps:
   it is then the estimate and no step is folded, so the report has
@@ -36,8 +32,10 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
-from .ratios import VALIDITY_TOL, _fold, _table, _tv, _validate_rows, tv_discrete
-from .sparsify import _is_real, _low_cell_count, _merge_cells, _spread_cells, build_partition
+from .ratios import (
+    VALIDITY_TOL, _combine, _fold, _is_real, _table, _tv, _validate_rows, tv_discrete,
+)
+from .sparsify import _low_cell_count, _merge_cells, _spread_cells, build_partition
 
 
 @dataclass(frozen=True)
@@ -73,17 +71,15 @@ class EstimateReport:
     The estimators fill in `epsilon`; exact and oracle runs, which merge
     nothing, leave it None and report no iterations and no tries.
     `iterations` counts the steps a fold mixed in after its first, and
-    `tries` the partitions the run folded at: 0 when nothing was folded at
-    a partition, 1 for a single fold at the paper's a priori width, and 1
-    to 3 on the certified schedule (two law-sized tries, then the paper's
-    width).  A run that certified its own accuracy sets `upper`, a proven
-    upper bound on the distance with estimate >= (1 - epsilon) * upper, the
-    smallest of its tries' bounds, and `eps_s`, the relative cell width of
-    the try whose estimate it reports.  A run that ends at the paper's
-    width leaves both None.  A run certified by the Hellinger bound alone
-    folded no step: it reports `iterations` 0, `tries` 0, `max_support` 0,
-    `upper` 1.0 and `eps_s` equal to `epsilon`.  Asking for the final table
-    (`return_ratio=True`) forces the fold.
+    `tries` the partitions the run folded at (`_schedule`), 0 when none.
+    A run that certified its own accuracy sets `upper`, a proven upper
+    bound on the distance with estimate >= (1 - epsilon) * upper, and
+    `eps_s`, the relative cell width of the fold whose estimate it
+    reports; a run that ends at the paper's width leaves both None.  A run
+    certified by the Hellinger bound alone folded no step: it reports
+    `iterations` 0, `tries` 0, `max_support` 0, `upper` 1.0 and `eps_s`
+    equal to `epsilon`.  Asking for the final table (`return_ratio=True`)
+    forces the fold.
     """
 
     estimate: float
@@ -112,14 +108,14 @@ class EstimateReport:
 #: and in the benchmark 352,030.
 MAX_TABLE_ENTRIES = 2**26
 
-#: A try is certified when estimate >= (1 - eps) * upper * CERTIFY_MARGIN.
+#: A pass is certified when estimate >= (1 - eps) * upper * CERTIFY_MARGIN.
 #: Both ends of the bracket come out of floating-point folds, so, like the
 #: paper-width estimate, the certificate holds up to the folds' rounding; the
 #: few ulps of margin only keep the final comparison from accepting a tie.
 CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
 
-#: The first certified try's width is sqrt(BRACKET_LAW_K * eps / n).  The
-#: relative bracket of a try at width w measured about c * n * w**2, with c
+#: The schedule's first law width is sqrt(BRACKET_LAW_K * eps / n).  The
+#: relative bracket of a pass at width w measured about c * n * w**2, with c
 #: from 0.015 to 0.018 on near pairs and up to 0.14 on far ones that do not
 #: saturate, so K = 25 aims the bracket at eps / 2 when c = 0.02.
 BRACKET_LAW_K = 25
@@ -177,56 +173,6 @@ def _spread(steps, part):
     return _tv(values, masses) + max(0.0, 1.0 - float(np.sum(masses))), peak
 
 
-def _certified(steps, eps: float, paper_eps: float, paper_delta: float):
-    """At most two tries at widths the bracket law sets; return (table, width, upper, peak, tries).
-
-    A try at relative width w brackets the distance between its merge
-    estimate and its spread bound, and the relative bracket 1 - est/upper
-    measures about c * n * w**2.  The first try is at sqrt(K * eps / n),
-    K = BRACKET_LAW_K, which aims the bracket at eps / 2 when c = 0.02.  A
-    first try that misses measures its own c: the second runs at
-    w * sqrt(eps / (2 * b)), b its bracket, unless that is no coarser than
-    the paper's width.  Both ends are sound at any width, so the run keeps
-    the larger estimate, with its table and width, and the smaller upper
-    bound; the second try needs no spread fold when its estimate already
-    certifies against the first's bound.  An estimate of at least 1 - eps
-    certifies with upper = 1 and no spread.  The tail mass is the paper's,
-    scaled by the factor the width exceeds the paper's.  `table`, `width`
-    and `upper` come back None when no try certifies; `tries` counts the
-    partitions folded at.
-    """
-
-    def partition(width):
-        return build_partition(width, min(width / paper_eps * paper_delta, 0.5))
-
-    def holds(estimate, upper):
-        return estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN
-
-    width = math.sqrt(BRACKET_LAW_K * eps / len(steps))
-    part = partition(width)
-    table, estimate, peak = _merged(steps, part)
-    if estimate >= 1.0 - eps:
-        return table, width, 1.0, peak, 1
-    upper, support = _spread(steps, part)
-    peak = max(peak, support)
-    if holds(estimate, upper):
-        return table, width, upper, peak, 1
-    retry = width * math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
-    if retry <= paper_eps:
-        return None, None, None, peak, 1
-    part = partition(retry)
-    retry_table, retry_estimate, support = _merged(steps, part)
-    peak = max(peak, support)
-    if not holds(retry_estimate, upper):
-        retry_upper, support = _spread(steps, part)
-        upper, peak = min(upper, retry_upper), max(peak, support)
-    if retry_estimate > estimate:
-        table, estimate, width = retry_table, retry_estimate, retry
-    if not holds(estimate, upper):
-        return None, None, None, peak, 2
-    return table, width, upper, peak, 2
-
-
 def _outgrows(n: int, q: int, cells: float) -> bool:
     """Whether the unmerged tables could outgrow a partition of 2m + 3 cells.
 
@@ -238,20 +184,71 @@ def _outgrows(n: int, q: int, cells: float) -> bool:
     return math.isfinite(cells) and (n - 1) * math.log(q) > math.log(2 * math.ceil(cells) + 3)
 
 
+def _schedule(steps, q: int, eps: float, slack: int, d_lb: float):
+    """Fold at up to three cell widths; return (estimate, table, width, upper, peak, tries).
+
+    This is the one place that decides at which width a run folds and when
+    it stops.  The paper's partition has relative width eps / (slack * n)
+    and tail mass (eps / (2 * n)) * d_lb; a pass at a coarser width w
+    scales that tail by w over the paper's width.  The first width is
+    sqrt(BRACKET_LAW_K * eps / n) when the unmerged tables could outgrow
+    the paper's partition (`_outgrows`), and the paper's width otherwise.
+    Each pass runs the merge fold (`_merged`) and keeps the larger estimate
+    so far, with its table and width: a merge estimate lower-bounds the
+    distance at any width.  A kept estimate of at least 1 - eps certifies
+    with upper = min(upper, 1).  Otherwise the pass runs the spread fold
+    (`_spread`), unless the estimate already holds against the smallest
+    upper bound so far, and returns once
+    estimate >= (1 - eps) * upper * CERTIFY_MARGIN.  A pass that misses
+    measures its bracket b = 1 - estimate / upper, which grows about as
+    c * n * w**2, and predicts the next width w * sqrt(eps / (2 * b)), where
+    the bracket would be eps / 2.  A width at or below the paper's, and any
+    third pass, folds once at the paper's width, whose a priori guarantee
+    needs no certificate: that pass returns its own table, with width and
+    upper None.  `tries` counts the passes, and `peak` is the largest table
+    any of their folds built.
+    """
+
+    def holds(estimate, upper):
+        return estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN
+
+    n = len(steps)
+    paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
+    width = paper_eps
+    if _outgrows(n, q, _low_cell_count(paper_eps, paper_delta)):
+        width = math.sqrt(BRACKET_LAW_K * eps / n)
+    kept, upper, peak = (-1.0, None, None), math.inf, 0
+    for tries in (1, 2, 3):
+        final = tries == 3 or width <= paper_eps
+        width = paper_eps if final else width
+        part = build_partition(width, min(width / paper_eps * paper_delta, 0.5))
+        table, estimate, support = _merged(steps, part)
+        peak = max(peak, support)
+        if final:
+            return estimate, table, None, None, peak, tries
+        if estimate > kept[0]:
+            kept = estimate, table, width
+        estimate = kept[0]
+        if estimate >= 1.0 - eps:
+            return *kept, min(upper, 1.0), peak, tries
+        if not holds(estimate, upper):
+            bound, support = _spread(steps, part)
+            upper, peak = min(upper, bound), max(peak, support)
+        if holds(estimate, upper):
+            return *kept, upper, peak, tries
+        width *= math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
+
+
 def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     """Shared body of the product and Markov estimators.
 
-    The paper's partition has relative width eps / (slack * n) and tail mass
-    (eps / (2 * n)) * d_lb.  When the unmerged tables could outgrow it, the
-    run first makes the certified tries (`_certified`) and keeps their best
-    estimate when their combined bracket proves the (1 - eps) band;
-    otherwise it folds once at the paper's width, where the a priori guarantee needs no certificate
-    (`upper` and `eps_s` stay None).  A single step reports the half-L1
-    distance of its rows, bit for bit, and a zero d_lb, which forces the
-    distance to 0, an estimate of 0; neither folds at a partition.  When no
-    table is asked for and d_lb or the affinity gap 1 - BC already reaches
-    1 - eps, that bound is the estimate, in [(1 - eps) * TV, TV] with
-    upper = 1, and nothing is folded.
+    A run with more than one step and a positive d_lb folds on the width
+    schedule (`_schedule`).  A single step reports the half-L1 distance of
+    its rows, bit for bit, and a zero d_lb, which forces the distance to 0,
+    an estimate of 0; neither folds at a partition.  When no table is asked
+    for and d_lb or the affinity gap 1 - BC already reaches 1 - eps, that
+    bound is the estimate, in [(1 - eps) * TV, TV] with upper = 1, and
+    nothing is folded.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
@@ -264,21 +261,16 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     if n == 1:
         [(p_rows, q_rows)] = steps
         estimate = tv_discrete(p_rows[0], q_rows[0])
-        *table, max_support = _fold(steps, None, MAX_TABLE_ENTRIES)  # one step: nothing to reduce
+        ratio = _table(*_fold(steps, _combine, MAX_TABLE_ENTRIES)[:2])  # one step: no reduce runs
+        table, max_support = (ratio.values, ratio.masses), len(ratio)
     elif d_lb == 0.0:
         estimate, table, max_support = 0.0, (np.ones(1), np.ones(1)), 1
     elif not return_ratio and (gap := max(d_lb, _affinity_gap(steps))) >= 1.0 - eps:
         estimate, upper, eps_s = gap, 1.0, eps
     else:
-        paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
-        if _outgrows(n, pair.q, _low_cell_count(paper_eps, paper_delta)):
-            table, eps_s, upper, max_support, tries = _certified(steps, eps, paper_eps, paper_delta)
-        if upper is None:
-            table, _, support = _merged(steps, build_partition(paper_eps, paper_delta))
-            max_support = max(max_support, support)
-            tries += 1
+        schedule = _schedule(steps, pair.q, eps, slack, d_lb)
+        estimate, table, eps_s, upper, max_support, tries = schedule
         iterations = n - 1
-        estimate = _tv(*table)
     report = EstimateReport(
         estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support, iterations=iterations,
         elapsed=time.perf_counter() - start, upper=upper, eps_s=eps_s, tries=tries,

@@ -248,8 +248,13 @@ def _step(values, masses, sizes, p_rows: np.ndarray, q_rows: np.ndarray):
     return values, masses, state, np.bincount(state, minlength=q_rows.shape[0])
 
 
-def _combine(values, masses, state):
-    """Flat tables sorted by (state, value), equal values' masses summed in step order."""
+def _combine(values, masses, state, sizes=None):
+    """Flat tables sorted by (state, value), equal values' masses summed in step order.
+
+    It is also the exact pipelines' reducer in `_fold`, since combining
+    equal values loses nothing; it has no use for the `sizes` the fold
+    passes every reducer.
+    """
     order = np.lexsort((values, state))
     values, masses, state = values[order], masses[order], state[order]
     new = np.ones(values.size, dtype=bool)
@@ -263,33 +268,29 @@ def _table(values, masses) -> RatioDist:
     return RatioDist(*_combine(values, masses, np.zeros(values.size, dtype=np.intp))[:2])
 
 
-def _fold(steps: Iterable, reduce: Callable | None, cap: int) -> tuple:
+def _fold(steps: Iterable, reduce: Callable, cap: int) -> tuple:
     """Fold row-pair steps into one flat table; return its values, masses and peak.
 
     Each step is a pair of row matrices (P, Q) of shape (rows, cols).  The
     fold keeps one table per conditioning state (`_step`), starting from the
     table {1: 1}.  Before every step but the first, `reduce` (a `sparsify`
-    merge or spread) maps every state's table at once, and SizeError is
-    raised when a state's table times cols, the worst case for the step's
-    new tables, exceeds `cap`.  The exact pipelines pass None and instead
-    combine equal values after every step.  The peak is the largest single
-    state's table any step built.  The last step has a single row; its table
-    comes back unsorted unless `reduce` is None.
+    merge or spread, or `_combine` for the exact pipelines) maps every
+    state's table at once, and SizeError is raised when a state's table
+    times cols, the worst case for the step's new tables, exceeds `cap`.
+    The peak is the largest single state's table any step built, before it
+    was reduced.  The last step has a single row; its table comes back
+    unreduced and unsorted.
     """
     values, masses, state, sizes = np.ones(1), np.ones(1), np.zeros(1, np.intp), np.ones(1, np.intp)
     peak = 0
     for k, (p_rows, q_rows) in enumerate(steps):
         if k:
-            if reduce is not None:
-                values, masses, state = reduce(values, masses, state, sizes)
-                sizes = np.bincount(state, minlength=sizes.size)
+            values, masses, state = reduce(values, masses, state, sizes)
+            sizes = np.bincount(state, minlength=sizes.size)
             worst = int(sizes.max()) * p_rows.shape[1]
             if worst > cap:
                 raise SizeError(f"a table could reach {worst} entries, beyond the cap of {cap}")
         values, masses, state, sizes = _step(values, masses, sizes, p_rows, q_rows)
-        if reduce is None:
-            values, masses, state = _combine(values, masses, state)
-            sizes = np.bincount(state, minlength=sizes.size)
         peak = max(peak, int(sizes.max()))
     return values, masses, peak
 

@@ -302,6 +302,20 @@ class TestSchedule:
         assert report.estimate == _tv(values, masses) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
 
+    def test_a_predicted_width_below_the_paper_width_folds_there(self, monkeypatch):
+        # the law never predicts such a width (a bracket b <= 1 keeps it above
+        # eps / (2n)), so start at twice the paper's width and give the first
+        # pass the trivial bound 1: b = 1 - est > 2 * eps predicts a finer one
+        pair, eps = _near_product(6, 40, 10, 0.02), 0.05
+        paper = eps / (2 * pair.n)
+        monkeypatch.setattr(product_mod, "BRACKET_LAW_K", eps / pair.n)
+        monkeypatch.setattr(product_mod, "_spread", lambda steps, part: (1.0, 0))
+        widths = _record_widths(monkeypatch)
+        report = estimate_product_tv(pair, eps)
+        assert widths == [math.sqrt(eps / pair.n * eps / pair.n), paper]
+        assert widths[0] > paper and report.estimate < 1 - 2 * eps
+        assert report.tries == 2 and report.upper is None and report.eps_s is None
+
     def test_a_long_near_pair_never_folds_at_the_paper_width(self, monkeypatch):
         # a try at width eps misses this pair and a paper-width fold takes
         # minutes; the law's width certifies it in about a second

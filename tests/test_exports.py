@@ -1,6 +1,35 @@
-"""The package's export list."""
+"""The package's export list and its modules' imports."""
+
+import ast
+from pathlib import Path
 
 import tvdist
+
+PACKAGE = Path(tvdist.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imports(tree):
+    """(module, name, bound name) for every import outside __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield ("." * node.level + (node.module or "")), alias.name, alias.asname or alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, alias.name, alias.asname or alias.name.partition(".")[0]
+
+
+def _defined(tree):
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
 def test_every_export_resolves_once():
@@ -8,3 +37,23 @@ def test_every_export_resolves_once():
     assert len(set(names)) == len(names), "duplicate names in __all__"
     missing = [name for name in names if not hasattr(tvdist, name)]
     assert missing == [], f"__all__ names that the package does not define: {missing}"
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for stem, tree in MODULES.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if stem == "__init__":
+            used.update(tvdist.__all__)
+        unused += [f"{stem}: {bound}" for _, _, bound in _imports(tree) if bound not in used]
+    assert unused == []
+
+
+def test_private_names_come_from_the_module_that_defines_them():
+    borrowed = []
+    for stem, tree in MODULES.items():
+        for module, name, _ in _imports(tree):
+            if module.startswith(".") and name.startswith("_"):
+                if name not in _defined(MODULES[module.lstrip(".")]):
+                    borrowed.append(f"{stem}: {name} from {module}")
+    assert borrowed == []

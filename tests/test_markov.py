@@ -80,6 +80,7 @@ class TestMarkovPair:
             [[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]],  # 2x4: would read as two 2x2 kernels
             [[0.5, 0.5], [0.5, 0.5]],  # one kernel without its step axis
             np.full((1, 3, 3), 1 / 3),  # kernels for three states, chain of two
+            [[[1, 0], [0, 1]], [[1, 0]]],  # ragged: the second kernel has one row
         ],
     )
     def test_rejects_kernels_of_the_wrong_shape(self, kernels):

@@ -72,7 +72,7 @@ class TestExactPipelines:
     def test_product_support_cap(self):
         pair = generate_product_instance(25, 4, seed=1)
         with pytest.raises(SizeError):
-            exact_ratio_product(pair, support_cap=10_000)
+            exact_ratio_product(pair)
 
     def test_markov_single_step(self):
         pair = MarkovPair([0.8, 0.2], [0.3, 0.7], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
