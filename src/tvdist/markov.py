@@ -6,8 +6,8 @@ step merges every state's table and mixes them all with the preceding
 transition rows at once; the final step mixes against the initial
 distributions, yielding the trajectory-level ratio.  The Bhattacharyya
 coefficient of the two trajectory distributions factorizes over the same
-steps, so when the Hellinger lower bound 1 - BC already reaches 1 - eps the
-estimate is that bound and nothing is folded: the report then has
+steps, so the product estimator's stopping rule (`product._schedule`) can
+certify the Hellinger lower bound 1 - BC with no fold: the report then has
 `iterations` 0 and `upper` 1.0.  `return_ratio=True` (the CLI's
 `--emit-region`) always folds.
 """

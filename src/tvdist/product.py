@@ -4,22 +4,16 @@ A product is the one-state case of the shared fold (`ratios._fold`): each
 coordinate is one step whose single row pair multiplies into the running
 table, in coordinate order, and the table is sparsified before each step so
 its support stays bounded.  The returned estimate always lower-bounds the
-true total variation distance and is within a (1 - eps) factor of it,
-proven one of two ways:
-
-- by the width schedule (`_schedule`): merge folds at up to three cell
-  widths, each held against the upper bound of a fold that spreads cells
-  instead of merging them, and the paper's a priori width
-  eps / (slack * n) last;
-- by the Hellinger lower bound 1 - BC (BC the Bhattacharyya coefficient,
-  computed in one pass over the steps), when it already reaches 1 - eps:
-  it is then the estimate and no step is folded, so the report has
-  `iterations` 0, `tries` 0 and `upper` 1.0.
-
-A caller that asks for the final table (`return_ratio=True`, the CLI's
-`--emit-region`) always gets a fold, since no table matches the last
-certificate.  The Markov estimator runs its steps through `_estimate` here
-as well.
+true total variation distance and is within a (1 - eps) factor of it.  The
+width schedule (`_schedule`) proves that by one rule, estimate >=
+(1 - eps) * upper, for a proven upper bound that starts at 1: first for the
+Hellinger lower bound 1 - BC (BC the Bhattacharyya coefficient), with no
+fold, then for merge folds at up to two law-sized cell widths against
+spread folds at the same widths.  When none holds, a fold at the paper's
+a priori width eps / (slack * n) needs no certificate.  A caller that asks
+for the final table (`return_ratio=True`, the CLI's `--emit-region`)
+always gets a fold.  The Markov estimator runs its steps through
+`_estimate` here as well.
 """
 
 from __future__ import annotations
@@ -69,17 +63,14 @@ class EstimateReport:
     """The record of one run: its estimate, accuracy target and diagnostics.
 
     The estimators fill in `epsilon`; exact and oracle runs, which merge
-    nothing, leave it None and report no iterations and no tries.
-    `iterations` counts the steps a fold mixed in after its first, and
-    `tries` the partitions the run folded at (`_schedule`), 0 when none.
-    A run that certified its own accuracy sets `upper`, a proven upper
-    bound on the distance with estimate >= (1 - epsilon) * upper, and
-    `eps_s`, the relative cell width of the fold whose estimate it
-    reports; a run that ends at the paper's width leaves both None.  A run
-    certified by the Hellinger bound alone folded no step: it reports
-    `iterations` 0, `tries` 0, `max_support` 0, `upper` 1.0 and `eps_s`
-    equal to `epsilon`.  Asking for the final table (`return_ratio=True`)
-    forces the fold.
+    nothing, leave it None and report no iterations and no tries.  `tries`
+    counts the partitions the run folded at (`_schedule`), and `iterations`
+    is n - 1 when it folded at any, else 0.  A certified run sets `upper`, a
+    proven upper bound on the distance with estimate >= (1 - epsilon) *
+    upper, and `eps_s`, the relative cell width of the fold whose estimate
+    it reports, or `epsilon` when no fold ran (`tries` 0, `upper` 1.0,
+    `max_support` 0).  A run that ends at the paper's width, a single step
+    and a zero d_lb leave both None.
     """
 
     estimate: float
@@ -108,10 +99,10 @@ class EstimateReport:
 #: and in the benchmark 352,030.
 MAX_TABLE_ENTRIES = 2**26
 
-#: A pass is certified when estimate >= (1 - eps) * upper * CERTIFY_MARGIN.
-#: Both ends of the bracket come out of floating-point folds, so, like the
-#: paper-width estimate, the certificate holds up to the folds' rounding; the
-#: few ulps of margin only keep the final comparison from accepting a tie.
+#: Every certified exit (`_schedule`) is estimate >= (1 - eps) * upper *
+#: CERTIFY_MARGIN.  Both ends come out of floating-point arithmetic, so, like
+#: the paper-width estimate, the certificate holds up to rounding; the few
+#: ulps of margin only keep the comparison from accepting a tie.
 CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
 
 #: The schedule's first law width is sqrt(BRACKET_LAW_K * eps / n).  The
@@ -184,71 +175,62 @@ def _outgrows(n: int, q: int, cells: float) -> bool:
     return math.isfinite(cells) and (n - 1) * math.log(q) > math.log(2 * math.ceil(cells) + 3)
 
 
-def _schedule(steps, q: int, eps: float, slack: int, d_lb: float):
-    """Fold at up to three cell widths; return (estimate, table, width, upper, peak, tries).
+def _schedule(steps, q: int, eps: float, slack: int, d_lb: float, return_ratio: bool):
+    """Decide when a run with d_lb > 0 stops; return (estimate, table, width, upper, peak, tries).
 
-    This is the one place that decides at which width a run folds and when
-    it stops.  The paper's partition has relative width eps / (slack * n)
-    and tail mass (eps / (2 * n)) * d_lb; a pass at a coarser width w
-    scales that tail by w over the paper's width.  The first width is
-    sqrt(BRACKET_LAW_K * eps / n) when the unmerged tables could outgrow
-    the paper's partition (`_outgrows`), and the paper's width otherwise.
-    Each pass runs the merge fold (`_merged`) and keeps the larger estimate
-    so far, with its table and width: a merge estimate lower-bounds the
-    distance at any width.  A kept estimate of at least 1 - eps certifies
-    with upper = min(upper, 1).  Otherwise the pass runs the spread fold
-    (`_spread`), unless the estimate already holds against the smallest
-    upper bound so far, and returns once
-    estimate >= (1 - eps) * upper * CERTIFY_MARGIN.  A pass that misses
-    measures its bracket b = 1 - estimate / upper, which grows about as
-    c * n * w**2, and predicts the next width w * sqrt(eps / (2 * b)), where
-    the bracket would be eps / 2.  A width at or below the paper's, and any
-    third pass, folds once at the paper's width, whose a priori guarantee
-    needs no certificate: that pass returns its own table, with width and
-    upper None.  `tries` counts the passes, and `peak` is the largest table
-    any of their folds built.
+    Every certified exit is one rule, estimate >= (1 - eps) * upper *
+    CERTIFY_MARGIN, with upper starting at 1 because TV <= 1.  Unless a
+    table is asked for, max(d_lb, 1 - BC) is held against it first and
+    returns with no fold, no table, width eps and tries 0.  When the
+    unmerged tables could outgrow the paper's partition (`_outgrows`), up
+    to two passes fold at law widths, from sqrt(BRACKET_LAW_K * eps / n).
+    A pass keeps the larger merge estimate (`_merged`) so far, with its
+    table and width, and, unless the rule already holds, the smaller spread
+    bound (`_spread`): both ends are sound at any width.  A miss measures
+    its bracket b = 1 - estimate / upper, which grows about as
+    c * n * w**2, and predicts the width w * sqrt(eps / (2 * b)) that would
+    bracket eps / 2.  Then one fold at the paper's width eps / (slack * n)
+    and tail (eps / (2 * n)) * d_lb, whose a priori guarantee needs no
+    certificate, returns its own table with width and upper None; a law
+    width w scales that tail by w over the paper's width.  `tries` counts
+    the passes, and `peak` is the largest table any of their folds built.
     """
 
     def holds(estimate, upper):
         return estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN
 
+    upper = 1.0
+    if not return_ratio and holds(gap := max(d_lb, _affinity_gap(steps)), upper):
+        return gap, None, eps, upper, 0, 0
     n = len(steps)
     paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
-    width = paper_eps
+    kept, peak, tries = (-1.0, None, None), 0, 0
     if _outgrows(n, q, _low_cell_count(paper_eps, paper_delta)):
         width = math.sqrt(BRACKET_LAW_K * eps / n)
-    kept, upper, peak = (-1.0, None, None), math.inf, 0
-    for tries in (1, 2, 3):
-        final = tries == 3 or width <= paper_eps
-        width = paper_eps if final else width
-        part = build_partition(width, min(width / paper_eps * paper_delta, 0.5))
-        table, estimate, support = _merged(steps, part)
-        peak = max(peak, support)
-        if final:
-            return estimate, table, None, None, peak, tries
-        if estimate > kept[0]:
-            kept = estimate, table, width
-        estimate = kept[0]
-        if estimate >= 1.0 - eps:
-            return *kept, min(upper, 1.0), peak, tries
-        if not holds(estimate, upper):
-            bound, support = _spread(steps, part)
-            upper, peak = min(upper, bound), max(peak, support)
-        if holds(estimate, upper):
-            return *kept, upper, peak, tries
-        width *= math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
+        for tries in (1, 2):
+            part = build_partition(width, min(width / paper_eps * paper_delta, 0.5))
+            table, estimate, support = _merged(steps, part)
+            peak = max(peak, support)
+            if estimate > kept[0]:
+                kept = estimate, table, width
+            estimate = kept[0]
+            if not holds(estimate, upper):
+                bound, support = _spread(steps, part)
+                upper, peak = min(upper, bound), max(peak, support)
+            if holds(estimate, upper):
+                return *kept, upper, peak, tries
+            width *= math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
+    table, estimate, support = _merged(steps, build_partition(paper_eps, paper_delta))
+    return estimate, table, None, None, max(peak, support), tries + 1
 
 
 def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     """Shared body of the product and Markov estimators.
 
-    A run with more than one step and a positive d_lb folds on the width
-    schedule (`_schedule`).  A single step reports the half-L1 distance of
-    its rows, bit for bit, and a zero d_lb, which forces the distance to 0,
-    an estimate of 0; neither folds at a partition.  When no table is asked
-    for and d_lb or the affinity gap 1 - BC already reaches 1 - eps, that
-    bound is the estimate, in [(1 - eps) * TV, TV] with upper = 1, and
-    nothing is folded.
+    Two cases are exact and fold at no partition: a single step reports the
+    half-L1 distance of its rows, bit for bit, and a zero d_lb, which forces
+    the distance to 0, an estimate of 0.  Every other run stops where the
+    width schedule (`_schedule`) decides.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
@@ -256,26 +238,26 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     start = time.perf_counter()
     d_lb = lower_bound(pair)
     n = len(steps)
-    iterations = max_support = tries = 0
-    upper = eps_s = None
+    tries = 0
+    upper = eps_s = ratio = None
     if n == 1:
         [(p_rows, q_rows)] = steps
         estimate = tv_discrete(p_rows[0], q_rows[0])
         ratio = _table(*_fold(steps, _combine, MAX_TABLE_ENTRIES)[:2])  # one step: no reduce runs
-        table, max_support = (ratio.values, ratio.masses), len(ratio)
+        max_support = len(ratio)
     elif d_lb == 0.0:
-        estimate, table, max_support = 0.0, (np.ones(1), np.ones(1)), 1
-    elif not return_ratio and (gap := max(d_lb, _affinity_gap(steps))) >= 1.0 - eps:
-        estimate, upper, eps_s = gap, 1.0, eps
+        estimate, ratio, max_support = 0.0, _table(np.ones(1), np.ones(1)), 1
     else:
-        schedule = _schedule(steps, pair.q, eps, slack, d_lb)
+        schedule = _schedule(steps, pair.q, eps, slack, d_lb, return_ratio)
         estimate, table, eps_s, upper, max_support, tries = schedule
-        iterations = n - 1
+        if return_ratio:
+            ratio = _table(*table)
     report = EstimateReport(
-        estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support, iterations=iterations,
-        elapsed=time.perf_counter() - start, upper=upper, eps_s=eps_s, tries=tries,
+        estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support,
+        iterations=n - 1 if tries else 0, elapsed=time.perf_counter() - start, upper=upper,
+        eps_s=eps_s, tries=tries,
     )
-    return (report, _table(*table)) if return_ratio else report
+    return (report, ratio) if return_ratio else report
 
 
 def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = False):

@@ -302,20 +302,6 @@ class TestSchedule:
         assert report.estimate == _tv(values, masses) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
 
-    def test_a_predicted_width_below_the_paper_width_folds_there(self, monkeypatch):
-        # the law never predicts such a width (a bracket b <= 1 keeps it above
-        # eps / (2n)), so start at twice the paper's width and give the first
-        # pass the trivial bound 1: b = 1 - est > 2 * eps predicts a finer one
-        pair, eps = _near_product(6, 40, 10, 0.02), 0.05
-        paper = eps / (2 * pair.n)
-        monkeypatch.setattr(product_mod, "BRACKET_LAW_K", eps / pair.n)
-        monkeypatch.setattr(product_mod, "_spread", lambda steps, part: (1.0, 0))
-        widths = _record_widths(monkeypatch)
-        report = estimate_product_tv(pair, eps)
-        assert widths == [math.sqrt(eps / pair.n * eps / pair.n), paper]
-        assert widths[0] > paper and report.estimate < 1 - 2 * eps
-        assert report.tries == 2 and report.upper is None and report.eps_s is None
-
     def test_a_long_near_pair_never_folds_at_the_paper_width(self, monkeypatch):
         # a try at width eps misses this pair and a paper-width fold takes
         # minutes; the law's width certifies it in about a second
@@ -362,36 +348,67 @@ class TestSchedule:
 
 # ----------------------------------------------- the band, checked exactly
 
-# Small pairs with the number of partitions each folds at and whether it
-# certifies: near pairs certify on the first try, far ones on the second,
-# one chain misses twice and ends at the paper's width, and at TV 1e-10 the
-# paper's partition holds every table, so the run folds only there.
+# Small pairs for every exit, with whether the table is asked for, the
+# number of partitions the run folds at, and the upper bound it reports:
+# None, 1.0 (certified against TV <= 1 alone) or SPREAD (below 1, proved by
+# a spread fold).  Near pairs certify on the first try, far ones on the
+# second, one chain misses twice and ends at the paper's width, and at
+# TV 1e-10 the paper's partition holds every table, so the run folds only
+# there.  A spiky pair certifies by max(d_lb, 1 - BC) with no fold, or, when
+# its table is asked for, saturates on its first try with no spread fold.
+SPREAD = "spread"
+SPIKY = generate_product_instance(8, 4, seed=0, skew=0.3)
+SAME = generate_product_instance(8, 4, seed=0, skew=1.0)
 EXACT_CASES = {
-    "near-product": (_near_product(5, 8, 4, 0.05), 1, True),
-    "near-chain": (_near_chain(5, 8, 4, 0.05), 1, True),
-    "far-product-retry-spreads": (RETRY_SPREADS, 2, True),
-    "far-product-retry-no-spread": (RETRY_NO_SPREAD, 2, True),
-    "far-chain-misses-twice": (generate_markov_instance(8, 4, seed=30, skew=1.0), 3, False),
-    "product-at-tv-1e-10": (_near_product(5, 8, 4, 1e-10), 1, False),
+    "near-product": (_near_product(5, 8, 4, 0.05), False, 1, SPREAD),
+    "near-chain": (_near_chain(5, 8, 4, 0.05), False, 1, SPREAD),
+    "far-product-retry-spreads": (RETRY_SPREADS, False, 2, SPREAD),
+    "far-product-retry-no-spread": (RETRY_NO_SPREAD, False, 2, SPREAD),
+    "far-chain-misses-twice": (generate_markov_instance(8, 4, seed=30, skew=1.0), False, 3, None),
+    "product-at-tv-1e-10": (_near_product(5, 8, 4, 1e-10), False, 1, None),
+    "spiky-product-no-fold": (SPIKY, False, 0, 1.0),
+    "spiky-product-saturated-try": (SPIKY, True, 1, 1.0),
+    "equal-products-d_lb-0": (ProductPair(SAME.p_marginals, SAME.p_marginals), False, 0, None),
+}
+
+# Two exits report a float just above the exact distance: a single step's
+# half-L1 sum, and a paper-width fold that starts there because the tables
+# already fit the paper's partition.  Both overshoot by under 3 ulps.
+OVERSHOOT_CASES = {
+    "one-step-product": (generate_product_instance(1, 2, seed=9, skew=1.0), False, 0, None),
+    "product-starts-at-the-paper-width": (generate_product_instance(6, 4, seed=7, skew=1.0), False, 1, None),
 }
 
 
-def _assert_exact_band(pair, eps):
+def _assert_exact_band(pair, eps, return_ratio=False):
     """(1 - eps) * TV <= estimate <= TV <= upper in exact arithmetic: relative, with no tolerance."""
     estimate, _, _, _ = _kind(pair)
     exact = exact_tv_product if isinstance(pair, ProductPair) else exact_tv_markov
-    report, tv = estimate(pair, eps), exact(pair)
+    report, tv = estimate(pair, eps, return_ratio=return_ratio), exact(pair)
+    report = report[0] if return_ratio else report
     assert (1 - Fraction(eps)) * tv <= Fraction(report.estimate) <= tv
     if report.upper is not None:
         assert tv <= Fraction(report.upper)
     return report
 
 
-@pytest.mark.parametrize("name", list(EXACT_CASES))
-def test_the_band_holds_exactly_on_every_exit(name):
-    pair, tries, certified = EXACT_CASES[name]
-    report = _assert_exact_band(pair, 0.05)
-    assert (report.tries, report.upper is not None) == (tries, certified)
+@pytest.mark.parametrize(
+    "case",
+    [*EXACT_CASES.values()]
+    + [
+        pytest.param(case, marks=pytest.mark.xfail(strict=True, reason="the float lands above TV"))
+        for case in OVERSHOOT_CASES.values()
+    ],
+    ids=[*EXACT_CASES, *OVERSHOOT_CASES],
+)
+def test_the_band_holds_exactly_on_every_exit(case):
+    pair, return_ratio, tries, upper = case
+    report = _assert_exact_band(pair, 0.05, return_ratio)
+    assert report.tries == tries and report.iterations == (pair.n - 1 if tries else 0)
+    if upper == SPREAD:
+        assert report.upper < 1.0
+    else:
+        assert report.upper == upper
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])
@@ -462,12 +479,15 @@ def test_the_certificate_fires_only_inside_the_band(case, eps):
     estimate, brute_force, lower_bound, steps = _kind(pair)
     report, tv = estimate(pair, eps), brute_force(pair)
     bound = max(report.d_lb, _affinity_gap(steps))
-    fired = report.d_lb > 0 and bound >= 1 - eps
-    # a zero d_lb also folds nothing, but reports no upper bound
+    # the one stopping rule, held against the first upper bound, TV <= 1; a
+    # zero d_lb also folds nothing, but reports no upper bound
+    fired = bound >= (1 - eps) * product_mod.CERTIFY_MARGIN
     assert (report.iterations == 0 and report.upper == 1.0) == fired
     if fired:
         assert report.estimate == bound
         assert (report.upper, report.eps_s, report.max_support, report.tries) == (1.0, eps, 0, 0)
+    if report.upper is not None:
+        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
     assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
 
 

@@ -57,3 +57,28 @@ def test_private_names_come_from_the_module_that_defines_them():
                 if name not in _defined(MODULES[module.lstrip(".")]):
                     borrowed.append(f"{stem}: {name} from {module}")
     assert borrowed == []
+
+
+def _main_block(tree):
+    """Every node under the module's top-level `if __name__ == "__main__":`."""
+    blocks = [node for node in tree.body if isinstance(node, ast.If)]
+    return [n for b in blocks if ast.unparse(b.test) == "__name__ == '__main__'" for n in ast.walk(b)]
+
+
+def test_every_raise_names_a_package_error():
+    # each failure must end as a typed `error: <kind>` line; only the script
+    # entry point hands its exit code to SystemExit
+    errors = {node.name for node in MODULES["errors"].body if isinstance(node, ast.ClassDef)}
+    foreign = []
+    for stem, tree in MODULES.items():
+        entry = _main_block(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # a bare raise re-raises
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in errors:
+                continue
+            if stem == "cli" and node in entry and ast.unparse(node.exc) == "SystemExit(main())":
+                continue
+            foreign.append(f"{stem}:{node.lineno}: raise {ast.unparse(node.exc)}")
+    assert foreign == []
