@@ -43,17 +43,9 @@ from .ratios import (
     VALIDITY_TOL,
     NPBoundary,
     RatioDist,
-    concatenate,
-    expectation,
     np_boundary,
-    ratio_of,
     tv_discrete,
     tv_of_ratio,
-)
-from .sparsify import (
-    IntervalPartition,
-    build_partition,
-    sparsify_wrt_intervals,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DimensionError",
     "EstimateReport",
-    "IntervalPartition",
     "MarkovPair",
     "NPBoundary",
     "ParameterError",
@@ -74,8 +65,6 @@ __all__ = [
     "ValidityError",
     "brute_force_tv_markov",
     "brute_force_tv_product",
-    "build_partition",
-    "concatenate",
     "derive_seed",
     "emit_instance",
     "emit_report",
@@ -83,7 +72,6 @@ __all__ = [
     "estimate_product_tv",
     "exact_ratio_markov",
     "exact_ratio_product",
-    "expectation",
     "generate_instance",
     "generate_markov_instance",
     "generate_product_instance",
@@ -92,9 +80,7 @@ __all__ = [
     "np_boundary",
     "parse_instance",
     "product_lower_bound",
-    "ratio_of",
     "region_csv",
-    "sparsify_wrt_intervals",
     "tv_discrete",
     "tv_of_ratio",
 ]

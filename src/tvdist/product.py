@@ -228,9 +228,9 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     """Shared body of the product and Markov estimators.
 
     Two cases are exact and fold at no partition: a single step reports the
-    half-L1 distance of its rows, bit for bit, and a zero d_lb, which forces
-    the distance to 0, an estimate of 0.  Every other run stops where the
-    width schedule (`_schedule`) decides.
+    half-L1 distance of its rows, rounded toward 0 (`tv_discrete`), and a
+    zero d_lb, which forces the distance to 0, an estimate of 0.  Every
+    other run stops where the width schedule (`_schedule`) decides.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")

@@ -5,17 +5,18 @@ It is a complete summary of the decision problem between two discrete
 distributions: the total variation distance and the Neyman-Pearson boundary
 are read off from it directly, without revisiting the underlying sample
 space.  Products over independent coordinates and Markov steps are both
-mixtures of scaled tables (`concatenate`), and every pipeline builds its
-table with one fold over such steps (`_fold`).  Inside the fold the tables
-of all states are flat arrays of values, masses and state ids, which one
-step scales all at once (`_step`), unsorted and unchecked; a table leaves
+mixtures of scaled tables, and every pipeline builds its table with one
+fold over such steps (`_fold`).  Inside the fold the tables of all states
+are flat arrays of values, masses and state ids; one step (`_step`) mixes
+them into the next state's tables all at once, each scaled by a row pair's
+ratio and weighted by its q-mass, unsorted and unchecked.  A table leaves
 the fold as a sorted, checked `RatioDist` (`_table`).  Probability vectors
-are plain arrays, and `_validate_rows` is the package's one row rule: the
-public functions here and the pair types (so the parser too) refuse a row
-unless its entries are real numbers, finite and nonnegative, and it sums to
-1 within ROW_SUM_TOL, and
-divide it by its sum past ROW_SUM_EXACT.  The fold trusts the rows it is
-given, and every pipeline measures the same distributions.
+are plain arrays, and `_validate_rows` is the package's one row rule:
+`tv_discrete` and the pair types (so the parser too) refuse a row unless
+its entries are real numbers, finite and nonnegative, and it sums to 1
+within ROW_SUM_TOL, and divide it by its sum past ROW_SUM_EXACT.  The fold
+trusts the rows it is given, and every pipeline measures the same
+distributions.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -23,9 +24,10 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -180,39 +182,25 @@ class NPBoundary:
 
 
 def tv_discrete(p, q) -> float:
-    """Total variation distance between two aligned probability vectors."""
-    p, q = _aligned(p, q)
-    return 0.5 * float(np.sum(np.abs(p - q)))
+    """Total variation distance between two aligned probability vectors.
 
-
-def ratio_of(p, q) -> RatioDist:
-    """Likelihood-ratio distribution of the pair (p, q), sampling under q.
-
-    Outcomes where q vanishes contribute nothing; their p-mass shows up only
-    as an expectation deficit.  Outcomes with exactly equal float ratios are
-    grouped into one entry.  This is one fold step from the table {1: 1}.
+    The largest float at most the exact half-L1 distance of the two rows, so
+    a single-step estimate never lands above the distance.  Each difference
+    is kept exact as its rounded value plus its rounding error (TwoSum),
+    `math.fsum` rounds their sum once, and the halved sum steps once toward
+    0 when that rounding went up or the halving itself rounded.
     """
     p, q = _aligned(p, q)
-    return _table(*_step(np.ones(1), np.ones(1), np.ones(1, np.intp), p[None], q[None])[:2])
-
-
-def concatenate(px, qx, tables: Sequence[RatioDist]) -> RatioDist:
-    """Ratio of the joint (first outcome, rest) given one table per outcome.
-
-    Mixture over outcomes x with weight qx[x] of tables[x] scaled by
-    px[x]/qx[x]: the joint likelihood ratio factorizes into the
-    first-outcome ratio times the conditional one.  With one table repeated
-    for every outcome this is the ratio of the independent product.
-    Outcomes with qx[x] = 0 are skipped, so their tables never touch the
-    result.  This is one fold step, its equal values then combined.
-    """
-    px, qx = _aligned(px, qx)
-    if len(tables) != qx.size:
-        raise DimensionError(f"got {len(tables)} tables for {qx.size} outcomes")
-    sizes = np.array([len(r) for r in tables], dtype=np.intp)
-    values = np.concatenate([r.values for r in tables])
-    masses = np.concatenate([r.masses for r in tables])
-    return _table(*_step(values, masses, sizes, px[None], qx[None])[:2])
+    diff = p - q
+    back = diff - p
+    error = (p - (diff - back)) - (q + back)
+    # |diff + error| is |diff| + sign(diff) * error, as |error| <= ulp(diff) / 2
+    terms = np.concatenate((np.abs(diff), np.sign(diff) * error)).tolist()
+    total = math.fsum(terms)
+    half = total / 2
+    if math.fsum(terms + [-total]) < 0 or half * 2 != total:
+        half = math.nextafter(half, 0.0)
+    return half
 
 
 def _step(values, masses, sizes, p_rows: np.ndarray, q_rows: np.ndarray):
@@ -299,11 +287,6 @@ def _tv(values, masses) -> float:
     """E[(1-R) 1(R<1)] over a flat table, in any order."""
     below = values < 1.0
     return float(np.sum((1.0 - values[below]) * masses[below]))
-
-
-def expectation(r: RatioDist) -> float:
-    """Mean ratio value; equals the p-mass of q's support, hence at most 1."""
-    return float(np.sum(r.values * r.masses))
 
 
 def tv_of_ratio(r: RatioDist) -> float:

@@ -1,15 +1,16 @@
-"""Geometric interval partitions of [0, inf] and ratio sparsification.
+"""Geometric interval partitions of [0, inf] and the fold's two reducers.
 
 The partition covers [0, 1) with intervals whose width shrinks geometrically
 towards 1, mirrors them multiplicatively onto (1, inf], and keeps {1} as its
-own cell.  Sparsification merges all table mass inside each cell into a
-single point whose value is the cell's local mean ratio, which bounds the
-support of any table by the number of cells while preserving its total
-variation distance exactly.  Spreading is its counterpart: each cell's mass
-moves onto the cell's lowest and highest value with its mean kept, which
-can only raise the distance, so a fold of spreads bounds it from above.
-Both reduce the fold's flat tables of all states at once, with one keying
-pass per step and per-(state, cell) sums by `np.bincount`, and no sort.
+own cell.  Merging (`_merge_cells`) moves all of a table's mass inside each
+cell onto a single point whose value is the cell's local mean ratio, which
+bounds the support of any table by the number of cells while preserving its
+total variation distance exactly.  Spreading (`_spread_cells`) is its
+counterpart: each cell's mass moves onto the cell's lowest and highest value
+with its mean kept, which can only raise the distance, so a fold of spreads
+bounds it from above.  Both reduce the fold's flat tables of all states at
+once, with one keying pass per step and per-(state, cell) sums by
+`np.bincount`, and no sort; a single table is the case of one state.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError, ValidityError
-from .ratios import RatioDist, _is_real
+from .ratios import _is_real
 
 
 @dataclass(frozen=True)
@@ -199,26 +200,3 @@ def _spread_cells(part: IntervalPartition, values, masses, state, sizes):
     masses = np.column_stack((gmass - top, top)).ravel()
     keep = masses > 0
     return values[keep], masses[keep], np.repeat(slots // part.interval_count, 2)[keep]
-
-
-def sparsify_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDist:
-    """Merge all table mass within each partition cell into one point.
-
-    The one-state `_merge_cells`: each nonempty cell gives one entry, its
-    q-mass at its mean ratio (its p-mass over its q-mass), the top cell
-    raised by the expectation deficit.  The output is strictly sorted and
-    keeps the input's total variation distance.
-    """
-    one = (np.zeros(len(ratio), np.intp), np.array([len(ratio)]))
-    return RatioDist(*_merge_cells(part, ratio.values, ratio.masses, *one)[:2])
-
-
-def spread_wrt_intervals(ratio: RatioDist, part: IntervalPartition) -> RatioDist:
-    """Spread each cell's q-mass onto its lowest and highest value, keeping its mean.
-
-    The one-state `_spread_cells`: the output's total variation distance is
-    at least the input's, so a fold that spreads before every step bounds
-    the distance from above.  At most two entries per nonempty cell.
-    """
-    one = (np.zeros(len(ratio), np.intp), np.array([len(ratio)]))
-    return RatioDist(*_spread_cells(part, ratio.values, ratio.masses, *one)[:2])

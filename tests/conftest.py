@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tvdist import ratio_of
+from tvdist import ProductPair, RatioDist, exact_ratio_product
+from tvdist.sparsify import _merge_cells, _spread_cells
 
 
 def entries(r):
@@ -32,6 +33,14 @@ def random_dist_pair(rng, size, zeros_in_p=False, zeros_in_q=False):
     )
 
 
+def one_step_ratio(p, q):
+    """The ratio table of the pair (p, q): the exact pipeline on one coordinate.
+
+    One fold step from the table {1: 1}, behind the pair's row check.
+    """
+    return exact_ratio_product(ProductPair([p], [q]))
+
+
 def random_ratio(rng, support, zeros=True):
     """Valid ratio built as the ratio of a random pair over `support` outcomes.
 
@@ -39,7 +48,21 @@ def random_ratio(rng, support, zeros=True):
     so the infinity-mass paths get exercised too.
     """
     p, q = random_dist_pair(rng, support, zeros_in_p=zeros)
-    return ratio_of(p, q)
+    return one_step_ratio(p, q)
+
+
+def _one_state(reduce, r, part):
+    return RatioDist(*reduce(part, r.values, r.masses, np.zeros(len(r), np.intp), np.array([len(r)]))[:2])
+
+
+def merge_table(r, part):
+    """`_merge_cells` on the single table r: one state holding all of r."""
+    return _one_state(_merge_cells, r, part)
+
+
+def spread_table(r, part):
+    """`_spread_cells` on the single table r: one state holding all of r."""
+    return _one_state(_spread_cells, r, part)
 
 
 def _scaled(rows):

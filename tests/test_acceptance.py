@@ -17,7 +17,6 @@ from tvdist import (
     ProductPair,
     brute_force_tv_markov,
     brute_force_tv_product,
-    build_partition,
     estimate_markov_tv,
     estimate_product_tv,
     exact_ratio_markov,
@@ -27,11 +26,12 @@ from tvdist import (
     markov_lower_bound,
     np_boundary,
     product_lower_bound,
-    ratio_of,
-    sparsify_wrt_intervals,
     tv_discrete,
     tv_of_ratio,
 )
+from tvdist.sparsify import build_partition
+
+from conftest import merge_table, one_step_ratio
 
 EPSILONS = (0.5, 0.1, 0.02)
 SKEWS = (0.3, 1.0, 3.0)
@@ -113,10 +113,10 @@ def ratio_battery():
             if not raw_p.any():
                 raw_p[0] = 1.0
         raw_q = rng.gamma(1.0, 1.0, size=support) + 1e-12
-        ratio = ratio_of(raw_p / raw_p.sum(), raw_q / raw_q.sum())
+        ratio = one_step_ratio(raw_p / raw_p.sum(), raw_q / raw_q.sum())
         eps_s = float(rng.uniform(0.005, 2.0))
         delta_s = float(rng.uniform(1e-6, 0.5))
-        cases.append((ratio, eps_s, delta_s, sparsify_wrt_intervals(ratio, build_partition(eps_s, delta_s))))
+        cases.append((ratio, eps_s, delta_s, merge_table(ratio, build_partition(eps_s, delta_s))))
     return cases
 
 
@@ -287,7 +287,7 @@ def test_criterion_09_boundary_structure():
             if not raw_p.any():
                 raw_p[0] = 1.0
         raw_q = rng.gamma(1.0, 1.0, size=support) + 1e-12
-        ratio = ratio_of(raw_p / raw_p.sum(), raw_q / raw_q.sum())
+        ratio = one_step_ratio(raw_p / raw_p.sum(), raw_q / raw_q.sum())
         verts = np_boundary(ratio).vertices
         seg = np.diff(verts, axis=0)
         k = len(ratio)

@@ -29,25 +29,22 @@ from tvdist import (
     RatioDist,
     brute_force_tv_markov,
     brute_force_tv_product,
-    build_partition,
     emit_report,
     estimate_markov_tv,
     estimate_product_tv,
-    expectation,
     generate_markov_instance,
     generate_product_instance,
     markov_lower_bound,
     product_lower_bound,
-    sparsify_wrt_intervals,
     tv_of_ratio,
 )
 from tvdist.markov import _steps as chain_steps
 from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap
 from tvdist.product import _steps as product_steps
 from tvdist.ratios import VALIDITY_TOL, _fold, _tv
-from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, spread_wrt_intervals
+from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, build_partition
 
-from conftest import exact_tv_markov, exact_tv_product, random_ratio
+from conftest import exact_tv_markov, exact_tv_product, merge_table, random_ratio, spread_table
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -143,11 +140,11 @@ def test_estimates_stay_in_the_band_and_below_their_upper_bound(pair, eps):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60), partitions)
 def test_spread_keeps_mass_and_mean_and_raises_the_distance(seed, support, part):
     ratio = random_ratio(np.random.default_rng(seed), support)
-    out = spread_wrt_intervals(ratio, part)
+    out = spread_table(ratio, part)
     assert abs(float(np.sum(out.masses)) - 1.0) <= 1e-12
-    assert abs(expectation(out) - expectation(ratio)) <= 1e-12
+    assert abs(np.sum(out.values * out.masses) - np.sum(ratio.values * ratio.masses)) <= 1e-12
     assert tv_of_ratio(out) >= tv_of_ratio(ratio) - TOL
-    assert tv_of_ratio(sparsify_wrt_intervals(ratio, part)) <= tv_of_ratio(ratio) + TOL
+    assert tv_of_ratio(merge_table(ratio, part)) <= tv_of_ratio(ratio) + TOL
     cells = np.unique(_interval_keys(part, ratio.values)).size
     assert len(out) <= 2 * cells
     # every output value is an input value: the spread reaches no new points
@@ -158,7 +155,7 @@ def test_spread_passes_single_point_cells_through_bitwise(rng):
     ratio = random_ratio(rng, 40)
     part = build_partition(1e-6, 1e-12)  # cells far narrower than the gaps
     assert np.unique(_interval_keys(part, ratio.values)).size == len(ratio)
-    out = spread_wrt_intervals(ratio, part)
+    out = spread_table(ratio, part)
     assert out.values.tobytes() == ratio.values.tobytes()
     assert out.masses.tobytes() == ratio.masses.tobytes()
 
@@ -167,7 +164,7 @@ def test_spread_worked_example():
     # one coarse low cell holding 0.2 and 0.6 at equal mass: mean 0.4 stays
     # put on the two extreme values; the singleton {1} passes through
     ratio = RatioDist([0.2, 0.4, 0.6, 1.0], [0.25, 0.25, 0.25, 0.25])
-    out = spread_wrt_intervals(ratio, build_partition(100.0, 0.5))
+    out = spread_table(ratio, build_partition(100.0, 0.5))
     assert out.values.tolist() == [0.2, 0.6, 1.0]
     np.testing.assert_allclose(out.masses, [0.375, 0.375, 0.25], rtol=1e-15)
 
@@ -355,7 +352,8 @@ class TestSchedule:
 # second, one chain misses twice and ends at the paper's width, and at
 # TV 1e-10 the paper's partition holds every table, so the run folds only
 # there.  A spiky pair certifies by max(d_lb, 1 - BC) with no fold, or, when
-# its table is asked for, saturates on its first try with no spread fold.
+# its table is asked for, saturates on its first try with no spread fold.  A
+# single step reports its half-L1 sum, rounded toward 0.
 SPREAD = "spread"
 SPIKY = generate_product_instance(8, 4, seed=0, skew=0.3)
 SAME = generate_product_instance(8, 4, seed=0, skew=1.0)
@@ -369,14 +367,16 @@ EXACT_CASES = {
     "spiky-product-no-fold": (SPIKY, False, 0, 1.0),
     "spiky-product-saturated-try": (SPIKY, True, 1, 1.0),
     "equal-products-d_lb-0": (ProductPair(SAME.p_marginals, SAME.p_marginals), False, 0, None),
+    "one-step-product": (generate_product_instance(1, 2, seed=9, skew=1.0), False, 0, None),
 }
 
-# Two exits report a float just above the exact distance: a single step's
-# half-L1 sum, and a paper-width fold that starts there because the tables
-# already fit the paper's partition.  Both overshoot by under 3 ulps.
+# Two exits report a float just above the exact distance: a paper-width
+# fold that starts there because the tables already fit the paper's
+# partition, by under 3 ulps, and a product certified with no fold by its
+# d_lb, the largest per-coordinate half-L1 sum, 6e-17 relative above TV.
 OVERSHOOT_CASES = {
-    "one-step-product": (generate_product_instance(1, 2, seed=9, skew=1.0), False, 0, None),
     "product-starts-at-the-paper-width": (generate_product_instance(6, 4, seed=7, skew=1.0), False, 1, None),
+    "product-no-fold-by-d_lb": (generate_product_instance(2, 2, seed=7, skew=0.1), False, 0, 1.0),
 }
 
 

@@ -19,6 +19,7 @@ from tvdist import (
 )
 from tvdist.cli import main
 from tvdist.files import derive_seed
+from tvdist.sparsify import build_partition
 
 
 def run(capsys, *argv):
@@ -272,8 +273,6 @@ class TestBench:
             ["4", "2"], ["4", "2"], ["4", "3"], ["4", "3"],
         ]
         # every row's peak support honors the cell-count ceiling
-        from tvdist import build_partition
-
         for line in lines[1:]:
             _, n, q, eps, _, d_lb, max_support, _ = line.split(",")
             n, q, eps, d_lb = int(n), int(q), float(eps), float(d_lb)

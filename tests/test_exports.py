@@ -82,3 +82,13 @@ def test_every_raise_names_a_package_error():
                 continue
             foreign.append(f"{stem}:{node.lineno}: raise {ast.unparse(node.exc)}")
     assert foreign == []
+
+
+def test_every_export_is_used_by_the_package():
+    # no public name that only the tests call: each one is read somewhere
+    # in the package besides the export list itself
+    used = set()
+    for stem, tree in MODULES.items():
+        if stem != "__init__":
+            used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    assert sorted(set(tvdist.__all__) - used) == []

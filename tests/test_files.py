@@ -20,9 +20,10 @@ from tvdist import (
     instance_digest,
     np_boundary,
     parse_instance,
-    ratio_of,
     region_csv,
 )
+
+from conftest import one_step_ratio
 
 
 class TestInstanceRoundTrip:
@@ -160,7 +161,7 @@ class TestReportRoundTrip:
 
 class TestRegionCsv:
     def test_header_and_vertices(self):
-        boundary = np_boundary(ratio_of([0.75, 0.25], [0.25, 0.75]))
+        boundary = np_boundary(one_step_ratio([0.75, 0.25], [0.25, 0.75]))
         text = region_csv(boundary)
         lines = text.strip().splitlines()
         assert lines[0] == "x,y"

@@ -10,23 +10,22 @@ from tvdist import (
     DimensionError,
     MarkovPair,
     ParameterError,
-    RatioDist,
     SizeError,
     ValidityError,
     brute_force_tv_markov,
-    concatenate,
     estimate_markov_tv,
     estimate_product_tv,
+    exact_ratio_markov,
     generate_markov_instance,
     markov_lower_bound,
-    ratio_of,
     tv_discrete,
     tv_of_ratio,
 )
 from tvdist.product import ProductPair
-from tvdist.sparsify import _low_cell_count
+from tvdist.ratios import _step, _table
+from tvdist.sparsify import _low_cell_count, build_partition
 
-from conftest import entries, random_dist_pair, random_ratio
+from conftest import entries, one_step_ratio, random_dist_pair, random_ratio
 
 
 class TestMarkovPair:
@@ -90,8 +89,7 @@ class TestMarkovPair:
 
 def kernel_conditional_ratio(pk, qk):
     """Row-wise ratios of two kernels: the chain fold's first step."""
-    ones = (RatioDist([1.0], [1.0]),) * len(qk)
-    return [concatenate(p, q, ones) for p, q in zip(pk, qk)]
+    return [one_step_ratio(p, q) for p, q in zip(pk, qk)]
 
 
 class TestKernelConditionalRatio:
@@ -112,34 +110,43 @@ class TestKernelConditionalRatio:
         assert entries(r) == [(1.0, 1.0)]
 
 
+def mix(px, qx, tables):
+    """One fold step (`_step`) from one (values, masses) table per state, read off as one table."""
+    sizes = np.array([len(values) for values, _ in tables])
+    values, masses = (np.concatenate(column) for column in zip(*tables))
+    return _table(*_step(values, masses, sizes, np.array([px]), np.array([qx]))[:2])
+
+
 class TestConcatenate:
+    # a chain's second step mixes the tables its kernel rows give each state
     def test_identical_chains(self):
-        cond = (RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0]))
-        out = concatenate([0.5, 0.5], [0.5, 0.5], cond)
+        kernel = [[[0.3, 0.7], [0.6, 0.4]]]
+        out = exact_ratio_markov(MarkovPair([0.5, 0.5], [0.5, 0.5], kernel, kernel))
         assert entries(out) == [(1.0, 1.0)]
 
     def test_uninformative_tail(self):
-        cond = (RatioDist([1.0], [1.0]), RatioDist([1.0], [1.0]))
-        out = concatenate([0.8, 0.2], [0.5, 0.5], cond)
+        kernel = [[[0.3, 0.7], [0.6, 0.4]]]
+        out = exact_ratio_markov(MarkovPair([0.8, 0.2], [0.5, 0.5], kernel, kernel))
         assert entries(out) == [(0.4, 0.5), (1.6, 0.5)]
         assert tv_of_ratio(out) == pytest.approx(0.3, abs=1e-15)
         assert tv_of_ratio(out) == pytest.approx(tv_discrete([0.8, 0.2], [0.5, 0.5]), abs=1e-15)
 
     def test_merges_identical_scaled_lists(self):
-        half = RatioDist([0.0, 2.0], [0.5, 0.5])
-        out = concatenate([0.5, 0.5], [0.5, 0.5], (half, half))
+        # both states' rows give the table [(0, 0.5), (2, 0.5)]
+        pk, qk = [[[0.0, 1.0], [0.0, 1.0]]], [[[0.5, 0.5], [0.5, 0.5]]]
+        out = exact_ratio_markov(MarkovPair([0.5, 0.5], [0.5, 0.5], pk, qk))
         assert entries(out) == [(0.0, 0.5), (2.0, 0.5)]
 
     def test_skips_unreachable_states(self):
-        poison = RatioDist([0.25], [1.0])  # would shift the result if mixed in
-        ok = RatioDist([1.0], [1.0])
-        out = concatenate([0.5, 0.5], [1.0, 0.0], (ok, poison))
+        # q never enters state 1, so its table, here not even a valid one,
+        # never touches the result
+        poison = ([np.nan, -1.0], [np.inf, np.nan])
+        out = mix([0.5, 0.5], [1.0, 0.0], (([1.0], [1.0]), poison))
         assert entries(out) == [(0.5, 1.0)]
-
-    def test_rejects_mismatched_sizes(self):
-        cond = (RatioDist([1.0], [1.0]),)
-        with pytest.raises(DimensionError):
-            concatenate([0.5, 0.5], [0.5, 0.5], cond)
+        # the same with a valid table that would shift the result if mixed in
+        pk, qk = [[[0.5, 0.5], [0.25, 0.75]]], [[[0.5, 0.5], [1.0, 0.0]]]
+        out = exact_ratio_markov(MarkovPair([0.5, 0.5], [1.0, 0.0], pk, qk))
+        assert entries(out) == [(0.5, 1.0)]
 
     def test_matches_explicit_joint(self, rng):
         # realize each per-state ratio by its canonical pair, build the fully
@@ -156,8 +163,8 @@ class TestConcatenate:
                 # p-row re-weights each mass by its value, q-row keeps it
                 joint_p.extend(px[x] * np.append(r.values * r.masses, deficit))
                 joint_q.extend(qx[x] * np.append(r.masses, 0.0))
-            direct = ratio_of(np.array(joint_p), np.array(joint_q))
-            composed = concatenate(px, qx, cond)
+            direct = one_step_ratio(np.array(joint_p), np.array(joint_q))
+            composed = mix(px, qx, [(r.values, r.masses) for r in cond])
             assert len(direct) == len(composed)
             np.testing.assert_allclose(direct.values, composed.values, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(direct.masses, composed.masses, rtol=1e-12, atol=1e-15)
@@ -277,8 +284,6 @@ class TestEstimateMarkovTv:
             assert (1 - eps) * star - 1e-22 <= est <= star + 1e-22
 
     def test_per_state_support_control(self):
-        from tvdist import build_partition
-
         pair = generate_markov_instance(7, 3, seed=12)
         eps = 0.1
         report = estimate_markov_tv(pair, eps)

@@ -14,13 +14,13 @@ from tvdist import (
     VALIDITY_TOL,
     ValidityError,
     brute_force_tv_product,
-    build_partition,
     estimate_markov_tv,
     estimate_product_tv,
     generate_product_instance,
     product_lower_bound,
     tv_discrete,
 )
+from tvdist.sparsify import build_partition
 
 
 def small_pair():

@@ -9,15 +9,13 @@ from tvdist import (
     ProductPair,
     RatioDist,
     ValidityError,
-    concatenate,
-    expectation,
+    exact_ratio_product,
     np_boundary,
-    ratio_of,
     tv_discrete,
     tv_of_ratio,
 )
 
-from conftest import entries, random_dist_pair, random_ratio
+from conftest import entries, one_step_ratio, random_dist_pair, random_ratio
 
 
 @st.composite
@@ -34,29 +32,30 @@ def dist_pairs(draw, max_size=16, zeros=False):
     return raw_p / raw_p.sum(), raw_q / raw_q.sum()
 
 
-#: The public functions that check probability vectors, each given x as both.
+#: The public ways into the row check, each given x as both rows, with the
+#: name its errors give the row: the distance of two vectors, and the ratio
+#: table of a one-coordinate product.
 ROW_TAKERS = (
-    lambda x: tv_discrete(x, x),
-    lambda x: ratio_of(x, x),
-    lambda x: concatenate(x, x, (RatioDist([1.0], [1.0]),) * len(x)),
+    ("p", lambda x: tv_discrete(x, x)),
+    ("p_marginals", lambda x: one_step_ratio(x, x)),
 )
 
 
 class TestRowCheck:
     def test_rejects_negative_mass(self):
-        for take in ROW_TAKERS:
+        for _, take in ROW_TAKERS:
             with pytest.raises(ValidityError):
                 take([0.5, 0.6, -0.1])
 
     def test_rejects_bad_total(self):
-        for take in ROW_TAKERS:
+        for _, take in ROW_TAKERS:
             with pytest.raises(ValidityError, match=r"sums to 0\.8, expected 1"):
                 take([0.4, 0.4])
             with pytest.raises(ValidityError, match=r"sums to 1\.0000019999999998, expected 1"):
                 take([0.5, 0.5 + 2e-6])  # twice ROW_SUM_TOL
 
     def test_accepts_within_tolerance(self):
-        for take in ROW_TAKERS:
+        for _, take in ROW_TAKERS:
             take([0.5, 0.5 + 5e-10])
             take([0.5, 0.5 + 5e-7])  # half ROW_SUM_TOL
 
@@ -75,9 +74,8 @@ class TestRowCheck:
         heavy = np.array(q) * (1 + drift)
         tv = tv_discrete(p, heavy)
         assert tv == pytest.approx(tv_discrete(p, q), rel=4 * 2**-52, abs=0)
-        ones = (RatioDist([1.0], [1.0]),) * len(q)
-        for table in (ratio_of(p, heavy), concatenate(p, heavy, ones)):
-            assert tv_of_ratio(table) == pytest.approx(tv, rel=4 * 2**-52, abs=0)
+        table = one_step_ratio(p, heavy)
+        assert tv_of_ratio(table) == pytest.approx(tv, rel=4 * 2**-52, abs=0)
 
     @pytest.mark.parametrize(
         "row",
@@ -97,17 +95,17 @@ class TestRowCheck:
     )
     def test_rejects_entries_that_are_not_real(self, row):
         # np.asarray would read most of these as floats
-        for take in ROW_TAKERS:
-            with pytest.raises(ValidityError, match=r"^[pq]x? entries must be real numbers$"):
+        for name, take in ROW_TAKERS:
+            with pytest.raises(ValidityError, match=rf"^{name} entries must be real numbers$"):
                 take(row)
         with pytest.raises(ValidityError, match=r"^q entries must be real numbers$"):
             tv_discrete([0.5, 0.5], row)
 
     def test_ragged_and_overflowing_rows_raise_typed_errors(self):
-        for take in ROW_TAKERS:
-            with pytest.raises(DimensionError, match=r"^p is not a rectangular array"):
+        for name, take in ROW_TAKERS:
+            with pytest.raises(DimensionError, match=rf"^{name} is not a rectangular array"):
                 take([0.5, [0.5]])
-            with pytest.raises(ValidityError, match=r"^p has an entry past the float range$"):
+            with pytest.raises(ValidityError, match=rf"^{name} has an entry past the float range$"):
                 take([10**400, 0])
         with pytest.raises(DimensionError, match=r"^p_marginals is not a rectangular array"):
             ProductPair([[0.5, 0.5], [1.0]], [[0.5, 0.5], [0.5, 0.5]])
@@ -118,7 +116,7 @@ class TestRowCheck:
         assert tv_discrete([1, 0], [0.25, 0.75]) == 0.75
 
     def test_rejects_empty_and_matrix_inputs(self):
-        for take in ROW_TAKERS:
+        for _, take in ROW_TAKERS:
             with pytest.raises(ValidityError):
                 take([])
             with pytest.raises(DimensionError):
@@ -159,26 +157,32 @@ class TestRatioDist:
 
 
 class TestRatioOf:
+    # the ratio table of one pair: a one-coordinate product's exact pipeline
     def test_worked_example(self):
-        r = ratio_of([0.75, 0.25], [0.25, 0.75])
+        r = one_step_ratio([0.75, 0.25], [0.25, 0.75])
         assert entries(r) == [(1 / 3, 0.75), (3.0, 0.25)]
 
     def test_identical_dists(self):
-        r = ratio_of([0.5, 0.5], [0.5, 0.5])
+        r = one_step_ratio([0.5, 0.5], [0.5, 0.5])
         assert entries(r) == [(1.0, 1.0)]
 
     def test_p_vanishes_on_support(self):
-        r = ratio_of([1.0, 0.0], [0.0, 1.0])
+        r = one_step_ratio([1.0, 0.0], [0.0, 1.0])
         assert entries(r) == [(0.0, 1.0)]
 
     def test_groups_equal_ratios(self):
-        r = ratio_of([0.3, 0.3, 0.4], [0.2, 0.2, 0.6])
+        r = one_step_ratio([0.3, 0.3, 0.4], [0.2, 0.2, 0.6])
         assert len(r) == 2
         assert entries(r)[1] == (0.3 / 0.2, 0.2 + 0.2)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            ratio_of([1.0], [0.5, 0.5])
+            one_step_ratio([1.0], [0.5, 0.5])
+
+
+def mean(r):
+    """The table's mean ratio value: the p-mass of q's support, at most 1."""
+    return float(np.sum(r.values * r.masses))
 
 
 class TestExpectation:
@@ -187,7 +191,11 @@ class TestExpectation:
         [([(1.0, 1.0)], 1.0), ([(0.0, 1.0)], 0.0), ([(1 / 3, 0.75), (3.0, 0.25)], 1.0)],
     )
     def test_examples(self, points, expected):
-        assert expectation(RatioDist(*zip(*points))) == pytest.approx(expected, abs=1e-15)
+        r = RatioDist(*zip(*points))
+        assert mean(r) == pytest.approx(expected, abs=1e-15)
+        # the boundary reaches the mean at its last table point; whatever
+        # p-mass lies off q's support closes it horizontally
+        assert np_boundary(r).vertices[len(r), 0] == pytest.approx(expected, abs=1e-15)
 
 
 class TestTvOfRatio:
@@ -202,25 +210,30 @@ class TestTvOfRatio:
     @settings(max_examples=200, deadline=None)
     def test_matches_tv_discrete(self, pair):
         p, q = pair
-        assert tv_of_ratio(ratio_of(p, q)) == pytest.approx(tv_discrete(p, q), abs=1e-12)
+        assert tv_of_ratio(one_step_ratio(p, q)) == pytest.approx(tv_discrete(p, q), abs=1e-12)
 
 
-def indp_product(first, second):
-    """Ratio of the product of two independent pairs, each given as (p, q).
+def indp_product(*pairs):
+    """Ratio of the product of independent pairs, each given as (p, q).
 
-    This is the product pipeline's step: `concatenate` over the outcomes of
-    the second pair, with the first pair's table repeated for every outcome.
+    The exact product pipeline, one coordinate per pair in order.  Rows of
+    different lengths are padded with outcomes that neither p nor q can
+    take; a step skips outcomes where q vanishes, so the padding changes
+    nothing.
     """
-    p, q = second
-    return concatenate(p, q, (ratio_of(*first),) * len(q))
+    width = max(len(p) for p, _ in pairs)
+    padded = [np.pad(np.asarray(row, dtype=float), (0, width - len(row))) for pair in pairs for row in pair]
+    return exact_ratio_product(ProductPair(padded[0::2], padded[1::2]))
 
 
 class TestIndpProduct:
     def test_identity_element(self, rng):
-        r = random_ratio(rng, 12)
-        out = concatenate([1.0], [1.0], (r,))
-        np.testing.assert_array_equal(out.values, r.values)
-        np.testing.assert_array_equal(out.masses, r.masses)
+        # a coordinate on which p and q agree on one outcome leaves the table as it is
+        p, q = random_dist_pair(rng, 12, zeros_in_p=True)
+        r = one_step_ratio(p, q)
+        for out in (indp_product((p, q), ([1.0], [1.0])), indp_product(([1.0], [1.0]), (p, q))):
+            np.testing.assert_array_equal(out.values, r.values)
+            np.testing.assert_array_equal(out.masses, r.masses)
 
     def test_worked_square(self):
         pair = ([0.75, 0.25], [0.25, 0.75])
@@ -231,7 +244,7 @@ class TestIndpProduct:
     def test_dyadic_square(self):
         # the pair realizes the table [(0.5, 0.5), (1.5, 0.5)]
         pair = ([0.25, 0.75], [0.5, 0.5])
-        assert entries(ratio_of(*pair)) == [(0.5, 0.5), (1.5, 0.5)]
+        assert entries(one_step_ratio(*pair)) == [(0.5, 0.5), (1.5, 0.5)]
         sq = indp_product(pair, pair)
         assert entries(sq) == [(0.25, 0.25), (0.75, 0.5), (2.25, 0.25)]
 
@@ -248,7 +261,7 @@ class TestIndpProduct:
         # (a x b) x c, step by step, against a x (b, c) with (b, c) one joint pair
         for _ in range(20):
             a, b, c = (random_dist_pair(rng, rng.integers(1, 12), zeros_in_p=True) for _ in range(3))
-            left = concatenate(c[0], c[1], (indp_product(a, b),) * len(c[1]))
+            left = indp_product(a, b, c)
             joint = tuple(np.outer(x, y).ravel() for x, y in zip(b, c))
             right = indp_product(a, joint)
             assert len(left) == len(right)
@@ -260,8 +273,8 @@ class TestIndpProduct:
             a = random_dist_pair(rng, rng.integers(1, 20), zeros_in_p=True)
             b = random_dist_pair(rng, rng.integers(1, 20), zeros_in_p=True)
             prod = indp_product(a, b)
-            assert expectation(prod) == pytest.approx(
-                expectation(ratio_of(*a)) * expectation(ratio_of(*b)), abs=1e-12
+            assert mean(prod) == pytest.approx(
+                mean(one_step_ratio(*a)) * mean(one_step_ratio(*b)), abs=1e-12
             )
 
     def test_matches_explicit_outer_product(self, rng):
@@ -271,7 +284,7 @@ class TestIndpProduct:
             p2, q2 = random_dist_pair(rng, size2, zeros_in_p=True)
             joint_p = np.outer(p1, p2).ravel()
             joint_q = np.outer(q1, q2).ravel()
-            direct = ratio_of(joint_p, joint_q)
+            direct = one_step_ratio(joint_p, joint_q)
             composed = indp_product((p1, q1), (p2, q2))
             assert len(direct) == len(composed)
             np.testing.assert_allclose(direct.values, composed.values, rtol=1e-12)
@@ -284,7 +297,7 @@ class TestNpBoundary:
         assert b.vertices.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
     def test_worked_example(self):
-        b = np_boundary(ratio_of([0.75, 0.25], [0.25, 0.75]))
+        b = np_boundary(one_step_ratio([0.75, 0.25], [0.25, 0.75]))
         np.testing.assert_allclose(b.vertices, [[0, 0], [0.25, 0.75], [1, 1]], atol=1e-15)
 
     def test_infinity_mass_closes_horizontally(self):

@@ -5,18 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from tvdist import (
-    ParameterError,
-    RatioDist,
-    SizeError,
-    build_partition,
-    expectation,
-    sparsify_wrt_intervals,
-    tv_of_ratio,
-)
-from tvdist.sparsify import _interval_keys
+from tvdist import ParameterError, RatioDist, SizeError, tv_of_ratio
+from tvdist.sparsify import _interval_keys, build_partition
 
-from conftest import entries, random_ratio
+from conftest import entries, merge_table, random_ratio
 
 
 def support_bound(eps_s, delta_s):
@@ -105,14 +97,15 @@ class TestLocateInterval:
 
 
 class TestSparsify:
+    # `_merge_cells` on one state's table (`merge_table`)
     def test_point_mass_at_one(self):
         r = RatioDist([1.0], [1.0])
-        out = sparsify_wrt_intervals(r, build_partition(0.5, 0.1))
+        out = merge_table(r, build_partition(0.5, 0.1))
         assert entries(out) == [(1.0, 1.0)]
 
     def test_merges_within_interval(self):
         r = RatioDist([0.55, 0.6, 0.7], [0.4, 0.3, 0.3])
-        out = sparsify_wrt_intervals(r, build_partition(1.0, 0.25))
+        out = merge_table(r, build_partition(1.0, 0.25))
         assert len(out) == 1
         assert out.masses[0] == 1.0
         assert out.values[0] == pytest.approx(0.61, abs=1e-15)
@@ -121,24 +114,24 @@ class TestSparsify:
         # all mass sits below 1; the alternative's infinity mass has no cell
         # holding ratio mass, so the output keeps the expectation deficit
         r = RatioDist([0.5], [1.0])
-        out = sparsify_wrt_intervals(r, build_partition(1.0, 0.25))
+        out = merge_table(r, build_partition(1.0, 0.25))
         assert entries(out) == [(0.5, 1.0)]
-        assert expectation(out) == 0.5
+        assert float(np.sum(out.values * out.masses)) == 0.5
 
     def test_infinity_mass_folds_into_top_cell(self):
         # expectation deficit 0.08 and the top cell (2, inf] holds mass 0.2,
         # so its merged value rises to (3.0 * 0.2 + 0.08) / 0.2 = 3.4
         r = RatioDist([0.4, 3.0], [0.8, 0.2])
-        out = sparsify_wrt_intervals(r, build_partition(1.0, 0.25))
+        out = merge_table(r, build_partition(1.0, 0.25))
         assert out.values[-1] == pytest.approx(3.4, abs=1e-12)
-        assert expectation(out) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(out.values * out.masses)) == pytest.approx(1.0, abs=1e-12)
 
     def test_support_bound(self, rng):
         for _ in range(200):
             eps = float(rng.uniform(0.01, 2.0))
             delta = float(rng.uniform(1e-5, 0.5))
             r = random_ratio(rng, int(rng.integers(1, 500)))
-            out = sparsify_wrt_intervals(r, build_partition(eps, delta))
+            out = merge_table(r, build_partition(eps, delta))
             assert len(out) <= support_bound(eps, delta)
 
     def test_tv_preserved_exactly(self, rng):
@@ -146,22 +139,22 @@ class TestSparsify:
             eps = float(rng.uniform(0.01, 2.0))
             delta = float(rng.uniform(1e-5, 0.5))
             r = random_ratio(rng, int(rng.integers(1, 500)))
-            out = sparsify_wrt_intervals(r, build_partition(eps, delta))
+            out = merge_table(r, build_partition(eps, delta))
             assert abs(tv_of_ratio(out) - tv_of_ratio(r)) <= 1e-12
 
     def test_expectation_never_drops(self, rng):
         for _ in range(100):
             r = random_ratio(rng, int(rng.integers(1, 300)))
-            out = sparsify_wrt_intervals(r, build_partition(0.2, 0.01))
-            assert expectation(out) >= expectation(r) - 1e-12
+            out = merge_table(r, build_partition(0.2, 0.01))
+            assert np.sum(out.values * out.masses) >= np.sum(r.values * r.masses) - 1e-12
 
     def test_output_always_valid(self, rng):
         # RatioDist construction enforces the invariants; re-check key ones
         for _ in range(100):
             r = random_ratio(rng, int(rng.integers(1, 300)))
-            out = sparsify_wrt_intervals(r, build_partition(0.1, 0.01))
+            out = merge_table(r, build_partition(0.1, 0.01))
             assert abs(float(np.sum(out.masses)) - 1.0) <= 1e-9
-            assert expectation(out) <= 1.0 + 1e-9
+            assert np.sum(out.values * out.masses) <= 1.0 + 1e-9
             assert np.all(np.diff(out.values) > 0)
 
     def test_idempotent_on_merged_input(self, rng):
@@ -172,8 +165,8 @@ class TestSparsify:
         part = build_partition(0.3, 0.05)
         for _ in range(100):
             r = random_ratio(rng, int(rng.integers(1, 300)))
-            once = sparsify_wrt_intervals(r, part)
-            twice = sparsify_wrt_intervals(once, part)
+            once = merge_table(r, part)
+            twice = merge_table(once, part)
             assert len(twice) == len(once)
             np.testing.assert_array_equal(twice.masses, once.masses)
             np.testing.assert_array_equal(twice.values[:-1], once.values[:-1])
@@ -182,17 +175,17 @@ class TestSparsify:
     def test_idempotent_bitwise_without_residual(self):
         # dyadic table with expectation exactly 1: no deficit ever refolds
         r = RatioDist([0.5, 1.5], [0.5, 0.5])
-        assert expectation(r) == 1.0
+        assert np.sum(r.values * r.masses) == 1.0
         part = build_partition(1.0, 0.25)
-        once = sparsify_wrt_intervals(r, part)
-        twice = sparsify_wrt_intervals(once, part)
+        once = merge_table(r, part)
+        twice = merge_table(once, part)
         np.testing.assert_array_equal(once.values, twice.values)
         np.testing.assert_array_equal(once.masses, twice.masses)
 
     def test_single_point_cells_pass_through(self, rng):
         # spread-out table: every point alone in its cell, values untouched
         r = RatioDist([0.01, 0.5, 0.93], [0.3, 0.3, 0.4])
-        out = sparsify_wrt_intervals(r, build_partition(0.05, 0.05))
+        out = merge_table(r, build_partition(0.05, 0.05))
         np.testing.assert_array_equal(out.values, r.values)
         np.testing.assert_array_equal(out.masses, r.masses)
 
@@ -202,6 +195,6 @@ class TestSparsify:
         masses = np.full(values.size, 1.0 / values.size)
         masses[0] += 1.0 - masses.sum()
         r = RatioDist(values, masses)
-        out = sparsify_wrt_intervals(r, build_partition(0.1, 0.01))
+        out = merge_table(r, build_partition(0.1, 0.01))
         assert len(out) <= support_bound(0.1, 0.01)
 
