@@ -9,11 +9,11 @@ width schedule (`_schedule`) proves that by one rule, estimate >=
 (1 - eps) * upper, for a proven upper bound that starts at 1: first for the
 Hellinger lower bound 1 - BC (BC the Bhattacharyya coefficient), with no
 fold, then for merge folds at up to two law-sized cell widths against
-spread folds at the same widths.  When none holds, a fold at the paper's
-a priori width eps / (slack * n) needs no certificate.  A caller that asks
-for the final table (`return_ratio=True`, the CLI's `--emit-region`)
-always gets a fold.  The Markov estimator runs its steps through
-`_estimate` here as well.
+spread folds at the same widths.  Only when both widths miss does a fold
+at the paper's a priori width eps / (slack * n), which needs no
+certificate, end the run.  A caller that asks for the final table
+(`return_ratio=True`, the CLI's `--emit-region`) always gets a fold.  The
+Markov estimator runs its steps through `_estimate` here as well.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import DimensionError, ParameterError, ValidityError
 from .ratios import (
     VALIDITY_TOL, _combine, _fold, _is_real, _table, _tv, _validate_rows, tv_discrete,
 )
-from .sparsify import _low_cell_count, _merge_cells, _spread_cells, build_partition
+from .sparsify import _merge_cells, _spread_cells, build_partition
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ class EstimateReport:
     proven upper bound on the distance with estimate >= (1 - epsilon) *
     upper, and `eps_s`, the relative cell width of the fold whose estimate
     it reports, or `epsilon` when no fold ran (`tries` 0, `upper` 1.0,
-    `max_support` 0).  A run that ends at the paper's width, a single step
-    and a zero d_lb leave both None.
+    `max_support` 0).  A run that ends at the paper's width after two
+    missed law passes (`tries` 3), a single step and a zero d_lb leave both
+    None.
     """
 
     estimate: float
@@ -164,36 +165,27 @@ def _spread(steps, part):
     return _tv(values, masses) + max(0.0, 1.0 - float(np.sum(masses))), peak
 
 
-def _outgrows(n: int, q: int, cells: float) -> bool:
-    """Whether the unmerged tables could outgrow a partition of 2m + 3 cells.
-
-    (n - 1) * log q > log(2m + 3), where `cells` is m before rounding up.
-    A partition too large to count, at an epsilon near the float range's
-    end, holds every table, so the run stays at the paper's width and meets
-    build_partition's SizeError there.
-    """
-    return math.isfinite(cells) and (n - 1) * math.log(q) > math.log(2 * math.ceil(cells) + 3)
-
-
-def _schedule(steps, q: int, eps: float, slack: int, d_lb: float, return_ratio: bool):
+def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
     """Decide when a run with d_lb > 0 stops; return (estimate, table, width, upper, peak, tries).
 
     Every certified exit is one rule, estimate >= (1 - eps) * upper *
     CERTIFY_MARGIN, with upper starting at 1 because TV <= 1.  Unless a
     table is asked for, max(d_lb, 1 - BC) is held against it first and
-    returns with no fold, no table, width eps and tries 0.  When the
-    unmerged tables could outgrow the paper's partition (`_outgrows`), up
-    to two passes fold at law widths, from sqrt(BRACKET_LAW_K * eps / n).
-    A pass keeps the larger merge estimate (`_merged`) so far, with its
-    table and width, and, unless the rule already holds, the smaller spread
-    bound (`_spread`): both ends are sound at any width.  A miss measures
-    its bracket b = 1 - estimate / upper, which grows about as
-    c * n * w**2, and predicts the width w * sqrt(eps / (2 * b)) that would
-    bracket eps / 2.  Then one fold at the paper's width eps / (slack * n)
-    and tail (eps / (2 * n)) * d_lb, whose a priori guarantee needs no
-    certificate, returns its own table with width and upper None; a law
-    width w scales that tail by w over the paper's width.  `tries` counts
-    the passes, and `peak` is the largest table any of their folds built.
+    returns with no fold, no table, width eps and tries 0.  Then up to two
+    passes fold at law widths, from sqrt(BRACKET_LAW_K * eps / n).  A pass
+    keeps the larger merge estimate (`_merged`) so far, with its table and
+    width, and, unless the rule already holds, the smaller spread bound
+    (`_spread`): both ends are sound at any width.  A miss measures its
+    bracket b = 1 - estimate / upper, which grows about as c * n * w**2,
+    and predicts the width w * sqrt(eps / (2 * b)) that would bracket
+    eps / 2.  Only after two misses does one fold at the paper's width
+    eps / (slack * n) and tail (eps / (2 * n)) * d_lb, whose a priori
+    guarantee needs no certificate, return its own table with width and
+    upper None and tries 3; a law width w scales that tail by w over the
+    paper's width.  The tail is at least ulp(1)**2, so it cannot underflow,
+    and the floor changes no fold: a smaller tail only adds boundaries above
+    1 - ulp(1)**2, past the last float below 1, so every float keeps its cell.
+    `peak` is the largest table any of the folds built.
     """
 
     def holds(estimate, upper):
@@ -203,23 +195,22 @@ def _schedule(steps, q: int, eps: float, slack: int, d_lb: float, return_ratio: 
     if not return_ratio and holds(gap := max(d_lb, _affinity_gap(steps)), upper):
         return gap, None, eps, upper, 0, 0
     n = len(steps)
-    paper_eps, paper_delta = eps / (slack * n), (eps / (2 * n)) * d_lb
-    kept, peak, tries = (-1.0, None, None), 0, 0
-    if _outgrows(n, q, _low_cell_count(paper_eps, paper_delta)):
-        width = math.sqrt(BRACKET_LAW_K * eps / n)
-        for tries in (1, 2):
-            part = build_partition(width, min(width / paper_eps * paper_delta, 0.5))
-            table, estimate, support = _merged(steps, part)
-            peak = max(peak, support)
-            if estimate > kept[0]:
-                kept = estimate, table, width
-            estimate = kept[0]
-            if not holds(estimate, upper):
-                bound, support = _spread(steps, part)
-                upper, peak = min(upper, bound), max(peak, support)
-            if holds(estimate, upper):
-                return *kept, upper, peak, tries
-            width *= math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
+    paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
+    kept, peak = (-1.0, None, None), 0
+    width = math.sqrt(BRACKET_LAW_K * eps / n)
+    for tries in (1, 2):
+        part = build_partition(width, min(width / paper_eps * paper_delta, 0.5))
+        table, estimate, support = _merged(steps, part)
+        peak = max(peak, support)
+        if estimate > kept[0]:
+            kept = estimate, table, width
+        estimate = kept[0]
+        if not holds(estimate, upper):
+            bound, support = _spread(steps, part)
+            upper, peak = min(upper, bound), max(peak, support)
+        if holds(estimate, upper):
+            return *kept, upper, peak, tries
+        width *= math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
     table, estimate, support = _merged(steps, build_partition(paper_eps, paper_delta))
     return estimate, table, None, None, max(peak, support), tries + 1
 
@@ -248,7 +239,7 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     elif d_lb == 0.0:
         estimate, ratio, max_support = 0.0, _table(np.ones(1), np.ones(1)), 1
     else:
-        schedule = _schedule(steps, pair.q, eps, slack, d_lb, return_ratio)
+        schedule = _schedule(steps, eps, slack, d_lb, return_ratio)
         estimate, table, eps_s, upper, max_support, tries = schedule
         if return_ratio:
             ratio = _table(*table)

@@ -34,7 +34,6 @@ class IntervalPartition:
     """
 
     eps_s: float
-    delta_s: float
     m: int
     a: np.ndarray
 
@@ -56,23 +55,15 @@ class IntervalPartition:
         return 2 * self.m + 3
 
 
-#: Largest low-side interval count m that build_partition allocates; the
-#: boundary table alone then takes 512 MiB.  The largest partition the tests
-#: and the benchmark build has m = 903,203, while a product estimate at
-#: eps = 1e-3 and n = 10**4 would need m = 336,224,866.
+#: Largest low-side interval count m that build_partition allocates.  At the
+#: cap the boundary table takes 512 MiB, and a fold at it needs about 1.7 GB:
+#: `_cell_sums` adds a bool and an intp map, 9 bytes per slot, over at least
+#: the 2m + 3 slots of one state per step (counted from the code, not run).
+#: Only the paper-width fold after two missed law passes comes near it: the
+#: benchmark's estimates build no partition past m = 44, the tests' past
+#: m = 1,471,928 (a chain made to miss twice), while a product estimate at
+#: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
 MAX_PARTITION_M = 2**26
-
-
-def _low_cell_count(eps_s: float, delta_s: float) -> float:
-    """-log(delta_s) / log(1 + eps_s): the partition's m, before rounding up.
-
-    Checks the parameters as build_partition does, without allocating.
-    """
-    if not (_is_real(eps_s) and math.isfinite(eps_s) and eps_s > 0):
-        raise ParameterError(f"eps_s must be a positive finite real, got {eps_s}")
-    if not (_is_real(delta_s) and 0.0 < delta_s < 1.0):
-        raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s}")
-    return -math.log(delta_s) / math.log1p(eps_s)
 
 
 def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
@@ -83,7 +74,11 @@ def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
     earlier ones are eps_s-narrow relative to their distance from 1.  Raises
     SizeError, before allocating, when m would exceed MAX_PARTITION_M.
     """
-    cells = _low_cell_count(eps_s, delta_s)
+    if not (_is_real(eps_s) and math.isfinite(eps_s) and eps_s > 0):
+        raise ParameterError(f"eps_s must be a positive finite real, got {eps_s}")
+    if not (_is_real(delta_s) and 0.0 < delta_s < 1.0):
+        raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s}")
+    cells = -math.log(delta_s) / math.log1p(eps_s)
     if not cells <= MAX_PARTITION_M:
         raise SizeError(
             f"partition for eps_s={float(eps_s)!r}, delta_s={float(delta_s)!r} "
@@ -91,7 +86,7 @@ def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
         )
     m = int(math.ceil(cells))
     a = -np.expm1(-math.log1p(eps_s) * np.arange(m + 1, dtype=np.float64))
-    return IntervalPartition(float(eps_s), float(delta_s), m, a)
+    return IntervalPartition(float(eps_s), m, a)
 
 
 def _low_index(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
@@ -115,14 +110,14 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
 
     Keys 0..m are the low side, m+1 is the singleton {1}, and m+2..2m+2 are
     the high-side intervals ordered away from 1, so key 2m+2 is the interval
-    reaching infinity.  High-side membership is decided through the stored
-    low-side table applied to the reciprocal.
+    reaching infinity.  Every entry is keyed once, through the stored
+    low-side table applied to min(v, 1/v).
     """
-    keys = np.full(values.size, part.m + 1, dtype=np.int64)
-    low = values < 1.0
-    high = values > 1.0
-    keys[low] = _low_index(part, values[low])
-    keys[high] = 2 * part.m + 2 - _low_index(part, np.reciprocal(values[high]))
+    # 1/v may be inf (v = 0 or subnormal), and v = 1 has no low index: it is keyed last
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        low = _low_index(part, np.minimum(values, np.reciprocal(values)))
+    keys = np.where(values > 1.0, 2 * part.m + 2 - low, low)
+    keys[values == 1.0] = part.m + 1
     return keys
 
 

@@ -13,6 +13,7 @@ they check the band relatively, with no tolerance.
 
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -225,15 +226,45 @@ RETRY_NO_SPREAD = generate_product_instance(8, 4, seed=1, skew=1.0)
 
 
 class TestSchedule:
-    def test_small_tables_run_once_at_the_paper_width(self):
-        # (n - 1) log q <= log(2m + 3): no coarse try could shrink the tables
+    def test_small_tables_certify_at_the_law_width(self, monkeypatch):
+        # a fold pays for all 2m + 3 slots of its partition at every step,
+        # however small its tables, so the coarse law width is the cheap one
         pair = ProductPair([[0.75, 0.25]] * 2, [[0.25, 0.75]] * 2)
+        widths = _record_widths(monkeypatch)
         report = estimate_product_tv(pair, 0.1)
-        assert report.upper is None and report.eps_s is None
-        assert report.tries == 1
-        part = build_partition(0.1 / 4, (0.1 / 4) * report.d_lb)
-        values, masses, _ = _fold(product_steps(pair), partial(_merge_cells, part), MAX_TABLE_ENTRIES)
-        assert report.estimate == _tv(values, masses)
+        assert widths == [_law_width(0.1, pair.n)]
+        assert (report.eps_s, report.tries) == (widths[0], 1)
+        assert report.estimate >= 0.9 * report.upper * product_mod.CERTIFY_MARGIN
+        # every cell holds one value, so the bracket closes on the distance
+        assert report.estimate == report.upper == pytest.approx(brute_force_tv_product(pair), abs=TOL)
+
+    def test_tiny_eps_folds_at_no_partition_finer_than_the_law(self, monkeypatch):
+        # the paper's partition at eps 3e-6 has m = 4.1e7 low-side cells, a
+        # fold there about 1 GB; the law's has m = 1,361
+        pair, eps = generate_product_instance(4, 3, seed=5, skew=1.0), 3e-6
+        widths = _record_widths(monkeypatch)
+        tracemalloc.start()
+        try:
+            report = estimate_product_tv(pair, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert widths == [_law_width(eps, pair.n)] and report.tries == 1
+        assert peak <= 2**20
+        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+
+    def test_a_tail_that_underflows_is_floored(self):
+        # (eps / (2n)) * d_lb underflows to 0 at d_lb = 5e-324; the tail's
+        # floor keeps both the law's partition and the paper's buildable
+        pair = ProductPair([[1, 0, 0]] * 2, [[1, 1e-323, 0], [1, 0, 0]])
+        tv = brute_force_tv_product(pair)
+        for return_ratio in (False, True):
+            result = estimate_product_tv(pair, 0.05, return_ratio=return_ratio)
+            report = result[0] if return_ratio else result
+            assert report.tries == 1 and report.upper is not None
+            assert 0.95 * tv - TOL <= report.estimate <= tv + TOL
+            if return_ratio:
+                assert tv_of_ratio(result[1]) == report.estimate
 
     @pytest.mark.parametrize(
         "pair,eps",
@@ -348,12 +379,13 @@ class TestSchedule:
 # Small pairs for every exit, with whether the table is asked for, the
 # number of partitions the run folds at, and the upper bound it reports:
 # None, 1.0 (certified against TV <= 1 alone) or SPREAD (below 1, proved by
-# a spread fold).  Near pairs certify on the first try, far ones on the
-# second, one chain misses twice and ends at the paper's width, and at
-# TV 1e-10 the paper's partition holds every table, so the run folds only
-# there.  A spiky pair certifies by max(d_lb, 1 - BC) with no fold, or, when
-# its table is asked for, saturates on its first try with no spread fold.  A
-# single step reports its half-L1 sum, rounded toward 0.
+# a spread fold).  Near pairs certify on the first try, and so do a pair at
+# TV 1e-10 and a small far one whose tables the paper's partition would
+# hold whole; far ones certify on the second, and one chain misses twice
+# and ends at the paper's width.  A spiky pair certifies by
+# max(d_lb, 1 - BC) with no fold, or, when its table is asked for,
+# saturates on its first try with no spread fold.  A single step reports
+# its half-L1 sum, rounded toward 0.
 SPREAD = "spread"
 SPIKY = generate_product_instance(8, 4, seed=0, skew=0.3)
 SAME = generate_product_instance(8, 4, seed=0, skew=1.0)
@@ -363,19 +395,18 @@ EXACT_CASES = {
     "far-product-retry-spreads": (RETRY_SPREADS, False, 2, SPREAD),
     "far-product-retry-no-spread": (RETRY_NO_SPREAD, False, 2, SPREAD),
     "far-chain-misses-twice": (generate_markov_instance(8, 4, seed=30, skew=1.0), False, 3, None),
-    "product-at-tv-1e-10": (_near_product(5, 8, 4, 1e-10), False, 1, None),
+    "product-at-tv-1e-10": (_near_product(5, 8, 4, 1e-10), False, 1, SPREAD),
+    "small-product-first-law-pass": (generate_product_instance(6, 4, seed=7, skew=1.0), False, 1, SPREAD),
     "spiky-product-no-fold": (SPIKY, False, 0, 1.0),
     "spiky-product-saturated-try": (SPIKY, True, 1, 1.0),
     "equal-products-d_lb-0": (ProductPair(SAME.p_marginals, SAME.p_marginals), False, 0, None),
     "one-step-product": (generate_product_instance(1, 2, seed=9, skew=1.0), False, 0, None),
 }
 
-# Two exits report a float just above the exact distance: a paper-width
-# fold that starts there because the tables already fit the paper's
-# partition, by under 3 ulps, and a product certified with no fold by its
-# d_lb, the largest per-coordinate half-L1 sum, 6e-17 relative above TV.
+# One exit reports a float just above the exact distance: a product
+# certified with no fold by its d_lb, the largest per-coordinate half-L1
+# sum, 6e-17 relative above TV.
 OVERSHOOT_CASES = {
-    "product-starts-at-the-paper-width": (generate_product_instance(6, 4, seed=7, skew=1.0), False, 1, None),
     "product-no-fold-by-d_lb": (generate_product_instance(2, 2, seed=7, skew=0.1), False, 0, 1.0),
 }
 

@@ -192,8 +192,8 @@ class TestEstimate:
         assert code == 1 and err.startswith("error: size:")
 
     def test_oversized_partition(self, product_file, capsys):
-        # eps / (2n) = 1.25e-8 would need a partition of over 10**9 boundaries
-        code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1e-7")
+        # the law's width at eps 1e-15 would need m = 2.1e8 low-side cells
+        code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1e-15")
         assert code == 1 and err.startswith("error: size:")
 
     def test_partition_too_large_to_count(self, product_file, capsys):

@@ -92,3 +92,17 @@ def test_every_export_is_used_by_the_package():
         if stem != "__init__":
             used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
     assert sorted(set(tvdist.__all__) - used) == []
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a helper that only the tests call is dead code kept alive by its tests
+    read = set()
+    for tree in MODULES.values():
+        read.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    unread = [
+        f"{stem}: {name}"
+        for stem, tree in MODULES.items()
+        for name in sorted(_defined(tree))
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert unread == []

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tvdist.product as product_mod
 from tvdist import (
     DimensionError,
     MarkovPair,
@@ -23,7 +24,7 @@ from tvdist import (
 )
 from tvdist.product import ProductPair
 from tvdist.ratios import _step, _table
-from tvdist.sparsify import _low_cell_count, build_partition
+from tvdist.sparsify import build_partition
 
 from conftest import entries, one_step_ratio, random_dist_pair, random_ratio
 
@@ -209,19 +210,22 @@ class TestEstimateMarkovTv:
         report = estimate_markov_tv(pair, 0.5)
         assert report.estimate == tv_discrete([0.9, 0.1], [0.4, 0.6])
 
-    def test_paper_width_chain_stays_within_its_memory(self):
+    def test_paper_width_chain_stays_within_its_memory(self, monkeypatch):
         # m = 1,471,928 low-side cells for each of 10 states: counters for
-        # every state at once would take about 235 MB per array
+        # every state at once would take about 235 MB per array.  The law's
+        # width certifies this chain, so both of its passes are made to miss
         pair = generate_markov_instance(3, 10, seed=3)
         eps = 1e-4
         d_lb = markov_lower_bound(pair)
-        assert math.ceil(_low_cell_count(eps / 12, eps / 6 * d_lb)) == 1_471_928
+        assert math.ceil(-math.log(eps / 6 * d_lb) / math.log1p(eps / 12)) == 1_471_928
+        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
         tracemalloc.start()
         try:
             report = estimate_markov_tv(pair, eps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert report.tries == 3 and report.upper is None
         assert peak <= 64 * 2**20
         assert report.estimate == pytest.approx(0.7741855854552042, rel=1e-14, abs=0)
 

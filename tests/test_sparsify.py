@@ -90,6 +90,14 @@ class TestLocateInterval:
             expected = np.searchsorted(part.a, values, side="right") - 1
             np.testing.assert_array_equal(keys, expected)
 
+    def test_extremes_key_in_order(self):
+        # 1/v overflows for subnormal v; any RuntimeWarning fails the suite
+        part = build_partition(0.1, 1e-3)
+        above, below = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        values = np.array([0.0, 5e-324, 1e-310, below, 1.0, above, 1e300, np.inf])
+        m = part.m
+        assert _interval_keys(part, values).tolist() == [0, 0, 0, m, m + 1, m + 2, 2 * m + 2, 2 * m + 2]
+
     def test_boundaries_route_exactly(self, rng):
         part = build_partition(0.37, 0.003)
         low = part.a[part.a < 1.0]
