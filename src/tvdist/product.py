@@ -183,8 +183,9 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
     guarantee needs no certificate, return its own table with width and
     upper None and tries 3; a law width w scales that tail by w over the
     paper's width.  The tail is at least ulp(1)**2, so it cannot underflow,
-    and the floor changes no fold: a smaller tail only adds boundaries above
-    1 - ulp(1)**2, past the last float below 1, so every float keeps its cell.
+    and the floor changes no fold: a smaller tail only raises m, and the
+    clip of the keys at m never binds below 1 - 2**-53, whose closed form is
+    about half the m of a tail of 2**-104, so every float keeps its cell.
     `peak` is the largest table any of the folds built.
     """
 

@@ -1,16 +1,22 @@
 """Geometric interval partitions of [0, inf] and the fold's two reducers.
 
-The partition covers [0, 1) with intervals whose width shrinks geometrically
-towards 1, mirrors them multiplicatively onto (1, inf], and keeps {1} as its
-own cell.  Merging (`_merge_cells`) moves all of a table's mass inside each
-cell onto a single point whose value is the cell's local mean ratio, which
-bounds the support of any table by the number of cells while preserving its
-total variation distance exactly.  Spreading (`_spread_cells`) is its
-counterpart: each cell's mass moves onto the cell's lowest and highest value
-with its mean kept, which can only raise the distance, so a fold of spreads
-bounds it from above.  Both reduce the fold's flat tables of all states at
-once, with one keying pass per step and per-(state, cell) sums by
-`np.bincount`, and no sort; a single table is the case of one state.
+The partition covers [0, 1) with cells [a_t, a_(t+1)), a_t = 1 - (1 + eps_s)**-t,
+whose width shrinks geometrically towards 1, mirrors them multiplicatively
+onto (1, inf], and keeps {1} as its own cell.  No boundary is stored: a
+value's cell is the closed form floor(-log(1 - u) / log(1 + eps_s)) of
+u = min(v, 1/v), so a value within rounding of a boundary may key one cell
+lower, but keys still rise with the value and every cell is an interval on
+one side of 1.  Merging (`_merge_cells`) moves all of a table's mass inside
+each cell onto a single point whose value is the cell's local mean ratio,
+which bounds the support of any table by the number of cells while
+preserving its total variation distance exactly.  Spreading
+(`_spread_cells`) is its counterpart: each cell's mass moves onto the
+cell's lowest and highest value with its mean kept, which can only raise
+the distance, so a fold of spreads bounds it from above; both bounds hold
+for any grouping into such cells.  Both reducers take the fold's flat
+tables of all states at once, with one keying pass per step and
+per-(state, cell) sums by `np.bincount`, and no sort; a single table is
+the case of one state.
 """
 
 from __future__ import annotations
@@ -20,59 +26,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeError, ValidityError
+from .errors import ParameterError, SizeError
 from .ratios import _is_real
 
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """The interval cover of [0, inf] for given width/tail parameters.
+    """The cells of [0, inf] at relative width eps_s, with m cells below 1.
 
-    Boundaries satisfy a[t] = 1 - (1 + eps_s)**(-t).  The low side consists
-    of [a[t], a[t+1]) for t < m plus [a[m], 1); the high side mirrors it as
-    (1/a[t+1], 1/a[t]] with 1/a[0] = inf; the singleton {1} sits between.
+    Low cell t < m holds the u in [0, 1) with t <= -log(1 - u) / log(1 + eps_s)
+    < t + 1, as the logs round; low cell m holds the rest of [0, 1).  The high
+    side mirrors them through 1/v, and the singleton {1} sits between.
     """
 
     eps_s: float
     m: int
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.float64)
-        object.__setattr__(self, "a", a)
-        if self.m < 1 or a.shape != (self.m + 1,):
-            raise ValidityError(f"boundary table has shape {a.shape}, expected ({self.m + 1},)")
-        if a[0] != 0.0:
-            raise ValidityError("boundary table must start at 0")
-        # Strictly increasing in exact arithmetic; trailing entries may tie at
-        # 1.0 once the geometric tail drops below float resolution, leaving
-        # those intervals empty, so only monotonicity is enforced here.
-        if np.any(np.diff(a) < 0):
-            raise ValidityError("boundary table must be nondecreasing")
 
     @property
     def interval_count(self) -> int:
         return 2 * self.m + 3
 
 
-#: Largest low-side interval count m that build_partition allocates.  At the
-#: cap the boundary table takes 512 MiB, and a fold at it needs about 1.7 GB:
-#: `_cell_sums` adds a bool and an intp map, 9 bytes per slot, over at least
-#: the 2m + 3 slots of one state per step (counted from the code, not run).
-#: Only the paper-width fold after two missed law passes comes near it: the
-#: benchmark's estimates build no partition past m = 44, the tests' past
-#: m = 1,471,928 (a chain made to miss twice), while a product estimate at
-#: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
+#: Largest low-side cell count m that build_partition accepts.  The partition
+#: is two numbers; the cap bounds a fold at it.  `_cell_sums` maps the
+#: 2m + 3 slots of at least one state densely, a bool and an intp map of 9
+#: bytes a slot, and scans them once per step.  At the cap, one merge of a
+#: 1,000-entry table took 60 ms and 1,152 MiB of address space, 84 MB of it
+#: resident (2 cores, numpy 2.4.6).  Only the paper-width fold after two
+#: missed law passes comes near it: the benchmark's estimates build no
+#: partition past m = 44, the tests' past m = 1,471,928 (a chain made to miss
+#: twice), while a product estimate at eps = 1e-3 and n = 10**4 would need
+#: m = 336,224,866 at the paper's width.
 MAX_PARTITION_M = 2**26
 
 
 def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
-    """Construct the partition for relative width eps_s and tail mass delta_s.
+    """The partition at relative width eps_s and tail delta_s; allocates nothing.
 
-    The low-side interval count is the smallest m with (1+eps_s)**(-m) at
-    most delta_s, so the last interval [a[m], 1) is delta_s-narrow while all
-    earlier ones are eps_s-narrow relative to their distance from 1.  Raises
-    SizeError, before allocating, when m would exceed MAX_PARTITION_M.
+    The low-side cell count is the smallest m with (1+eps_s)**(-m) at most
+    delta_s, so low cell m, every u with 1 - u below about (1+eps_s)**(-m),
+    is delta_s-narrow, while each earlier cell spans a factor 1 + eps_s in
+    1 - u.  Raises SizeError when m would exceed MAX_PARTITION_M.
     """
     if not (_is_real(eps_s) and math.isfinite(eps_s) and eps_s > 0):
         raise ParameterError(f"eps_s must be a positive finite real, got {eps_s}")
@@ -84,25 +78,7 @@ def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
             f"partition for eps_s={float(eps_s)!r}, delta_s={float(delta_s)!r} "
             f"needs m={cells:.4g} low-side intervals, beyond the cap of {MAX_PARTITION_M}"
         )
-    m = int(math.ceil(cells))
-    a = -np.expm1(-math.log1p(eps_s) * np.arange(m + 1, dtype=np.float64))
-    return IntervalPartition(float(eps_s), m, a)
-
-
-def _low_index(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
-    """Low-side interval index for each value in [0, 1).
-
-    Closed form floor(-log(1-v)/log(1+eps_s)), clamped to [0, m] and then
-    corrected by one step against the stored boundaries, which settles the
-    half-open membership [a[t], a[t+1]) exactly even when the logs round.
-    """
-    step = math.log1p(part.eps_s)
-    t = np.floor(np.log1p(-values) / -step).astype(np.int64)
-    np.clip(t, 0, part.m, out=t)
-    a = part.a
-    t -= (t > 0) & (values < a[t])
-    t += (t < part.m) & (values >= a[np.minimum(t + 1, part.m)])
-    return t
+    return IntervalPartition(float(eps_s), int(math.ceil(cells)))
 
 
 def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
@@ -110,12 +86,14 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
 
     Keys 0..m are the low side, m+1 is the singleton {1}, and m+2..2m+2 are
     the high-side intervals ordered away from 1, so key 2m+2 is the interval
-    reaching infinity.  Every entry is keyed once, through the stored
-    low-side table applied to min(v, 1/v).
+    reaching infinity.  Every entry is keyed once, by the closed form
+    floor(-log1p(-u) / log1p(eps_s)) of u = min(v, 1/v), clipped to [0, m].
     """
     # 1/v may be inf (v = 0 or subnormal), and v = 1 has no low index: it is keyed last
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        low = _low_index(part, np.minimum(values, np.reciprocal(values)))
+        u = np.minimum(values, np.reciprocal(values))
+        low = np.floor(np.log1p(-u) / -math.log1p(part.eps_s)).astype(np.int64)
+    np.clip(low, 0, part.m, out=low)
     keys = np.where(values > 1.0, 2 * part.m + 2 - low, low)
     keys[values == 1.0] = part.m + 1
     return keys
@@ -180,8 +158,8 @@ def _spread_cells(part: IntervalPartition, values, masses, state, sizes):
     """Move each (state, cell)'s q-mass onto its lowest and highest value, keeping its mean.
 
     A mean-preserving spread, so each state's distance can only rise.  The
-    points are the cell's own extreme values, so the unbounded top cell and
-    cells whose boundaries tie need no special case; the deficit stays one.
+    points are the cell's own extreme values, so no cell needs its
+    boundaries, not even the unbounded top one; the deficit stays one.
     """
     slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, state, sizes)
     # The mass at hi that keeps the cell's mean: (gnum - lo * gmass) / (hi - lo),

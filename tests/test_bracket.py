@@ -81,7 +81,8 @@ def markov_pairs(draw):
 
 
 # Coarse widths put whole tables into one cell; a tail of 1e-300 at width 3
-# makes every boundary past the 27th round to 1.0, so those cells tie.
+# gives m = 499, but no float below 1 keys past low cell 26, so the cells
+# beyond it stay empty.
 partitions = st.builds(
     build_partition,
     st.one_of(st.sampled_from([8.0, 3.0, 1.0, 0.25]), st.floats(1e-3, 8.0)),
@@ -404,10 +405,21 @@ EXACT_CASES = {
 }
 
 # One exit reports a float just above the exact distance: a product
-# certified with no fold by its d_lb, the largest per-coordinate half-L1
-# sum, 6e-17 relative above TV.
+# certified with no fold, by its d_lb, the largest per-coordinate half-L1
+# sum, 6e-17 relative above TV, or by 1 - BC, where p = q on the common
+# support and the rows are disjoint elsewhere (d_lb does not certify it at
+# eps 0.05).
 OVERSHOOT_CASES = {
     "product-no-fold-by-d_lb": (generate_product_instance(2, 2, seed=7, skew=0.1), False, 0, 1.0),
+    "product-no-fold-by-hellinger": (
+        ProductPair(
+            [[0.05116119594572566, 0.9488388040542743, 0], [0.9221155188043705, 0.07788448119562952, 0]],
+            [[0.05116119594572566, 0, 0.9488388040542743], [0.9221155188043705, 0, 0.07788448119562952]],
+        ),
+        False,
+        0,
+        1.0,
+    ),
 }
 
 

@@ -106,3 +106,29 @@ def test_every_private_name_is_read_by_the_package():
         if name.startswith("_") and not name.startswith("__") and name not in read
     ]
     assert unread == []
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every annotated field of a top-level dataclass."""
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in classes:
+        if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_private_dataclass_field_is_read_by_the_package():
+    # a field that no caller outside the package can see must be read by
+    # the package, or it is stored for nothing
+    read = set()
+    for tree in MODULES.values():
+        attributes = (n for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        read.update(n.attr for n in attributes if isinstance(n.ctx, ast.Load))
+    unread = [
+        f"{stem}: {cls}.{field}"
+        for stem, tree in MODULES.items()
+        for cls, field in _dataclass_fields(tree)
+        if cls not in tvdist.__all__ and field not in read
+    ]
+    assert unread == []

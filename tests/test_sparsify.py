@@ -1,6 +1,7 @@
 """Interval partition construction and sparsification guarantees."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,31 +16,67 @@ def support_bound(eps_s, delta_s):
     return 2 * math.ceil(-math.log(delta_s) / math.log1p(eps_s)) + 3
 
 
+def boundaries(part):
+    """The computed low-side boundaries 1 - (1 + eps_s)**-t below 1, t = 0..m."""
+    a = -np.expm1(-math.log1p(part.eps_s) * np.arange(part.m + 1, dtype=np.float64))
+    return a[a < 1.0]
+
+
+def neighbours(values):
+    return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)])
+
+
 class TestBuildPartition:
     def test_worked_example(self):
+        # cells [0, 0.5), [0.5, 0.75) and [0.75, 1): the logs of these
+        # boundaries are exact multiples of log 2, so each keys exactly
         part = build_partition(1.0, 0.25)
         assert part.m == 2
-        np.testing.assert_allclose(part.a, [0.0, 0.5, 0.75], atol=1e-15)
+        values = neighbours(np.array([0.0, 0.5, 0.75]))
+        assert _interval_keys(part, values).tolist() == [0, 0, 1, 0, 1, 2, 0, 1, 2]
 
     def test_single_interval(self):
+        # one cell [0, 0.5) and the tail [0.5, 1), where 0.75 is clipped to m
         part = build_partition(1.0, 0.5)
         assert part.m == 1
-        np.testing.assert_allclose(part.a, [0.0, 0.5], atol=1e-15)
+        values = neighbours(np.array([0.0, 0.5, 0.75]))
+        assert _interval_keys(part, values).tolist() == [0, 0, 1, 0, 1, 1, 0, 1, 1]
+
+    def test_allocates_nothing(self):
+        # m = 27,631,035: the partition is its two numbers, not a table of
+        # m + 1 boundaries (221 MB)
+        tracemalloc.start()
+        try:
+            part = build_partition(1e-6, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.m == 27_631_035
+        assert peak < 2**20
 
     def test_tail_bound_holds(self, rng):
         for _ in range(100):
             eps = float(rng.uniform(0.001, 3.0))
             delta = float(rng.uniform(1e-6, 0.99))
             part = build_partition(eps, delta)
-            assert 1.0 - part.a[-1] <= delta * (1 + 1e-12)
+            gaps = np.concatenate([delta * np.geomspace(0.25, 4.0, 201), rng.uniform(0.0, 1.0, 200)])
+            values = neighbours(1.0 - gaps[gaps <= 1.0])
+            tail = values[_interval_keys(part, values) == part.m]
+            assert tail.size > 0
+            assert np.all(1.0 - tail <= delta * (1 + 1e-12))
 
     def test_narrow_intervals(self, rng):
         for _ in range(50):
             eps = float(rng.uniform(0.001, 3.0))
             delta = float(rng.uniform(1e-6, 0.99))
             part = build_partition(eps, delta)
-            widths = np.diff(part.a)
-            assert np.all(widths <= eps * (1.0 - part.a[1:]) + 1e-12)
+            values = np.sort(neighbours(1.0 - np.geomspace(delta / 2, 1.0, 5000)))
+            keys = _interval_keys(part, values)
+            inner = keys < part.m
+            values, keys = values[inner], keys[inner]
+            first = np.searchsorted(keys, keys, side="left")
+            last = np.searchsorted(keys, keys, side="right") - 1
+            assert np.all((1.0 - values[first]) / (1.0 - values[last]) <= (1 + eps) * (1 + 1e-12))
 
     def test_rejects_oversized_partition(self):
         # eps = 1e-3 at n = 10**4 would need m = 336,224,866 boundaries
@@ -59,8 +96,7 @@ class TestBuildPartition:
             build_partition(eps, delta)
 
     def test_accepts_numpy_reals(self):
-        part = build_partition(np.float32(1.0), np.float32(0.25))
-        np.testing.assert_array_equal(part.a, build_partition(1.0, 0.25).a)
+        assert build_partition(np.float32(1.0), np.float32(0.25)) == build_partition(1.0, 0.25)
 
 
 class TestLocateInterval:
@@ -80,15 +116,24 @@ class TestLocateInterval:
         keys = _interval_keys(part, np.array([1.5, 2.0, 2.5]))
         assert keys.tolist() == [2 * part.m + 1, 2 * part.m + 1, 2 * part.m + 2]
 
-    def test_closed_form_matches_boundary_search(self, rng):
-        # the corrected closed form must agree with direct binary search
+    def test_keys_rise_with_the_value(self, rng):
+        # the computed boundaries, their float neighbours and reciprocals are
+        # where rounded logs could break the order; no break means every cell
+        # is an interval of values
         for _ in range(20):
             part = build_partition(float(rng.uniform(0.001, 2.0)), float(rng.uniform(1e-6, 0.9)))
-            values = rng.uniform(0.0, 1.0, size=300)
-            values = values[values < 1.0]
-            keys = _interval_keys(part, values)
-            expected = np.searchsorted(part.a, values, side="right") - 1
-            np.testing.assert_array_equal(keys, expected)
+            low = np.concatenate([neighbours(boundaries(part)), rng.uniform(0.0, 1.0, size=300)])
+            low = low[low < 1.0]
+            with np.errstate(divide="ignore", over="ignore"):
+                values = np.sort(np.concatenate([low, np.reciprocal(low), [1.0]]))
+            assert np.all(np.diff(_interval_keys(part, values)) >= 0)
+
+    def test_boundaries_key_within_one_cell(self):
+        # the closed form may round a boundary down into the cell below it
+        for part in (build_partition(0.37, 0.003), build_partition(1e-3, 1e-9)):
+            low = boundaries(part)
+            t = np.arange(low.size)
+            assert np.isin(_interval_keys(part, low) - t, [-1, 0]).all()
 
     def test_extremes_key_in_order(self):
         # 1/v overflows for subnormal v; any RuntimeWarning fails the suite
@@ -98,10 +143,23 @@ class TestLocateInterval:
         m = part.m
         assert _interval_keys(part, values).tolist() == [0, 0, 0, m, m + 1, m + 2, 2 * m + 2, 2 * m + 2]
 
-    def test_boundaries_route_exactly(self, rng):
-        part = build_partition(0.37, 0.003)
-        low = part.a[part.a < 1.0]
-        np.testing.assert_array_equal(_interval_keys(part, low), np.arange(low.size))
+    def test_a_finer_tail_keys_every_float_alike(self):
+        # 1 - 2**-53, the float closest below 1, keys near 53 log 2 / log1p(eps_s),
+        # half of the m of a tail of 2**-104, so the clip at m never binds
+        # and any finer tail puts every float in the same cell
+        for eps in (0.37, 0.05, 1e-3):
+            floor, finer = build_partition(eps, 2.0**-104), build_partition(eps, 1e-40)
+            low = 1.0 - np.geomspace(2.0**-53, 1.0, 5000)
+            low = np.concatenate([low, neighbours(boundaries(finer)[-200:]), [0.0, 5e-324]])
+            low = low[low < 1.0]
+            keys = _interval_keys(floor, low)
+            assert keys.max() < floor.m
+            np.testing.assert_array_equal(keys, _interval_keys(finer, low))
+            with np.errstate(divide="ignore", over="ignore"):
+                high = np.reciprocal(low)
+            np.testing.assert_array_equal(
+                2 * floor.m + 2 - _interval_keys(floor, high), 2 * finer.m + 2 - _interval_keys(finer, high)
+            )
 
 
 class TestSparsify:
