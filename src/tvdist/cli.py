@@ -1,8 +1,13 @@
-"""Command-line front end: estimate, gen and bench subcommands."""
+"""Command-line front end: estimate, gen and bench subcommands.
+
+The parser is built once per process, on the first `main()` call, and every
+later call reuses it.
+"""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -116,8 +121,19 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage with ParameterError, not a usage block and exit 2.
+
+    Subparsers are made of the same class, so their refusals raise it too.
+    """
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tvdist",
         description="Estimate the total variation distance between two product "
         "distributions or two Markov chains.",
@@ -163,7 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; return 0, 1 for a failed run or 2 for a usage error."""
+    try:
+        args = build_parser().parse_args(argv)
+    except ParameterError as exc:
+        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except TVDistError as exc:

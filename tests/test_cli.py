@@ -1,6 +1,11 @@
 """End-to-end command-line behaviour."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +257,108 @@ class TestEstimate:
         bad.write_text(json.dumps(document))
         code, out, err = run(capsys, "estimate", "--input", str(bad), "--epsilon", "0.1")
         assert (code, out, err) == (1, "", f"error: parse: {message}\n")
+
+
+def _report_fields(out):
+    """A report's keys in order and its values, less the run's wall time."""
+    doc = json.loads(out)
+    doc.pop("elapsed_ms")
+    return list(doc.items())
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        """How many parsers (subparsers included) have been made so far."""
+        count = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        return count
+
+    def test_two_calls_build_one_parser(self, product_file, parsers_built, capsys):
+        cli.build_parser.cache_clear()
+        argv = ("estimate", "--input", str(product_file), "--epsilon", "0.1")
+        assert run(capsys, *argv)[0] == 0
+        first = parsers_built[0]
+        assert first > 0
+        assert run(capsys, *argv)[0] == 0
+        assert parsers_built[0] == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import tvdist.cli\n"
+            "print(len(built), tvdist.cli.build_parser.cache_info().currsize)\n"
+        )
+        src = str(Path(cli.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_defaults_do_not_leak(self, product_file, tmp_path, capsys):
+        argv = ("estimate", "--input", str(product_file), "--epsilon", "0.1")
+        cli.build_parser.cache_clear()
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        region = tmp_path / "region.csv"
+        code, exact, _ = run(capsys, "estimate", "--input", str(product_file), "--mode", "exact",
+                             "--emit-region", str(region))
+        assert code == 0 and json.loads(exact)["mode"] == "exact"
+        region.unlink()
+        code, again, _ = run(capsys, *argv)
+        assert code == 0 and not region.exists()
+        assert _report_fields(again) == _report_fields(first)
+
+    def test_patched_function_runs_after_reuse(self, product_file, monkeypatch, capsys):
+        argv = ("estimate", "--input", str(product_file), "--epsilon", "0.1")
+        assert run(capsys, *argv)[0] == 0
+
+        def refuse(text):
+            raise ParseError("refused")
+
+        monkeypatch.setattr(cli, "parse_instance", refuse)
+        assert run(capsys, *argv) == (1, "", "error: parse: refused\n")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ((), "the following arguments are required: command"),
+            (("estimate", "--epsilon", "0.1"), "the following arguments are required: --input"),
+            (("estimate", "--input", "x.json", "--epsilon", "tenth"),
+             "argument --epsilon: invalid float value: 'tenth'"),
+            (("estimate", "--input", "x.json", "--mode", "fast"),
+             "argument --mode: invalid choice: 'fast' (choose from 'fptas', 'exact', 'oracle')"),
+            (("estimate", "--input", "x.json", "--epsilon", "0.1", "--seed", "3"),
+             "unrecognized arguments: --seed 3"),
+        ],
+    )
+    def test_one_typed_line_then_a_valid_call(self, argv, message, product_file, capsys):
+        assert run(capsys, *argv) == (2, "", f"error: parameter: {message}\n")
+        code, out, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "0.1")
+        assert (code, err) == (0, "") and json.loads(out)["mode"] == "fptas"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tvdist estimate")
 
 
 class TestBench:
