@@ -15,8 +15,16 @@ cell's lowest and highest value with its mean kept, which can only raise
 the distance, so a fold of spreads bounds it from above; both bounds hold
 for any grouping into such cells.  Both reducers take the fold's flat
 tables of all states at once, with one keying pass per step and
-per-(state, cell) sums by `np.bincount`, and no sort; a single table is
-the case of one state.
+per-(state, cell) sums by `np.bincount`, and no sort.  A one-state table,
+which every product fold has, is its own slot map: its keys index the
+2m + 3 cells directly, with no per-state offsets or splitting.  Tables of
+more states share one dense map of (state, cell) slots, which
+`_cell_sums` builds in blocks of states only when the states times 2m + 3
+exceed max(entries, 2**16).  At the law widths a step's tables hold
+hundreds to thousands of entries, so a step's time is mostly the fixed
+cost of its numpy calls, and the reducers keep their count low: work in
+place, no numpy wrappers written in Python on the per-step path, and the
+top cell's deficit only looked at when that cell is occupied.
 """
 
 from __future__ import annotations
@@ -51,13 +59,16 @@ class IntervalPartition:
 #: is two numbers; the cap bounds a fold at it.  `_cell_sums` maps the
 #: 2m + 3 slots of at least one state densely, a bool and an intp map of 9
 #: bytes a slot, and scans them once per step.  At the cap, one merge of a
-#: 1,000-entry table took 60 ms and 1,152 MiB of address space, 84 MB of it
-#: resident (2 cores, numpy 2.4.6).  Only the paper-width fold after two
-#: missed law passes comes near it: the benchmark's estimates build no
-#: partition past m = 44, the tests' past m = 1,471,928 (a chain made to miss
-#: twice), while a product estimate at eps = 1e-3 and n = 10**4 would need
-#: m = 336,224,866 at the paper's width.
+#: 1,000-entry one-state table took 50-150 ms (five runs) and 1,152 MiB of
+#: address space, about 100 MB of it resident (2 cores, numpy 2.4.6).  Only
+#: the paper-width fold after two missed law passes comes near it: the
+#: benchmark's estimates build no partition past m = 44, the tests' past
+#: m = 1,471,928 (a chain made to miss twice), while a product estimate at
+#: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
 MAX_PARTITION_M = 2**26
+
+#: The largest float: an overflowing raised top cell stops there.
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
@@ -91,45 +102,59 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
     """
     # 1/v may be inf (v = 0 or subnormal), and v = 1 has no low index: it is keyed last
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = np.minimum(values, np.reciprocal(values))
-        low = np.floor(np.log1p(-u) / -math.log1p(part.eps_s)).astype(np.int64)
-    np.clip(low, 0, part.m, out=low)
-    keys = np.where(values > 1.0, 2 * part.m + 2 - low, low)
+        u = np.reciprocal(values)
+        np.minimum(values, u, out=u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.divide(u, -math.log1p(part.eps_s), out=u)
+        keys = u.astype(np.int64)  # truncation, which is floor on u >= 0
+    np.maximum(keys, 0, out=keys)
+    np.minimum(keys, part.m, out=keys)
+    np.subtract(2 * part.m + 2, keys, out=keys, where=values > 1.0)
     keys[values == 1.0] = part.m + 1
     return keys
+
+
+def _slot_sums(slot, v, p, size: int):
+    """Occupied slots below `size`, in order, and their q-mass, p-mass, lowest and highest value."""
+    seen = np.zeros(size, dtype=bool)
+    seen[slot] = True
+    occupied = seen.nonzero()[0]
+    # only occupied slots are read back, so the map need not be cleared
+    index = np.empty(size, dtype=np.intp)
+    index[occupied] = np.arange(occupied.size)
+    cell = index[slot]
+    del seen, index
+    lo, hi = np.empty(occupied.size), np.empty(occupied.size)
+    lo.fill(np.inf)
+    hi.fill(-np.inf)
+    np.minimum.at(lo, cell, v)
+    np.maximum.at(hi, cell, v)
+    return occupied, np.bincount(cell, p, occupied.size), np.bincount(cell, v * p, occupied.size), lo, hi
 
 
 def _cell_sums(part: IntervalPartition, values, masses, state, sizes):
     """Occupied slots s * (2m + 3) + key of flat tables, in order, and their sums.
 
     Keys every entry once (`_interval_keys`).  Per slot: q-mass, p-mass (sum
-    of value * mass), lowest and highest value.  The slot map is dense, so
-    states pass in blocks of at most max(entries, 2m + 3, 2**16) slots.
+    of value * mass), lowest and highest value.  A one-state table's slots
+    are its keys.  More states share a dense slot map, built in blocks of at
+    most max(entries, 2m + 3, 2**16) slots, so the block loop runs only when
+    the states times 2m + 3 exceed max(entries, 2**16).
     """
     keys = _interval_keys(part, values)
     width = part.interval_count
+    if sizes.size == 1:
+        return _slot_sums(keys, values, masses, width)
     block = max(1, max(values.size, 2**16) // width)
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     parts = []
     for first in range(0, sizes.size, block):
         last = min(first + block, sizes.size)
         entries = slice(ends[first] - sizes[first], ends[last - 1])
-        v, p = values[entries], masses[entries]
         slot = keys[entries] + (state[entries] - first) * width
-        seen = np.zeros((last - first) * width, dtype=bool)
-        seen[slot] = True
-        occupied = np.flatnonzero(seen)
-        # only occupied slots are read back, so the map need not be cleared
-        index = np.empty(seen.size, dtype=np.intp)
-        index[occupied] = np.arange(occupied.size)
-        cell = index[slot]
-        del seen, index, slot
-        lo = np.full(occupied.size, np.inf)
-        hi = np.full(occupied.size, -np.inf)
-        np.minimum.at(lo, cell, v)
-        np.maximum.at(hi, cell, v)
-        gmass, gnum = np.bincount(cell, p, occupied.size), np.bincount(cell, v * p, occupied.size)
-        parts.append((occupied + first * width, gmass, gnum, lo, hi))
+        occupied, *sums = _slot_sums(slot, values[entries], masses[entries], (last - first) * width)
+        parts.append((occupied + first * width, *sums))
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -143,14 +168,21 @@ def _merge_cells(part: IntervalPartition, values, masses, state, sizes):
     stays a deficit.  Flat output, sorted by state, then value.
     """
     slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, state, sizes)
-    merged = np.clip(gnum / gmass, lo, hi)
-    state, cell = np.divmod(slots, part.interval_count)
-    top = np.flatnonzero(cell == part.interval_count - 1)
-    deficit = 1.0 - np.bincount(state, gnum)[state[top]]
-    top, deficit = top[deficit > 0], deficit[deficit > 0]
-    with np.errstate(over="ignore"):
-        raised = (gnum[top] + deficit) / gmass[top]
-    merged[top] = np.clip(raised, lo[top], np.finfo(np.float64).max)  # else part stays a deficit
+    merged = gnum / gmass
+    np.maximum(merged, lo, out=merged)
+    np.minimum(merged, hi, out=merged)
+    if sizes.size == 1:
+        state, cell = np.zeros(slots.size, dtype=np.intp), slots
+    else:
+        state, cell = np.divmod(slots, part.interval_count)
+    top = (cell == part.interval_count - 1).nonzero()[0]
+    if top.size:
+        deficit = 1.0 - np.bincount(state, gnum)[state[top]]
+        top, deficit = top[deficit > 0], deficit[deficit > 0]
+        with np.errstate(over="ignore"):
+            raised = (gnum[top] + deficit) / gmass[top]
+        np.maximum(raised, lo[top], out=raised)
+        merged[top] = np.minimum(raised, _FLOAT_MAX, out=raised)  # else part stays a deficit
     return merged, gmass, state
 
 
@@ -165,11 +197,17 @@ def _spread_cells(part: IntervalPartition, values, masses, state, sizes):
     # The mass at hi that keeps the cell's mean: (gnum - lo * gmass) / (hi - lo),
     # clamped into [0, gmass] against rounding; one-value cells put none there.
     gap = hi - lo
-    spread = gap > 0
-    top = np.zeros_like(gmass)
-    top[spread] = (gnum[spread] - lo[spread] * gmass[spread]) / gap[spread]
-    np.clip(top, 0.0, gmass, out=top)
-    values = np.column_stack((lo, hi)).ravel()
-    masses = np.column_stack((gmass - top, top)).ravel()
+    top = np.zeros(gap.size)
+    np.divide(gnum - lo * gmass, gap, out=top, where=gap > 0)
+    np.maximum(top, 0.0, out=top)
+    np.minimum(top, gmass, out=top)
+    values = np.empty(2 * top.size)
+    values[0::2], values[1::2] = lo, hi
+    masses = np.empty(2 * top.size)
+    np.subtract(gmass, top, out=masses[0::2])
+    masses[1::2] = top
     keep = masses > 0
-    return values[keep], masses[keep], np.repeat(slots // part.interval_count, 2)[keep]
+    values, masses = values[keep], masses[keep]
+    if sizes.size == 1:
+        return values, masses, np.zeros(values.size, dtype=np.intp)
+    return values, masses, (slots // part.interval_count).repeat(2)[keep]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tvdist import ParameterError, RatioDist, SizeError, tv_of_ratio
-from tvdist.sparsify import _interval_keys, build_partition
+from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, build_partition
 
 from conftest import entries, merge_table, random_ratio
 
@@ -264,3 +264,53 @@ class TestSparsify:
         out = merge_table(r, build_partition(0.1, 0.01))
         assert len(out) <= support_bound(0.1, 0.01)
 
+
+def flat(tables):
+    """(values, masses) tables laid end to end as the fold's flat tables of states."""
+    sizes = np.array([len(v) for v, _ in tables], dtype=np.intp)
+    values = np.concatenate([np.asarray(v, dtype=float) for v, _ in tables])
+    masses = np.concatenate([np.asarray(p, dtype=float) for _, p in tables])
+    return values, masses, np.repeat(np.arange(sizes.size), sizes), sizes
+
+
+def assert_bitwise(got, want):
+    bits = [np.asarray(a, dtype=float).view(np.uint64) for a in (got, want)]
+    np.testing.assert_array_equal(*bits)
+
+
+class TestFlatTables:
+    # A one-state table takes its own path through the reducers; a flat table
+    # of many states must reduce as each of its states would alone.
+    @pytest.mark.parametrize("reducer", [_merge_cells, _spread_cells])
+    @pytest.mark.parametrize("eps_s, blocks", [(0.5, 1), (1e-3, 2)])
+    def test_states_reduce_as_they_would_alone(self, reducer, eps_s, blocks, rng):
+        part = build_partition(eps_s, 1e-3)
+        tables = [
+            ([], []),
+            ([1.0], [1.0]),
+            ([0.3], [1.0]),
+            # expectation 0.52: the deficit raises the top cell, 2e3 > 1/delta
+            ([0.5, 2e3], [1 - 1e-5, 1e-5]),
+            ([0.5, 1e10], [1.0, 1e-320]),
+        ]
+        for size in (40, 200, 500):
+            r = random_ratio(rng, size)
+            tables.append((r.values, r.masses))
+        values, masses, state, sizes = flat(tables)
+        # the states pass in `blocks` blocks of the dense slot map
+        width = part.interval_count
+        assert math.ceil(sizes.size / max(1, max(values.size, 2**16) // width)) == blocks
+        got = reducer(part, values, masses, state, sizes)
+        alone = [reducer(part, *flat([t])) for t in tables]
+        assert_bitwise(got[0], np.concatenate([a[0] for a in alone]))
+        assert_bitwise(got[1], np.concatenate([a[1] for a in alone]))
+        np.testing.assert_array_equal(got[2], np.repeat(np.arange(len(tables)), [a[0].size for a in alone]))
+
+    @pytest.mark.parametrize("states", [1, 2])
+    def test_overflowing_raised_top_cell_clips_to_the_float_max(self, states):
+        # deficit 0.5 over the top cell's mass 1e-320 overflows; any
+        # RuntimeWarning fails the suite
+        values, masses, state, sizes = flat([([0.5, 1e10], [1.0, 1e-320])] * states)
+        merged, weights, _ = _merge_cells(build_partition(0.5, 1e-3), values, masses, state, sizes)
+        assert merged.tolist() == [0.5, np.finfo(float).max] * states
+        assert weights.tolist() == [1.0, 1e-320] * states
