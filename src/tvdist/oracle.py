@@ -17,7 +17,7 @@ from .markov import MarkovPair
 from .markov import _steps as _chain_steps
 from .product import ProductPair
 from .product import _steps as _product_steps
-from .ratios import RatioDist, _combine, _fold, _table
+from .ratios import RatioDist, _combine, _fold, _live_pairs, _table
 
 ENUMERATION_CAP = 10_000_000
 SUPPORT_CAP = 1_000_000
@@ -55,12 +55,12 @@ def exact_ratio_product(pair: ProductPair) -> RatioDist:
     """Fold the per-coordinate ratios into the full product ratio, unmerged.
 
     The total variation distance of the result is the exact distance between
-    the two products.  The cap is checked against the worst-case table size
-    before each multiplication.
+    the two products.  The cap is checked against the entries of each step
+    before the step builds them.
     """
-    return _table(*_fold(_product_steps(pair), _combine, SUPPORT_CAP)[:2])
+    return _table(*_fold(_live_pairs(_product_steps(pair)), _combine, SUPPORT_CAP)[:2])
 
 
 def exact_ratio_markov(pair: MarkovPair) -> RatioDist:
     """Run the backward concatenation recursion with no sparsification."""
-    return _table(*_fold(_chain_steps(pair), _combine, SUPPORT_CAP)[:2])
+    return _table(*_fold(_live_pairs(_chain_steps(pair)), _combine, SUPPORT_CAP)[:2])

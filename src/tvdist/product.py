@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
 from .ratios import (
-    VALIDITY_TOL, _combine, _fold, _is_real, _table, _tv, _validate_rows, tv_discrete,
+    VALIDITY_TOL, _combine, _fold, _is_real, _live_pairs, _table, _tv, _validate_rows, tv_discrete,
 )
 from .sparsify import _merge_cells, _spread_cells, build_partition
 
@@ -93,11 +93,11 @@ class EstimateReport:
             raise ValidityError(f"upper bound {self.upper!r} below the estimate {self.estimate!r}")
 
 
-#: Largest table, in entries, that an estimator's step may build: each merged
-#: or spread table's length times the step's column count is checked against
-#: it before the step allocates.  Measured at the paper's width, before the
-#: certified schedule, the largest such product in the tests was 2,920,310
-#: and in the benchmark 352,030.
+#: Largest step, in entries, that an estimator's fold may build: the entries
+#: of the step (`ratios._fold`) are checked against it before the step
+#: allocates.  Measured at the paper's width, before the certified schedule,
+#: the largest merged or spread table times its step's column count was
+#: 2,920,310 in the tests and 352,030 in the benchmark.
 MAX_TABLE_ENTRIES = 2**26
 
 #: Every certified exit (`_schedule`) is estimate >= (1 - eps) * upper *
@@ -144,24 +144,24 @@ def _affinity_gap(steps) -> float:
     return -math.expm1(log_bc)
 
 
-def _merged(steps, part):
+def _merged(pairs, part):
     """The merge fold at `part`: its final table, its estimate and its peak.
 
     The estimate lower-bounds the distance at any width: merging a cell to
     its mean is a garbling.
     """
-    values, masses, peak = _fold(steps, partial(_merge_cells, part), MAX_TABLE_ENTRIES)
+    values, masses, peak = _fold(pairs, partial(_merge_cells, part), MAX_TABLE_ENTRIES)
     return (values, masses), _tv(values, masses), peak
 
 
-def _spread(steps, part):
+def _spread(pairs, part):
     """The spread fold at `part`: an upper bound on the distance, and its peak.
 
-    The fold's distance plus the q-mass it dropped (`_step`) bounds the
+    The fold's distance plus the q-mass it dropped (`_fold`) bounds the
     distance from above at any width: a mean-preserving spread under a
     convex functional.
     """
-    values, masses, peak = _fold(steps, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
+    values, masses, peak = _fold(pairs, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
     return _tv(values, masses) + max(0.0, 1.0 - float(np.sum(masses))), peak
 
 
@@ -186,7 +186,8 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
     and the floor changes no fold: a smaller tail only raises m, and the
     clip of the keys at m never binds below 1 - 2**-53, whose closed form is
     about half the m of a tail of 2**-104, so every float keeps its cell.
-    `peak` is the largest table any of the folds built.
+    The folds share the steps' live pairs, read once after the fold-free
+    exit (`_live_pairs`).  `peak` is the largest table any of the folds built.
     """
 
     def holds(estimate, upper):
@@ -195,24 +196,24 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
     upper = 1.0
     if not return_ratio and holds(gap := max(d_lb, _affinity_gap(steps)), upper):
         return gap, None, eps, upper, 0, 0
-    n = len(steps)
+    n, pairs = len(steps), _live_pairs(steps)
     paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
     kept, peak = (-1.0, None, None), 0
     width = math.sqrt(BRACKET_LAW_K * eps / n)
     for tries in (1, 2):
         part = build_partition(width, min(width / paper_eps * paper_delta, 0.5))
-        table, estimate, support = _merged(steps, part)
+        table, estimate, support = _merged(pairs, part)
         peak = max(peak, support)
         if estimate > kept[0]:
             kept = estimate, table, width
         estimate = kept[0]
         if not holds(estimate, upper):
-            bound, support = _spread(steps, part)
+            bound, support = _spread(pairs, part)
             upper, peak = min(upper, bound), max(peak, support)
         if holds(estimate, upper):
             return *kept, upper, peak, tries
         width *= math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
-    table, estimate, support = _merged(steps, build_partition(paper_eps, paper_delta))
+    table, estimate, support = _merged(pairs, build_partition(paper_eps, paper_delta))
     return estimate, table, None, None, max(peak, support), tries + 1
 
 
@@ -235,7 +236,8 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     if n == 1:
         [(p_rows, q_rows)] = steps
         estimate = tv_discrete(p_rows[0], q_rows[0])
-        ratio = _table(*_fold(steps, _combine, MAX_TABLE_ENTRIES)[:2])  # one step: no reduce runs
+        # one step: no reduce runs
+        ratio = _table(*_fold(_live_pairs(steps), _combine, MAX_TABLE_ENTRIES)[:2])
         max_support = len(ratio)
     elif d_lb == 0.0:
         estimate, ratio, max_support = 0.0, _table(np.ones(1), np.ones(1)), 1

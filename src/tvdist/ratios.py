@@ -7,16 +7,20 @@ are read off from it directly, without revisiting the underlying sample
 space.  Products over independent coordinates and Markov steps are both
 mixtures of scaled tables, and every pipeline builds its table with one
 fold over such steps (`_fold`).  Inside the fold the tables of all states
-are flat arrays of values, masses and state ids; one step (`_step`) mixes
-them into the next state's tables all at once, each scaled by a row pair's
-ratio and weighted by its q-mass, unsorted and unchecked.  A table leaves
-the fold as a sorted, checked `RatioDist` (`_table`).  Probability vectors
-are plain arrays, and `_validate_rows` is the package's one row rule:
-`tv_discrete` and the pair types (so the parser too) refuse a row unless
-its entries are real numbers, finite and nonnegative, and it sums to 1
-within ROW_SUM_TOL, and divide it by its sum past ROW_SUM_EXACT.  The fold
-trusts the rows it is given, and every pipeline measures the same
-distributions.
+lie end to end in state order as flat (values, masses, sizes), `sizes`
+holding each state's table length.  The per-entry state is derived from
+`sizes` (`_states`) only where it is needed: by the slot map of many
+states and by the exact pipelines' sort, so the estimators' one-state
+tables pay nothing for it.  One step (`_step`) mixes the tables into the
+next state's tables all at once, each scaled by a live row pair's ratio
+and weighted by its q-mass (`_live_pairs`), unsorted and unchecked.  A
+table leaves the fold as a sorted, checked `RatioDist` (`_table`).
+Probability vectors are plain arrays, and `_validate_rows` is the
+package's one row rule: `tv_discrete` and the pair types (so the parser
+too) refuse a row unless its entries are real numbers, finite and
+nonnegative, and it sums to 1 within ROW_SUM_TOL, and divide it by its sum
+past ROW_SUM_EXACT.  The fold trusts the rows it is given, and every
+pipeline measures the same distributions.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -203,83 +207,125 @@ def tv_discrete(p, q) -> float:
     return half
 
 
-def _step(values, masses, sizes, p_rows: np.ndarray, q_rows: np.ndarray):
+def _live_pairs(steps) -> list:
+    """Each step's live row pairs, for `_fold`: (rows, cols, ratio, weight, row count).
+
+    A pair (r, s) is live where Q[r, s] > 0, in row-major order, with ratio
+    P[r, s] / Q[r, s] and weight Q[r, s].  A pair whose ratio overflows is
+    left out: every entry it would build has an infinite or NaN value, which
+    the distance only loses from and an upper bound adds back.  A run reads
+    its steps once, and its merge and spread folds share them.
+    """
+    pairs, over = [], []
+    with np.errstate(over="call", call=lambda kind, flag: over.append(kind)):
+        for p_rows, q_rows in steps:
+            rows, cols = (q_rows > 0).nonzero()
+            weight = q_rows[rows, cols]
+            ratio = p_rows[rows, cols] / weight
+            if over:
+                finite = ratio < np.inf
+                rows, cols, ratio, weight = rows[finite], cols[finite], ratio[finite], weight[finite]
+                over.clear()
+            pairs.append((rows, cols, ratio, weight, q_rows.shape[0]))
+    return pairs
+
+
+def _step(values, masses, sizes, rows, cols, ratio, weight, height: int):
     """One fold step on flat tables: every state's table for every live pair at once.
 
     The tables lie end to end in state order, `sizes` giving their lengths;
     a single table serves every column.  Row r's new table holds, for each
-    column s with Q[r, s] > 0 in order, table s with its values times
-    P[r, s] / Q[r, s] and its masses times Q[r, s].  Entries whose mass
-    underflows to 0 or whose value overflows (which takes a mass below 1e-308)
-    are dropped: the distance only loses from them, and an upper bound adds
-    their q-mass back.  Returns flat (values, masses, state) and row sizes.
+    live pair (r, s) in order (`_live_pairs`), table s with its values times
+    the pair's ratio and its masses times its weight.  Returns the new flat
+    (values, masses, sizes), one table for each of the `height` rows.  A mass
+    may underflow to 0 and a value overflow (which takes a mass below
+    1e-308); `_fold` drops such entries (`_drop_lost`).
     """
-    rows, s = np.nonzero(q_rows > 0)
-    weight = q_rows[rows, s]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = p_rows[rows, s] / weight
-        if sizes.size == 1:
-            lens = np.full(rows.size, values.size)
-            values = np.multiply.outer(ratio, values).ravel()
-            masses = np.multiply.outer(weight, masses).ravel()
-        else:
-            lens = sizes[s]
-            # entry i of the run for pair j reads entry i of table s[j]
-            take = np.repeat(np.cumsum(sizes)[s] - sizes[s] - np.cumsum(lens) + lens, lens)
-            take += np.arange(take.size)
-            values = values[take] * np.repeat(ratio, lens)
-            masses = masses[take] * np.repeat(weight, lens)
-    state = np.repeat(rows, lens)
+    if sizes.size == 1:
+        values = np.multiply.outer(ratio, values).ravel()
+        masses = np.multiply.outer(weight, masses).ravel()
+        if height == 1:  # a product's step
+            return values, masses, np.array([values.size])
+        lens = np.full(rows.size, sizes[0])
+    else:
+        lens = sizes[cols]
+        # entry i of the run for pair j reads entry i of table cols[j]
+        take = np.repeat(np.cumsum(sizes)[cols] - np.cumsum(lens), lens)
+        take += np.arange(take.size)
+        values = values[take] * np.repeat(ratio, lens)
+        masses = masses[take] * np.repeat(weight, lens)
+    return values, masses, np.bincount(rows, lens, height).astype(np.intp)
+
+
+def _states(sizes) -> np.ndarray:
+    """The state of every entry of flat tables of these sizes."""
+    return np.repeat(np.arange(sizes.size), sizes)
+
+
+def _drop_lost(values, masses, sizes):
+    """Flat tables without the entries whose mass underflowed to 0 or whose value overflowed.
+
+    The distance only loses from them, and an upper bound adds their q-mass
+    back.
+    """
     keep = (masses > 0) & (values < np.inf)
-    if not np.all(keep):
-        values, masses, state = values[keep], masses[keep], state[keep]
-    return values, masses, state, np.bincount(state, minlength=q_rows.shape[0])
+    return values[keep], masses[keep], np.bincount(_states(sizes)[keep], minlength=sizes.size)
 
 
-def _combine(values, masses, state, sizes=None):
+def _combine(values, masses, sizes):
     """Flat tables sorted by (state, value), equal values' masses summed in step order.
 
     It is also the exact pipelines' reducer in `_fold`, since combining
-    equal values loses nothing; it has no use for the `sizes` the fold
-    passes every reducer.
+    equal values loses nothing.  The states come from `sizes`; the tables
+    already lie in state order, so the sort moves no entry out of its table.
     """
+    state = _states(sizes)
     order = np.lexsort((values, state))
-    values, masses, state = values[order], masses[order], state[order]
+    values, masses = values[order], masses[order]
     new = np.ones(values.size, dtype=bool)
     new[1:] = (values[1:] != values[:-1]) | (state[1:] != state[:-1])
     starts = np.flatnonzero(new)
-    return values[starts], np.add.reduceat(masses, starts), state[starts]
+    return values[starts], np.add.reduceat(masses, starts), np.bincount(state[starts], minlength=sizes.size)
 
 
 def _table(values, masses) -> RatioDist:
     """A one-state flat table as a checked RatioDist: how a table leaves the fold."""
-    return RatioDist(*_combine(values, masses, np.zeros(values.size, dtype=np.intp))[:2])
+    return RatioDist(*_combine(values, masses, np.array([values.size]))[:2])
 
 
-def _fold(steps: Iterable, reduce: Callable, cap: int) -> tuple:
-    """Fold row-pair steps into one flat table; return its values, masses and peak.
+def _fold(pairs: Iterable, reduce: Callable, cap: int) -> tuple:
+    """Fold steps into one flat table; return its values, masses and peak.
 
-    Each step is a pair of row matrices (P, Q) of shape (rows, cols).  The
-    fold keeps one table per conditioning state (`_step`), starting from the
-    table {1: 1}.  Before every step but the first, `reduce` (a `sparsify`
-    merge or spread, or `_combine` for the exact pipelines) maps every
-    state's table at once, and SizeError is raised when a state's table
-    times cols, the worst case for the step's new tables, exceeds `cap`.
-    The peak is the largest single state's table any step built, before it
-    was reduced.  The last step has a single row; its table comes back
+    Each step is given by its live pairs (`_live_pairs`).  The fold keeps
+    one table per conditioning state (`_step`), starting from the table
+    {1: 1}.  Before every step but the first, `reduce` (a `sparsify` merge
+    or spread, or `_combine` for the exact pipelines) maps every state's
+    table at once, and SizeError is raised when the entries the step would
+    build, each live pair's table length summed, exceed `cap`.  The peak is
+    the largest single state's table any step built, before it was
+    reduced.  The last step has a single row; its table comes back
     unreduced and unsorted.
+
+    numpy reports a step's underflow or overflow to the fold through one
+    error state over the whole fold, so only a step that raised one looks
+    for entries to drop (`_drop_lost`); the caller's error state is back in
+    place when the fold returns or raises.
     """
-    values, masses, state, sizes = np.ones(1), np.ones(1), np.zeros(1, np.intp), np.ones(1, np.intp)
+    values, masses, sizes = np.ones(1), np.ones(1), np.ones(1, np.intp)
     peak = 0
-    for k, (p_rows, q_rows) in enumerate(steps):
-        if k:
-            values, masses, state = reduce(values, masses, state, sizes)
-            sizes = np.bincount(state, minlength=sizes.size)
-            worst = int(sizes.max()) * p_rows.shape[1]
-            if worst > cap:
-                raise SizeError(f"a table could reach {worst} entries, beyond the cap of {cap}")
-        values, masses, state, sizes = _step(values, masses, sizes, p_rows, q_rows)
-        peak = max(peak, int(sizes.max()))
+    lost = []
+    with np.errstate(under="call", over="call", call=lambda kind, flag: lost.append(kind)):
+        for k, (rows, cols, ratio, weight, height) in enumerate(pairs):
+            if k:
+                values, masses, sizes = reduce(values, masses, sizes)
+                built = values.size * rows.size if sizes.size == 1 else int(sizes[cols].sum())
+                if built > cap:
+                    raise SizeError(f"a step would build {built} entries, beyond the cap of {cap}")
+            lost.clear()
+            values, masses, sizes = _step(values, masses, sizes, rows, cols, ratio, weight, height)
+            if lost:
+                values, masses, sizes = _drop_lost(values, masses, sizes)
+            peak = max(peak, values.size if sizes.size == 1 else int(sizes.max()))
     return values, masses, peak
 
 

@@ -14,11 +14,13 @@ preserving its total variation distance exactly.  Spreading
 cell's lowest and highest value with its mean kept, which can only raise
 the distance, so a fold of spreads bounds it from above; both bounds hold
 for any grouping into such cells.  Both reducers take the fold's flat
-tables of all states at once, with one keying pass per step and
-per-(state, cell) sums by `np.bincount`, and no sort.  A one-state table,
-which every product fold has, is its own slot map: its keys index the
-2m + 3 cells directly, with no per-state offsets or splitting.  Tables of
-more states share one dense map of (state, cell) slots, which
+tables of all states at once, as (values, masses, sizes) with the tables
+end to end in state order, and return the same layout, with one keying
+pass per step and per-(state, cell) sums by `np.bincount`, and no sort.
+A one-state table, which every product fold has, is its own slot map:
+its keys index the 2m + 3 cells directly, with no per-state offsets or
+splitting.  Tables of more states share one dense map of (state, cell)
+slots, offset per state by `sizes`, which
 `_cell_sums` builds in blocks of states only when the states times 2m + 3
 exceed max(entries, 2**16).  At the law widths a step's tables hold
 hundreds to thousands of entries, so a step's time is mostly the fixed
@@ -98,19 +100,20 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
     Keys 0..m are the low side, m+1 is the singleton {1}, and m+2..2m+2 are
     the high-side intervals ordered away from 1, so key 2m+2 is the interval
     reaching infinity.  Every entry is keyed once, by the closed form
-    floor(-log1p(-u) / log1p(eps_s)) of u = min(v, 1/v), clipped to [0, m].
+    floor(-log1p(-u) / log1p(eps_s)) of u = min(v, 1/v), with the quotient
+    clipped to m before the cast, so no quotient can wrap.  No step divides
+    by 0 or overflows, so it needs no error state of its own.
     """
-    # 1/v may be inf (v = 0 or subnormal), and v = 1 has no low index: it is keyed last
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = np.reciprocal(values)
-        np.minimum(values, u, out=u)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        np.divide(u, -math.log1p(part.eps_s), out=u)
-        keys = u.astype(np.int64)  # truncation, which is floor on u >= 0
-    np.maximum(keys, 0, out=keys)
-    np.minimum(keys, part.m, out=keys)
-    np.subtract(2 * part.m + 2, keys, out=keys, where=values > 1.0)
+    high = values > 1.0
+    u = np.divide(1.0, values, out=values.copy(), where=high)
+    # v = 1 has no low index: it is keyed last, and below 1 its log stays finite
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, -math.log1p(part.eps_s), out=u)
+    np.minimum(u, part.m, out=u)
+    keys = u.astype(np.int64)  # truncation, which is floor on u >= 0
+    np.subtract(2 * part.m + 2, keys, out=keys, where=high)
     keys[values == 1.0] = part.m + 1
     return keys
 
@@ -133,7 +136,7 @@ def _slot_sums(slot, v, p, size: int):
     return occupied, np.bincount(cell, p, occupied.size), np.bincount(cell, v * p, occupied.size), lo, hi
 
 
-def _cell_sums(part: IntervalPartition, values, masses, state, sizes):
+def _cell_sums(part: IntervalPartition, values, masses, sizes):
     """Occupied slots s * (2m + 3) + key of flat tables, in order, and their sums.
 
     Keys every entry once (`_interval_keys`).  Per slot: q-mass, p-mass (sum
@@ -146,19 +149,20 @@ def _cell_sums(part: IntervalPartition, values, masses, state, sizes):
     width = part.interval_count
     if sizes.size == 1:
         return _slot_sums(keys, values, masses, width)
+    keys += np.repeat(np.arange(0, sizes.size * width, width), sizes)  # each entry's slot
     block = max(1, max(values.size, 2**16) // width)
     ends = sizes.cumsum()
     parts = []
     for first in range(0, sizes.size, block):
         last = min(first + block, sizes.size)
         entries = slice(ends[first] - sizes[first], ends[last - 1])
-        slot = keys[entries] + (state[entries] - first) * width
+        slot = keys[entries] - first * width
         occupied, *sums = _slot_sums(slot, values[entries], masses[entries], (last - first) * width)
         parts.append((occupied + first * width, *sums))
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _merge_cells(part: IntervalPartition, values, masses, state, sizes):
+def _merge_cells(part: IntervalPartition, values, masses, sizes):
     """Merge every state's table within each cell into one point, all states at once.
 
     Each occupied (state, cell) gives its q-mass at its mean ratio, clipped
@@ -167,33 +171,35 @@ def _merge_cells(part: IntervalPartition, values, masses, state, sizes):
     raises its top cell's value when that cell holds q-mass, and otherwise
     stays a deficit.  Flat output, sorted by state, then value.
     """
-    slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, state, sizes)
+    slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, sizes)
     merged = gnum / gmass
     np.maximum(merged, lo, out=merged)
     np.minimum(merged, hi, out=merged)
+    width = part.interval_count
     if sizes.size == 1:
-        state, cell = np.zeros(slots.size, dtype=np.intp), slots
+        cell, sizes = slots, np.array([slots.size])
     else:
-        state, cell = np.divmod(slots, part.interval_count)
-    top = (cell == part.interval_count - 1).nonzero()[0]
+        cell, sizes = slots % width, np.bincount(slots // width, minlength=sizes.size)
+    top = (cell == width - 1).nonzero()[0]
     if top.size:
+        state = slots // width
         deficit = 1.0 - np.bincount(state, gnum)[state[top]]
         top, deficit = top[deficit > 0], deficit[deficit > 0]
         with np.errstate(over="ignore"):
             raised = (gnum[top] + deficit) / gmass[top]
         np.maximum(raised, lo[top], out=raised)
         merged[top] = np.minimum(raised, _FLOAT_MAX, out=raised)  # else part stays a deficit
-    return merged, gmass, state
+    return merged, gmass, sizes
 
 
-def _spread_cells(part: IntervalPartition, values, masses, state, sizes):
+def _spread_cells(part: IntervalPartition, values, masses, sizes):
     """Move each (state, cell)'s q-mass onto its lowest and highest value, keeping its mean.
 
     A mean-preserving spread, so each state's distance can only rise.  The
     points are the cell's own extreme values, so no cell needs its
     boundaries, not even the unbounded top one; the deficit stays one.
     """
-    slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, state, sizes)
+    slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, sizes)
     # The mass at hi that keeps the cell's mean: (gnum - lo * gmass) / (hi - lo),
     # clamped into [0, gmass] against rounding; one-value cells put none there.
     gap = hi - lo
@@ -209,5 +215,6 @@ def _spread_cells(part: IntervalPartition, values, masses, state, sizes):
     keep = masses > 0
     values, masses = values[keep], masses[keep]
     if sizes.size == 1:
-        return values, masses, np.zeros(values.size, dtype=np.intp)
-    return values, masses, (slots // part.interval_count).repeat(2)[keep]
+        return values, masses, np.array([values.size])
+    state = (slots // part.interval_count).repeat(2)[keep]
+    return values, masses, np.bincount(state, minlength=sizes.size)

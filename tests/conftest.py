@@ -52,7 +52,7 @@ def random_ratio(rng, support, zeros=True):
 
 
 def _one_state(reduce, r, part):
-    return RatioDist(*reduce(part, r.values, r.masses, np.zeros(len(r), np.intp), np.array([len(r)]))[:2])
+    return RatioDist(*reduce(part, r.values, r.masses, np.array([len(r)]))[:2])
 
 
 def merge_table(r, part):

@@ -42,7 +42,7 @@ from tvdist import (
 from tvdist.markov import _steps as chain_steps
 from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap
 from tvdist.product import _steps as product_steps
-from tvdist.ratios import VALIDITY_TOL, _fold, _tv
+from tvdist.ratios import VALIDITY_TOL, _fold, _live_pairs, _tv
 from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, build_partition
 
 from conftest import exact_tv_markov, exact_tv_product, merge_table, random_ratio, spread_table
@@ -91,8 +91,9 @@ partitions = st.builds(
 
 
 def _bracket(steps, part):
-    est, masses, _ = _fold(steps, partial(_merge_cells, part), MAX_TABLE_ENTRIES)
-    spread, weights, _ = _fold(steps, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
+    pairs = _live_pairs(steps)
+    est, masses, _ = _fold(pairs, partial(_merge_cells, part), MAX_TABLE_ENTRIES)
+    spread, weights, _ = _fold(pairs, partial(_spread_cells, part), MAX_TABLE_ENTRIES)
     upper = _tv(spread, weights) + max(0.0, 1.0 - float(np.sum(weights)))
     return _tv(est, masses), upper
 
@@ -327,7 +328,7 @@ class TestSchedule:
         assert widths == [_law_width(eps, pair.n), _predicted_retry(pair, eps), paper]
         assert report.upper is None and report.eps_s is None and report.tries == 3
         merge = partial(_merge_cells, build_partition(paper, paper * report.d_lb))
-        values, masses, support = _fold(product_steps(pair), merge, MAX_TABLE_ENTRIES)
+        values, masses, support = _fold(_live_pairs(product_steps(pair)), merge, MAX_TABLE_ENTRIES)
         assert report.estimate == _tv(values, masses) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
 
@@ -582,6 +583,7 @@ class TestHellingerCertificate:
 # ------------------------------------------- zeros, underflow, rows off 1
 
 _UNDERFLOW = [1e-170, 0.5, 0.5]  # two steps' q-mass, 1e-340, underflows to 0
+_OVERFLOW = [0.5, 0.5, 5e-324]  # p / q overflows where p > 0: the fold leaves the pair out
 
 BAND_CASES = {
     "product-zeros-in-q": ProductPair(np.tile([0.5, 0.3, 0.2], (6, 1)), np.tile([0.55, 0.45, 0.0], (6, 1))),
@@ -593,6 +595,11 @@ BAND_CASES = {
     "markov-underflow": MarkovPair(
         [0.2, 0.3, 0.5], _UNDERFLOW, np.tile([[0.3, 0.4, 0.3], [0.2, 0.4, 0.4], [0.1, 0.5, 0.4]], (3, 1, 1)),
         np.tile([_UNDERFLOW, [0.2, 0.5, 0.3], [0.3, 0.4, 0.3]], (3, 1, 1)),
+    ),
+    "product-ratio-overflow": ProductPair(np.tile([0.3, 0.4, 0.3], (4, 1)), np.tile(_OVERFLOW, (4, 1))),
+    "markov-ratio-overflow": MarkovPair(
+        [0.2, 0.3, 0.5], _OVERFLOW, np.tile([[0.3, 0.4, 0.3], [0.2, 0.4, 0.4], [0.1, 0.5, 0.4]], (3, 1, 1)),
+        np.tile([_OVERFLOW, [0.2, 0.5, 0.3], [0.3, 0.4, 0.3]], (3, 1, 1)),
     ),
 }
 

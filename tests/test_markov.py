@@ -23,7 +23,7 @@ from tvdist import (
     tv_of_ratio,
 )
 from tvdist.product import ProductPair
-from tvdist.ratios import _step, _table
+from tvdist.ratios import _live_pairs, _step, _table
 from tvdist.sparsify import build_partition
 
 from conftest import entries, one_step_ratio, random_dist_pair, random_ratio
@@ -115,7 +115,8 @@ def mix(px, qx, tables):
     """One fold step (`_step`) from one (values, masses) table per state, read off as one table."""
     sizes = np.array([len(values) for values, _ in tables])
     values, masses = (np.concatenate(column) for column in zip(*tables))
-    return _table(*_step(values, masses, sizes, np.array([px]), np.array([qx]))[:2])
+    [pairs] = _live_pairs([(np.array([px]), np.array([qx]))])
+    return _table(*_step(values, masses, sizes, *pairs)[:2])
 
 
 class TestConcatenate:

@@ -16,6 +16,9 @@ from tvdist import (
     tv_of_ratio,
 )
 
+import tvdist.oracle as oracle_mod
+import tvdist.ratios as ratios_mod
+
 from conftest import entries
 
 
@@ -70,6 +73,25 @@ class TestExactPipelines:
         pair = generate_product_instance(25, 4, seed=1)
         with pytest.raises(SizeError):
             exact_ratio_product(pair)
+
+    def test_the_cap_counts_only_the_outcomes_q_can_take(self, monkeypatch):
+        # each q row puts mass on 2 of 4 outcomes, so the second step builds
+        # 2 * 2 entries, within a cap of 4, not 2 * 4
+        monkeypatch.setattr(oracle_mod, "SUPPORT_CAP", 4)
+        pair = ProductPair([[0.4, 0.3, 0.2, 0.1]] * 2, [[0.5, 0.5, 0.0, 0.0]] * 2)
+        out = exact_ratio_product(pair)
+        assert len(out) == 3 and tv_of_ratio(out) == pytest.approx(brute_force_tv_product(pair), abs=1e-15)
+
+    def test_the_cap_counts_every_row_of_a_chain_step(self, monkeypatch):
+        # after the last kernel each of the 4 states holds 4 entries, and the
+        # next kernel mixes all 4 tables into each of its 4 rows: 64 entries,
+        # refused before that step builds them
+        built, step = [], ratios_mod._step
+        monkeypatch.setattr(ratios_mod, "_step", lambda *args: built.append(1) or step(*args))
+        monkeypatch.setattr(oracle_mod, "SUPPORT_CAP", 63)
+        with pytest.raises(SizeError, match="a step would build 64 entries"):
+            exact_ratio_markov(generate_markov_instance(3, 4, seed=2))
+        assert len(built) == 1
 
     def test_markov_single_step(self):
         pair = MarkovPair([0.8, 0.2], [0.3, 0.7], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))

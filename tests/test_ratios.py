@@ -8,12 +8,16 @@ from tvdist import (
     DimensionError,
     ProductPair,
     RatioDist,
+    SizeError,
     ValidityError,
     exact_ratio_product,
     np_boundary,
     tv_discrete,
     tv_of_ratio,
 )
+
+from tvdist.product import _steps as product_steps
+from tvdist.ratios import _combine, _fold, _live_pairs
 
 from conftest import entries, one_step_ratio, random_dist_pair, random_ratio
 
@@ -224,6 +228,21 @@ def indp_product(*pairs):
     width = max(len(p) for p, _ in pairs)
     padded = [np.pad(np.asarray(row, dtype=float), (0, width - len(row))) for pair in pairs for row in pair]
     return exact_ratio_product(ProductPair(padded[0::2], padded[1::2]))
+
+
+class TestFold:
+    def test_a_fold_leaves_the_error_state_as_it_found_it(self):
+        # from the third coordinate on, some masses underflow and values
+        # overflow; a cap of 4 stops the fold at its third step
+        pair = ProductPair([[0.5, 0.5]] * 4, [[1 - 1e-150, 1e-150]] * 4)
+        with np.errstate(divide="ignore", under="warn"):
+            state = np.geterr(), np.geterrcall()
+            values, masses, _ = _fold(_live_pairs(product_steps(pair)), _combine, 100)
+            assert (np.geterr(), np.geterrcall()) == state
+            assert np.all(masses > 0) and np.all(values < np.inf)
+            with pytest.raises(SizeError):
+                _fold(_live_pairs(product_steps(pair)), _combine, 4)
+            assert (np.geterr(), np.geterrcall()) == state
 
 
 class TestIndpProduct:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -136,12 +137,24 @@ class TestLocateInterval:
             assert np.isin(_interval_keys(part, low) - t, [-1, 0]).all()
 
     def test_extremes_key_in_order(self):
-        # 1/v overflows for subnormal v; any RuntimeWarning fails the suite
+        # 1/v overflows for subnormal v and log1p(-1) divides by 0: the keys
+        # take neither, so a call under numpy's default error state warns nothing
         part = build_partition(0.1, 1e-3)
         above, below = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
         values = np.array([0.0, 5e-324, 1e-310, below, 1.0, above, 1e300, np.inf])
         m = part.m
-        assert _interval_keys(part, values).tolist() == [0, 0, 0, m, m + 1, m + 2, 2 * m + 2, 2 * m + 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = _interval_keys(part, values)
+        assert keys.tolist() == [0, 0, 0, m, m + 1, m + 2, 2 * m + 2, 2 * m + 2]
+
+    def test_quotients_past_int64_clip_to_the_tail(self):
+        # at eps_s 1e-19 the quotient of 1 - 1e-9 is about 2e20, past 2**63:
+        # cast before the clip, it wrapped to key 0 below the key of 0.5
+        part = build_partition(1e-19, 1 - 1e-12)
+        keys = _interval_keys(part, np.array([0.5, 1 - 1e-9, 1 - 1e-15, 1 + 1e-15, 2.0]))
+        assert np.all(np.diff(keys) >= 0)
+        assert keys.tolist() == [part.m] * 3 + [part.m + 2] * 2
 
     def test_a_finer_tail_keys_every_float_alike(self):
         # 1 - 2**-53, the float closest below 1, keys near 53 log 2 / log1p(eps_s),
@@ -270,7 +283,7 @@ def flat(tables):
     sizes = np.array([len(v) for v, _ in tables], dtype=np.intp)
     values = np.concatenate([np.asarray(v, dtype=float) for v, _ in tables])
     masses = np.concatenate([np.asarray(p, dtype=float) for _, p in tables])
-    return values, masses, np.repeat(np.arange(sizes.size), sizes), sizes
+    return values, masses, sizes
 
 
 def assert_bitwise(got, want):
@@ -296,21 +309,21 @@ class TestFlatTables:
         for size in (40, 200, 500):
             r = random_ratio(rng, size)
             tables.append((r.values, r.masses))
-        values, masses, state, sizes = flat(tables)
+        values, masses, sizes = flat(tables)
         # the states pass in `blocks` blocks of the dense slot map
         width = part.interval_count
         assert math.ceil(sizes.size / max(1, max(values.size, 2**16) // width)) == blocks
-        got = reducer(part, values, masses, state, sizes)
+        got = reducer(part, values, masses, sizes)
         alone = [reducer(part, *flat([t])) for t in tables]
         assert_bitwise(got[0], np.concatenate([a[0] for a in alone]))
         assert_bitwise(got[1], np.concatenate([a[1] for a in alone]))
-        np.testing.assert_array_equal(got[2], np.repeat(np.arange(len(tables)), [a[0].size for a in alone]))
+        np.testing.assert_array_equal(got[2], [a[0].size for a in alone])
 
     @pytest.mark.parametrize("states", [1, 2])
     def test_overflowing_raised_top_cell_clips_to_the_float_max(self, states):
         # deficit 0.5 over the top cell's mass 1e-320 overflows; any
         # RuntimeWarning fails the suite
-        values, masses, state, sizes = flat([([0.5, 1e10], [1.0, 1e-320])] * states)
-        merged, weights, _ = _merge_cells(build_partition(0.5, 1e-3), values, masses, state, sizes)
+        values, masses, sizes = flat([([0.5, 1e10], [1.0, 1e-320])] * states)
+        merged, weights, _ = _merge_cells(build_partition(0.5, 1e-3), values, masses, sizes)
         assert merged.tolist() == [0.5, np.finfo(float).max] * states
         assert weights.tolist() == [1.0, 1e-320] * states
