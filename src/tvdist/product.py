@@ -178,16 +178,21 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
     (`_spread`): both ends are sound at any width.  A miss measures its
     bracket b = 1 - estimate / upper, which grows about as c * n * w**2,
     and predicts the width w * sqrt(eps / (2 * b)) that would bracket
-    eps / 2.  Only after two misses does one fold at the paper's width
-    eps / (slack * n) and tail (eps / (2 * n)) * d_lb, whose a priori
-    guarantee needs no certificate, return its own table with width and
-    upper None and tries 3; a law width w scales that tail by w over the
-    paper's width.  The tail is at least ulp(1)**2, so it cannot underflow,
-    and the floor changes no fold: a smaller tail only raises m, and the
-    clip of the keys at m never binds below 1 - 2**-53, whose closed form is
-    about half the m of a tail of 2**-104, so every float keeps its cell.
-    The folds share the steps' live pairs, read once after the fold-free
-    exit (`_live_pairs`).  `peak` is the largest table any of the folds built.
+    eps / 2.  The bracket is floored at 2**-53, the least positive value of
+    1 - x for a float x, so a try whose estimate meets or passes its bound
+    predicts the widest width in place of dividing by 0; only a rule that
+    cannot hold (an infinite CERTIFY_MARGIN) misses there, and a miss under
+    the rule brackets more than about eps.  Only after two misses does one
+    fold at the paper's width eps / (slack * n) and tail
+    (eps / (2 * n)) * d_lb, whose a priori guarantee needs no certificate,
+    return its own table with width and upper None and tries 3; a law width
+    w scales that tail by w over the paper's width.  The tail is at least
+    ulp(1)**2, so it cannot underflow, and the floor changes no fold: a
+    smaller tail only raises m, and the clip of the keys at m never binds
+    below 1 - 2**-53, whose closed form is about half the m of a tail of
+    2**-104, so every float keeps its cell.  The folds share the steps' live
+    pairs, read once after the fold-free exit (`_live_pairs`).  `peak` is
+    the largest table any of the folds built.
     """
 
     def holds(estimate, upper):
@@ -212,7 +217,7 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
             upper, peak = min(upper, bound), max(peak, support)
         if holds(estimate, upper):
             return *kept, upper, peak, tries
-        width *= math.sqrt(eps / (2.0 * (1.0 - estimate / upper)))
+        width *= math.sqrt(eps / (2.0 * max(1.0 - estimate / upper, 2.0**-53)))
     table, estimate, support = _merged(pairs, build_partition(paper_eps, paper_delta))
     return estimate, table, None, None, max(peak, support), tries + 1
 

@@ -9,18 +9,19 @@ mixtures of scaled tables, and every pipeline builds its table with one
 fold over such steps (`_fold`).  Inside the fold the tables of all states
 lie end to end in state order as flat (values, masses, sizes), `sizes`
 holding each state's table length.  The per-entry state is derived from
-`sizes` (`_states`) only where it is needed: by the slot map of many
-states and by the exact pipelines' sort, so the estimators' one-state
-tables pay nothing for it.  One step (`_step`) mixes the tables into the
-next state's tables all at once, each scaled by a live row pair's ratio
-and weighted by its q-mass (`_live_pairs`), unsorted and unchecked.  A
-table leaves the fold as a sorted, checked `RatioDist` (`_table`).
-Probability vectors are plain arrays, and `_validate_rows` is the
-package's one row rule: `tv_discrete` and the pair types (so the parser
-too) refuse a row unless its entries are real numbers, finite and
-nonnegative, and it sums to 1 within ROW_SUM_TOL, and divide it by its sum
-past ROW_SUM_EXACT.  The fold trusts the rows it is given, and every
-pipeline measures the same distributions.
+`sizes` only where it is needed: by the slot map of many states and where
+a step lost entries (`_drop_lost`), so the estimators' one-state tables
+pay nothing for it.  The exact pipelines' reducer (`_combine`) sorts each
+state's table on its own and needs no state either.  One step (`_step`)
+mixes the tables into the next state's tables all at once, each scaled by
+a live row pair's ratio and weighted by its q-mass (`_live_pairs`),
+unsorted and unchecked.  A table leaves the fold as a sorted, checked
+`RatioDist` (`_table`).  Probability vectors are plain arrays, and
+`_validate_rows` is the package's one row rule: `tv_discrete` and the pair
+types (so the parser too) refuse a row unless its entries are real
+numbers, finite and nonnegative, and it sums to 1 within ROW_SUM_TOL, and
+divide it by its sum past ROW_SUM_EXACT.  The fold trusts the rows it is
+given, and every pipeline measures the same distributions.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -257,11 +258,6 @@ def _step(values, masses, sizes, rows, cols, ratio, weight, height: int):
     return values, masses, np.bincount(rows, lens, height).astype(np.intp)
 
 
-def _states(sizes) -> np.ndarray:
-    """The state of every entry of flat tables of these sizes."""
-    return np.repeat(np.arange(sizes.size), sizes)
-
-
 def _drop_lost(values, masses, sizes):
     """Flat tables without the entries whose mass underflowed to 0 or whose value overflowed.
 
@@ -269,23 +265,39 @@ def _drop_lost(values, masses, sizes):
     back.
     """
     keep = (masses > 0) & (values < np.inf)
-    return values[keep], masses[keep], np.bincount(_states(sizes)[keep], minlength=sizes.size)
+    states = np.repeat(np.arange(sizes.size), sizes)
+    return values[keep], masses[keep], np.bincount(states[keep], minlength=sizes.size)
 
 
 def _combine(values, masses, sizes):
     """Flat tables sorted by (state, value), equal values' masses summed in step order.
 
     It is also the exact pipelines' reducer in `_fold`, since combining
-    equal values loses nothing.  The states come from `sizes`; the tables
-    already lie in state order, so the sort moves no entry out of its table.
+    equal values loses nothing.  The tables already lie in state order, so
+    a stable sort of each state's table on its own is the (state, value)
+    sort, and every entry is sorted once.  Tables with no value repeated
+    within a state come back sorted, with `sizes` as given; otherwise each
+    run of equal values sums its masses in step order (`np.add.reduceat`).
     """
-    state = _states(sizes)
-    order = np.lexsort((values, state))
+    ends = np.cumsum(sizes)
+    if sizes.size == 1:
+        order = np.argsort(values, kind="stable")
+    else:
+        order = np.empty(values.size, np.intp)
+        start = 0
+        for end in ends.tolist():
+            np.add(np.argsort(values[start:end], kind="stable"), start, out=order[start:end])
+            start = end
     values, masses = values[order], masses[order]
-    new = np.ones(values.size, dtype=bool)
-    new[1:] = (values[1:] != values[:-1]) | (state[1:] != state[:-1])
-    starts = np.flatnonzero(new)
-    return values[starts], np.add.reduceat(masses, starts), np.bincount(state[starts], minlength=sizes.size)
+    same = values[1:] == values[:-1]
+    if sizes.size > 1:  # a state's first entry repeats nothing of the state before
+        heads = ends[:-1]
+        same[heads[(heads > 0) & (heads < values.size)] - 1] = False
+    if not same.any():
+        return values, masses, sizes
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    sizes = np.diff(np.searchsorted(starts, ends), prepend=0)
+    return values[starts], np.add.reduceat(masses, starts), sizes
 
 
 def _table(values, masses) -> RatioDist:

@@ -85,6 +85,21 @@ def test_estimates_keep_their_bits(name):
             exact_ratio_markov, generate_markov_instance(5, 3, seed=2), 243,
             "1a2f87c14b9e8eedf0ecd24002c2574e5e49cd7bd4aee22990cdb23a1e68fada",
         ),
+        # tie-heavy: every step repeats values, so equal values' masses are
+        # summed, and their q-masses are not dyadic, so the order of the sum
+        # shows in the bits
+        (
+            exact_ratio_product, ProductPair([[0.6, 0.15, 0.25]] * 6, [[0.3, 0.3, 0.4]] * 6), 28,
+            "98faac72dfec3bb23116013abf28790b664ecb1ef0a3e0d2cba7f94614b96a41",
+        ),
+        (
+            exact_ratio_markov,
+            MarkovPair(
+                [0.6, 0.15, 0.25], [0.3, 0.3, 0.4], [[[0.5, 0.2, 0.3]] * 3] * 5, [[[0.25, 0.4, 0.35]] * 3] * 5
+            ),
+            48,
+            "33dc8ec6a323f5fc84556f454d6bfc709393471bc4182f08595230236a955c35",
+        ),
     ],
 )
 def test_exact_tables_keep_their_bits(exact, pair, size, table_sha):

@@ -332,6 +332,18 @@ class TestSchedule:
         assert report.estimate == _tv(values, masses) and report.max_support >= support
         assert report.estimate >= (1 - eps) * brute_force_tv_product(pair) - TOL
 
+    def test_a_try_whose_estimate_meets_its_bound_still_retries(self, monkeypatch):
+        # every cell holds one value, so the first try's merge estimate equals
+        # its spread bound: a bracket of 0, floored at the least positive one
+        pair, eps = ProductPair([[0.75, 0.25]] * 2, [[0.25, 0.75]] * 2), 0.1
+        widths = _record_widths(monkeypatch)
+        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
+        report = estimate_product_tv(pair, eps)
+        law = _law_width(eps, pair.n)
+        assert widths == [law, law * math.sqrt(eps / 2**-52), eps / (2 * pair.n)] and report.tries == 3
+        tv = exact_tv_product(pair)
+        assert (1 - Fraction(eps)) * tv <= Fraction(report.estimate) <= tv
+
     def test_a_long_near_pair_never_folds_at_the_paper_width(self, monkeypatch):
         # a try at width eps misses this pair and a paper-width fold takes
         # minutes; the law's width certifies it in about a second

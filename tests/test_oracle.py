@@ -115,3 +115,57 @@ class TestExactPipelines:
             pair = generate_markov_instance(n, q, seed=8000 + trial, skew=0.6)
             exact = tv_of_ratio(exact_ratio_markov(pair))
             assert abs(exact - brute_force_tv_markov(pair)) <= 1e-10
+
+
+def _dyadic_chain(rows_p, rows_q, n):
+    """A chain whose every kernel is (rows_p, rows_q), from their first rows."""
+    return MarkovPair(rows_p[0], rows_q[0], [rows_p] * (n - 1), [rows_q] * (n - 1))
+
+
+def _permuted(row, k, n):
+    """n copies of `row`, the i-th rolled by i * k places."""
+    return [np.roll(row, i * k) for i in range(n)]
+
+
+DYADIC = [0.5, 0.25, 0.125, 0.125]
+
+#: Tie-heavy pairs whose rows are dyadic with few bits, so every ratio, and
+#: every product of ratios, is exact in float: values equal in exact
+#: arithmetic are equal floats, and the exact table must combine every one
+#: of them.
+TIED_PAIRS = {
+    "uniform-p-rows": ProductPair([[0.25] * 4] * 8, [DYADIC] * 8),
+    "repeated-coordinates": ProductPair([[0.5, 0.375, 0.125]] * 8, [[0.25, 0.25, 0.5]] * 8),
+    "permuted-rows": ProductPair(_permuted(DYADIC, 1, 7), _permuted(DYADIC, 3, 7)),
+    "zero-in-p": ProductPair([[0.5, 0.5, 0.0]] * 6, [[0.25, 0.25, 0.5]] * 6),
+    "chain-uniform-rows": _dyadic_chain([[0.25] * 4] * 4, [DYADIC] * 4, 8),
+    "chain-repeated-row": _dyadic_chain([[0.5, 0.375, 0.125]] * 3, [[0.25, 0.25, 0.5]] * 3, 8),
+    "chain-permuted-rows": _dyadic_chain(_permuted(DYADIC, 1, 4), _permuted(DYADIC, 3, 4), 6),
+}
+
+
+def _outcome_masses(pair):
+    """Every outcome's (p, q) mass, enumerated the way the brute-force oracles do."""
+    if isinstance(pair, ProductPair):
+        vp, vq = pair.p_marginals[0], pair.q_marginals[0]
+        for p_row, q_row in zip(pair.p_marginals[1:], pair.q_marginals[1:]):
+            vp, vq = np.multiply.outer(vp, p_row).ravel(), np.multiply.outer(vq, q_row).ravel()
+        return vp, vq
+    vp, vq = pair.p_init, pair.q_init
+    for p_kernel, q_kernel in zip(pair.p_kernels, pair.q_kernels):
+        vp = (vp.reshape(-1, pair.q)[:, :, None] * p_kernel).ravel()
+        vq = (vq.reshape(-1, pair.q)[:, :, None] * q_kernel).ravel()
+    return vp, vq
+
+
+@pytest.mark.parametrize("name", TIED_PAIRS)
+def test_tie_heavy_tables_combine_every_equal_value(name):
+    pair = TIED_PAIRS[name]
+    if isinstance(pair, ProductPair):
+        table, brute = exact_ratio_product(pair), brute_force_tv_product(pair)
+    else:
+        table, brute = exact_ratio_markov(pair), brute_force_tv_markov(pair)
+    assert abs(tv_of_ratio(table) - brute) <= 1e-10
+    vp, vq = _outcome_masses(pair)
+    live = vq > 0
+    assert len(table) == np.unique(vp[live] / vq[live]).size < live.sum()

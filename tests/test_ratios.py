@@ -245,6 +245,66 @@ class TestFold:
             assert (np.geterr(), np.geterrcall()) == state
 
 
+def _combine_by_lexsort(values, masses, sizes):
+    """`_combine` as one (state, value) lexsort and reduceat: the reference for its bits."""
+    state = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((values, state))
+    values, masses = values[order], masses[order]
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = (values[1:] != values[:-1]) | (state[1:] != state[:-1])
+    starts = np.flatnonzero(new)
+    return values[starts], np.add.reduceat(masses, starts), np.bincount(state[starts], minlength=sizes.size)
+
+
+def _flat(*tables):
+    """Flat (values, masses, sizes) of the given per-state lists of values.
+
+    Masses are thirds, sevenths and so on, so the sums of a run come out
+    differently in another order.
+    """
+    values = np.array([v for table in tables for v in table], dtype=float)
+    masses = 1.0 / (3.0 + np.arange(values.size) % 7)
+    return values, masses, np.array([len(table) for table in tables], dtype=np.intp)
+
+
+class TestCombine:
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            pytest.param(([2.0, 0.5, 2.0, 1.0, 0.5, 2.0],), id="repeats-in-one-state"),
+            pytest.param(([1.0, 3.0, 1.0], [3.0, 1.0], [1.0, 1.0]), id="repeats-in-many-states"),
+            pytest.param(([2.0, 0.5], [3.0, 2.0], [3.0]), id="equal-values-across-states"),
+            pytest.param(([], [], [3.0, 1.0, 3.0], [2.0]), id="empty-states-first"),
+            pytest.param(([1.0, 1.0], [], [], [0.5, 0.5]), id="empty-states-between"),
+            pytest.param(([2.0, 2.0], [1.0], [], []), id="empty-states-last"),
+            pytest.param(([],), id="empty-one-state"),
+            pytest.param(([], [], []), id="empty-many-states"),
+            pytest.param(([4.0, 0.25, 1.0, 0.5],), id="one-state-no-repeat"),
+            pytest.param(([1.0, 0.25], [], [4.0, 1.0]), id="many-states-no-repeat"),
+        ],
+    )
+    def test_matches_the_lexsort_reference_bitwise(self, tables):
+        values, masses, sizes = _flat(*tables)
+        got = _combine(values, masses, sizes)
+        want = _combine_by_lexsort(values, masses, sizes)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_a_table_with_no_repeat_keeps_its_sizes(self):
+        values, masses, sizes = _flat([1.0, 0.25], [], [4.0, 1.0])
+        assert _combine(values, masses, sizes)[2] is sizes
+
+    def test_matches_the_lexsort_reference_on_random_tables(self, rng):
+        # values from a few levels, so runs of every length form in each state
+        for _ in range(200):
+            sizes = rng.integers(0, 12, size=int(rng.integers(1, 6))).astype(np.intp)
+            values = rng.choice([0.0, 0.5, 1.0, 1.5, 3.0], size=int(sizes.sum()))
+            masses = rng.random(values.size)
+            got = _combine(values, masses, sizes)
+            for a, b in zip(got, _combine_by_lexsort(values, masses, sizes)):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestIndpProduct:
     def test_identity_element(self, rng):
         # a coordinate on which p and q agree on one outcome leaves the table as it is
