@@ -99,7 +99,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-BENCH_HEADER = "kind,n,q,epsilon,estimate,d_lb,max_support,elapsed_ms"
+#: New columns go last, so a reader that indexes the columns keeps working;
+#: upper and eps_s are empty where the report has None.
+BENCH_HEADER = "kind,n,q,epsilon,estimate,d_lb,max_support,elapsed_ms,tries,upper,eps_s"
+
+
+def _csv_float(x: float | None) -> str:
+    return "" if x is None else repr(x)
 
 
 def cmd_bench(args) -> int:
@@ -112,7 +118,8 @@ def cmd_bench(args) -> int:
                 result = estimate(pair, eps)
                 rows.append(
                     f"{args.kind},{n},{q},{eps!r},{result.estimate!r},"
-                    f"{result.d_lb!r},{result.max_support},{result.elapsed * 1e3!r}"
+                    f"{result.d_lb!r},{result.max_support},{result.elapsed * 1e3!r},"
+                    f"{result.tries},{_csv_float(result.upper)},{_csv_float(result.eps_s)}"
                 )
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)

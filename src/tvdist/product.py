@@ -8,7 +8,8 @@ true total variation distance and is within a (1 - eps) factor of it.  The
 width schedule (`_schedule`) proves that by one rule, estimate >=
 (1 - eps) * upper, for a proven upper bound that starts at 1: first for the
 Hellinger lower bound 1 - BC (BC the Bhattacharyya coefficient), with no
-fold, then for merge folds at up to two law-sized cell widths against
+fold, where the free upper bound from the per-step distances says it could
+hold, then for merge folds at up to two law-sized cell widths against
 spread folds at the same widths.  Only when both widths miss does a fold
 at the paper's a priori width eps / (slack * n), which needs no
 certificate, end the run.  A caller that asks for the final table
@@ -27,7 +28,8 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidityError
 from .ratios import (
-    VALIDITY_TOL, _combine, _fold, _is_real, _live_pairs, _table, _tv, _validate_rows, tv_discrete,
+    ROW_SUM_EXACT, VALIDITY_TOL, _combine, _fold, _is_real, _live_pairs, _table, _tv, _validate_rows,
+    tv_discrete,
 )
 from .sparsify import _merge_cells, _spread_cells, build_partition
 
@@ -113,10 +115,22 @@ CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
 BRACKET_LAW_K = 25
 
 
+def _bounds(pair: ProductPair) -> tuple[float, float]:
+    """(d_lb, S) from the coordinates' half-L1 distances, computed once.
+
+    Each coordinate's distance is at most the product's, since dropping the
+    other coordinates is a garbling, so their largest is d_lb.  Swapping
+    one coordinate at a time (the hybrid argument) moves the distance by at
+    most that coordinate's, so their sum S bounds it from above
+    (`_free_bound`).
+    """
+    per_coord = 0.5 * np.sum(np.abs(pair.p_marginals - pair.q_marginals), axis=1)
+    return float(np.max(per_coord)), math.fsum(per_coord.tolist())
+
+
 def product_lower_bound(pair: ProductPair) -> float:
     """Largest per-coordinate distance: within a factor n of the true one."""
-    per_coord = 0.5 * np.sum(np.abs(pair.p_marginals - pair.q_marginals), axis=1)
-    return float(np.max(per_coord))
+    return _bounds(pair)[0]
 
 
 def _steps(pair: ProductPair) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -144,6 +158,38 @@ def _affinity_gap(steps) -> float:
     return -math.expm1(log_bc)
 
 
+def _free_bound(total: float, steps) -> float:
+    """An upper bound on TV, and on the float max(d_lb, 1 - BC), from the sum S.
+
+    `total` is S, the float sum of the run's per-step distances (`_bounds`,
+    `markov._bounds`); with rows that sum to 1 exactly, TV <= S.  Added to
+    it is n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * ulp(1)) for n steps of q
+    columns, a derived bound on every rounding and row-mass term between S
+    and the two floats the fold-free exit tests.  With u = ulp(1) / 2 and
+    delta = ROW_SUM_EXACT + q * u, how far a stored row's exact sum may lie
+    from 1:
+
+    - row masses scale each hybrid swap by at most (1 + delta)**(n - 1), so
+      TV <= S_exact * (1 + (n - 1) * delta), and S <= n * (1 + delta)**n;
+    - S_exact exceeds S by at most ((n + 1) * (q + 1) + n) * u relative: a
+      chain's term carries its q-marginal's n - 1 products of q terms, and
+      `math.fsum` rounds once;
+    - the exact 1 - BC exceeds TV by at most the paths' mass deficit,
+      n * delta, as BC >= sum_x min(p(x), q(x));
+    - `_affinity_gap` exceeds the exact 1 - BC by at most n * (q + 4) * u +
+      3 * u: each step rounds a product, a square root, a q-term dot product
+      and a rescale, and the logarithms and `expm1` add at most
+      (n + 2) * u * |log BC| * BC <= (n + 2) * u / e;
+    - d_lb is at most S, as a float sum of nonnegative terms is at least
+      each of them (a chain's d_lb is half its largest term).
+
+    The terms add to n**2 * delta + (2*n**2*q + 2*n**2 + 2*n*q + 5*n + 3) * u,
+    which leaves the bound more than 14 * n**2 * u for second-order terms.
+    """
+    n, q = len(steps), steps[0][1].shape[1]
+    return total + n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * math.ulp(1.0))
+
+
 def _merged(pairs, part):
     """The merge fold at `part`: its final table, its estimate and its peak.
 
@@ -165,13 +211,17 @@ def _spread(pairs, part):
     return _tv(values, masses) + max(0.0, 1.0 - float(np.sum(masses))), peak
 
 
-def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
+def _schedule(steps, eps: float, slack: int, d_lb: float, total: float, return_ratio: bool):
     """Decide when a run with d_lb > 0 stops; return (estimate, table, width, upper, peak, tries).
 
     Every certified exit is one rule, estimate >= (1 - eps) * upper *
     CERTIFY_MARGIN, with upper starting at 1 because TV <= 1.  Unless a
     table is asked for, max(d_lb, 1 - BC) is held against it first and
-    returns with no fold, no table, width eps and tries 0.  Then up to two
+    returns with no fold, no table, width eps and tries 0.  That exit costs
+    an O(n) pass (`_affinity_gap`), so it runs only when the free bound on
+    both of its terms, S = `total` plus its rounding (`_free_bound`),
+    reaches (1 - eps) * CERTIFY_MARGIN; a run it skips could not have
+    certified there, and goes straight to its folds.  Then up to two
     passes fold at law widths, from sqrt(BRACKET_LAW_K * eps / n).  A pass
     keeps the larger merge estimate (`_merged`) so far, with its table and
     width, and, unless the rule already holds, the smaller spread bound
@@ -199,7 +249,11 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
         return estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN
 
     upper = 1.0
-    if not return_ratio and holds(gap := max(d_lb, _affinity_gap(steps)), upper):
+    if (
+        not return_ratio
+        and holds(_free_bound(total, steps), upper)
+        and holds(gap := max(d_lb, _affinity_gap(steps)), upper)
+    ):
         return gap, None, eps, upper, 0, 0
     n, pairs = len(steps), _live_pairs(steps)
     paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
@@ -222,19 +276,21 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, return_ratio: bool):
     return estimate, table, None, None, max(peak, support), tries + 1
 
 
-def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
+def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     """Shared body of the product and Markov estimators.
 
-    Two cases are exact and fold at no partition: a single step reports the
-    half-L1 distance of its rows, rounded toward 0 (`tv_discrete`), and a
-    zero d_lb, which forces the distance to 0, an estimate of 0.  Every
-    other run stops where the width schedule (`_schedule`) decides.
+    `bounds` gives the pair's (d_lb, S) from one pass over its per-step
+    distances.  Two cases are exact and fold at no partition: a single step
+    reports the half-L1 distance of its rows, rounded toward 0
+    (`tv_discrete`), and a zero d_lb, which forces the distance to 0, an
+    estimate of 0.  Every other run stops where the width schedule
+    (`_schedule`) decides.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
     eps = float(eps)
     start = time.perf_counter()
-    d_lb = lower_bound(pair)
+    d_lb, total = bounds(pair)
     n = len(steps)
     tries = 0
     upper = eps_s = ratio = None
@@ -247,7 +303,7 @@ def _estimate(pair, eps, lower_bound, steps, slack: int, return_ratio: bool):
     elif d_lb == 0.0:
         estimate, ratio, max_support = 0.0, _table(np.ones(1), np.ones(1)), 1
     else:
-        schedule = _schedule(steps, eps, slack, d_lb, return_ratio)
+        schedule = _schedule(steps, eps, slack, d_lb, total, return_ratio)
         estimate, table, eps_s, upper, max_support, tries = schedule
         if return_ratio:
             ratio = _table(*table)
@@ -267,4 +323,4 @@ def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = F
     final ratio table comes back alongside the report, for boundary plots.
     The true distance is at most n times the lower bound.
     """
-    return _estimate(pair, eps, product_lower_bound, _steps(pair), 2, return_ratio)
+    return _estimate(pair, eps, _bounds, _steps(pair), 2, return_ratio)

@@ -214,20 +214,31 @@ def _live_pairs(steps) -> list:
     A pair (r, s) is live where Q[r, s] > 0, in row-major order, with ratio
     P[r, s] / Q[r, s] and weight Q[r, s].  A pair whose ratio overflows is
     left out: every entry it would build has an infinite or NaN value, which
-    the distance only loses from and an upper bound adds back.  A run reads
-    its steps once, and its merge and spread folds share them.
+    the distance only loses from and an upper bound adds back.  Steps of one
+    shape are read in one pass over their stacked rows, whose row-major
+    order is each step's in turn, and split back into one tuple per step.
+    A run reads its steps once, and its merge and spread folds share them.
     """
-    pairs, over = [], []
+    shapes = {}
+    for k, (_, q_rows) in enumerate(steps):
+        shapes.setdefault(q_rows.shape, []).append(k)
+    pairs, over = [None] * len(steps), []
     with np.errstate(over="call", call=lambda kind, flag: over.append(kind)):
-        for p_rows, q_rows in steps:
-            rows, cols = (q_rows > 0).nonzero()
-            weight = q_rows[rows, cols]
-            ratio = p_rows[rows, cols] / weight
+        for (height, width), ks in shapes.items():
+            p_rows = np.concatenate([steps[k][0] for k in ks]).reshape(len(ks), height, width)
+            q_rows = np.concatenate([steps[k][1] for k in ks]).reshape(len(ks), height, width)
+            live = q_rows > 0
+            weight = q_rows[live]
+            ratio = p_rows[live] / weight
+            step, rows, cols = live.nonzero()
             if over:
                 finite = ratio < np.inf
-                rows, cols, ratio, weight = rows[finite], cols[finite], ratio[finite], weight[finite]
+                step, rows, cols, ratio, weight = (a[finite] for a in (step, rows, cols, ratio, weight))
                 over.clear()
-            pairs.append((rows, cols, ratio, weight, q_rows.shape[0]))
+            start = 0
+            for k, end in zip(ks, np.cumsum(np.bincount(step, minlength=len(ks))).tolist()):
+                pairs[k] = rows[start:end], cols[start:end], ratio[start:end], weight[start:end], height
+                start = end
     return pairs
 
 

@@ -1,8 +1,9 @@
 """Same input, same bits: fixed runs pinned to the exact floats they return.
 
 Each pin holds the `float.hex` of the estimate and the upper bound, with
-`tries`, `max_support` and `iterations`, or the sha256 of a table's values
-and masses.  A change that alters any of them on purpose updates the pins
+`tries`, `max_support` and `iterations`, the `float.hex` of a fold-free
+run's estimate, upper bound and d_lb, or the sha256 of a table's values and
+masses.  A change that alters any of them on purpose updates the pins
 and says in CHANGES.md which moved and by how much.  The floats come out of
 libm (`log1p`, `sqrt`, `expm1`), so a mismatch on another platform alone is
 a finding to report, not a reason to loosen a pin.
@@ -72,6 +73,27 @@ def test_estimates_keep_their_bits(name):
         again, table = estimate(pair, 0.05, return_ratio=True)
         assert (again.estimate, again.upper) == (report.estimate, report.upper)
         assert sha256(table) == table_sha
+
+
+@pytest.mark.parametrize(
+    "estimate, pair, pins",
+    [
+        # both certify by 1 - BC, above their d_lb, with no fold
+        (
+            estimate_product_tv, generate_product_instance(8, 4, seed=0, skew=0.3),
+            ("0x1.f599df76f5918p-1", "0x1.0000000000000p+0", "0x1.c90cd879a21e4p-1"),
+        ),
+        (
+            estimate_markov_tv, generate_markov_instance(8, 4, seed=0, skew=0.3),
+            ("0x1.ec2f148b00831p-1", "0x1.0000000000000p+0", "0x1.55451f5c12373p-2"),
+        ),
+    ],
+    ids=["product", "chain"],
+)
+def test_fold_free_runs_keep_their_bits(estimate, pair, pins):
+    report = estimate(pair, 0.05)
+    assert (report.estimate.hex(), report.upper.hex(), report.d_lb.hex()) == pins
+    assert (report.tries, report.max_support, report.iterations) == (0, 0, 0)
 
 
 @pytest.mark.parametrize(

@@ -39,8 +39,10 @@ from tvdist import (
     product_lower_bound,
     tv_of_ratio,
 )
+from tvdist.markov import _bounds as chain_bounds
 from tvdist.markov import _steps as chain_steps
-from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap
+from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap, _free_bound
+from tvdist.product import _bounds as product_bounds
 from tvdist.product import _steps as product_steps
 from tvdist.ratios import VALIDITY_TOL, _fold, _live_pairs, _tv
 from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, build_partition
@@ -590,6 +592,99 @@ class TestHellingerCertificate:
         ]
         again = estimate_product_tv(pair, 0.05)
         assert again.estimate.hex() == report.estimate.hex()
+
+    def test_the_spiky_pair_still_runs_the_affinity_pass(self, monkeypatch):
+        pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
+        calls = _spy_on_the_affinity_pass(monkeypatch)
+        report = estimate_product_tv(pair, 0.05)
+        assert len(calls) == 1 and report.estimate == _affinity_gap(product_steps(pair))
+
+
+# --------------------------------------------- the free bound and its gate
+
+
+def _spy_on_the_affinity_pass(monkeypatch):
+    """The steps of every `_affinity_gap` call the schedule makes from now on."""
+    calls = []
+
+    def spy(steps):
+        calls.append(steps)
+        return _affinity_gap(steps)
+
+    monkeypatch.setattr(product_mod, "_affinity_gap", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pair", [_near_product(5, 8, 4, 0.05), _near_chain(5, 8, 4, 0.05)], ids=["product", "chain"]
+)
+def test_near_pairs_skip_the_affinity_pass(pair, monkeypatch):
+    estimate, _, _, steps = _kind(pair)
+    # the pass would not have certified either
+    assert max(estimate(pair, 0.05).d_lb, _affinity_gap(steps)) < 0.95
+    calls = _spy_on_the_affinity_pass(monkeypatch)
+    report = estimate(pair, 0.05)
+    assert calls == [] and report.tries == 1
+
+
+def _off_one(rows, rel):
+    """The rows times 1 + rel, then 1 - rel, in turn: kept as stored when rel < ROW_SUM_EXACT."""
+    rows = np.array(rows)
+    rows[..., ::2, :] *= 1 + rel
+    rows[..., 1::2, :] *= 1 - rel
+    return rows
+
+
+def _free_cases():
+    """Generated products and chains with n <= 8, then the same with rows off 1."""
+    pairs = []
+    for seed, (n, q) in enumerate([(1, 3), (2, 2), (3, 4), (5, 3), (8, 2), (8, 4)]):
+        for skew in (0.3, 1.0):
+            pairs.append(generate_product_instance(n, q, seed=seed, skew=skew))
+    for seed, (n, q) in enumerate([(2, 2), (3, 3), (5, 2), (8, 2), (8, 3)]):
+        for skew in (0.3, 1.0):
+            pairs.append(generate_markov_instance(n, q, seed=seed, skew=skew))
+    for pair in list(pairs):
+        for rel in (9e-14, -9e-14):
+            if isinstance(pair, ProductPair):
+                pairs.append(ProductPair(_off_one(pair.p_marginals, rel), _off_one(pair.q_marginals, -rel)))
+            else:
+                pairs.append(
+                    MarkovPair(
+                        pair.p_init * (1 + rel), pair.q_init * (1 - rel),
+                        _off_one(pair.p_kernels, rel), _off_one(pair.q_kernels, -rel),
+                    )
+                )
+    return pairs
+
+
+def _free_bound_of(pair):
+    """(S, the free bound, d_lb, 1 - BC) of the pair, as the schedule computes them."""
+    bounds = product_bounds if isinstance(pair, ProductPair) else chain_bounds
+    (d_lb, total), steps = bounds(pair), _kind(pair)[3]
+    return total, _free_bound(total, steps), d_lb, _affinity_gap(steps)
+
+
+def test_the_free_bound_holds_exactly():
+    cases = _free_cases()
+    # the rows off 1 are kept as stored
+    assert any(np.sum(pair.p_init) != 1 for pair in cases if isinstance(pair, MarkovPair))
+    for pair in cases:
+        exact = exact_tv_product if isinstance(pair, ProductPair) else exact_tv_markov
+        _, bound, d_lb, gap = _free_bound_of(pair)
+        assert exact(pair) <= Fraction(bound)
+        # what the gate stands for: neither term of the fold-free exit passes it
+        assert max(d_lb, gap) <= bound
+
+
+def test_rows_heavier_than_one_need_the_row_mass_term():
+    # the second coordinate agrees, and its rows weigh 1 + 9e-14 as stored,
+    # so TV is S times that weight
+    heavy = np.array([0.25, 0.75]) * (1 + 9e-14)
+    pair = ProductPair([[0.5, 0.5], heavy], [[0.75, 0.25], heavy])
+    assert not np.array_equal(pair.p_marginals[1], [0.25, 0.75])
+    total, bound, _, _ = _free_bound_of(pair)
+    assert Fraction(total) < exact_tv_product(pair) <= Fraction(bound)
 
 
 # ------------------------------------------- zeros, underflow, rows off 1

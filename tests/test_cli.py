@@ -370,7 +370,7 @@ class TestBench:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "kind,n,q,epsilon,estimate,d_lb,max_support,elapsed_ms"
+        assert lines[0] == "kind,n,q,epsilon,estimate,d_lb,max_support,elapsed_ms,tries,upper,eps_s"
         assert len(lines) == 1 + 2 * 2 * 2
         assert out_path.read_text() == out
         # grid order is deterministic: n-major, then q, then epsilon
@@ -381,7 +381,7 @@ class TestBench:
         ]
         # every row's peak support honors the cell-count ceiling
         for line in lines[1:]:
-            _, n, q, eps, _, d_lb, max_support, _ = line.split(",")
+            _, n, q, eps, _, d_lb, max_support, *_ = line.split(",")
             n, q, eps, d_lb = int(n), int(q), float(eps), float(d_lb)
             if d_lb > 0 and n > 1:
                 part = build_partition(eps / (2 * n), (eps / (2 * n)) * d_lb)
@@ -422,3 +422,14 @@ class TestBench:
         assert float(row[4]) == report["estimate"]
         assert float(row[5]) == report["d_lb"]
         assert int(row[6]) == report["max_support"]
+        assert int(row[8]) == report["tries"]
+        assert (float(row[9]), float(row[10])) == (report["upper"], report["eps_s"])
+
+    def test_uncertified_runs_leave_upper_and_eps_s_empty(self, capsys):
+        # a one-step product reports its distance exactly, with no certificate
+        code, out, _ = run(
+            capsys, "bench", "--kind", "product", "--n", "1", "--q", "3", "--epsilon", "0.1", "--seed", "5"
+        )
+        assert code == 0
+        *_, tries, upper, eps_s = out.strip().splitlines()[1].split(",")
+        assert (tries, upper, eps_s) == ("0", "", "")

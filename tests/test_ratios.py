@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from tvdist import (
     DimensionError,
+    MarkovPair,
     ProductPair,
     RatioDist,
     SizeError,
     ValidityError,
     exact_ratio_product,
+    generate_markov_instance,
+    generate_product_instance,
     np_boundary,
     tv_discrete,
     tv_of_ratio,
 )
 
+from tvdist.markov import _steps as chain_steps
 from tvdist.product import _steps as product_steps
 from tvdist.ratios import _combine, _fold, _live_pairs
 
@@ -243,6 +247,64 @@ class TestFold:
             with pytest.raises(SizeError):
                 _fold(_live_pairs(product_steps(pair)), _combine, 4)
             assert (np.geterr(), np.geterrcall()) == state
+
+
+def _live_pairs_step_by_step(steps) -> list:
+    """`_live_pairs` as one pass per step: the reference for its bits."""
+    pairs, over = [], []
+    with np.errstate(over="call", call=lambda kind, flag: over.append(kind)):
+        for p_rows, q_rows in steps:
+            rows, cols = (q_rows > 0).nonzero()
+            weight = q_rows[rows, cols]
+            ratio = p_rows[rows, cols] / weight
+            if over:
+                finite = ratio < np.inf
+                rows, cols, ratio, weight = rows[finite], cols[finite], ratio[finite], weight[finite]
+                over.clear()
+            pairs.append((rows, cols, ratio, weight, q_rows.shape[0]))
+    return pairs
+
+
+_OVERFLOW = [0.5, 0.5, 5e-324]  # p / q overflows where p > 0
+_ROWS = [[0.3, 0.4, 0.3], [0.2, 0.4, 0.4], [0.1, 0.5, 0.4]]
+
+LIVE_PAIR_STEPS = {
+    "product": product_steps(generate_product_instance(6, 4, seed=3, skew=1.0)),
+    "chain": chain_steps(generate_markov_instance(5, 3, seed=3, skew=1.0)),
+    "one-step": product_steps(generate_product_instance(1, 5, seed=4, skew=1.0)),
+    "product-zeros-in-q": product_steps(
+        ProductPair(np.tile([0.5, 0.3, 0.2], (4, 1)), [[0.55, 0.45, 0.0], [0.0, 0.5, 0.5]] * 2)
+    ),
+    "chain-zeros-in-q": chain_steps(
+        MarkovPair(
+            [0.5, 0.5], [1.0, 0.0], np.tile([[0.7, 0.3], [0.2, 0.8]], (3, 1, 1)),
+            np.tile([[1.0, 0.0], [0.3, 0.7]], (3, 1, 1)),
+        )
+    ),
+    "product-ratio-overflow": product_steps(ProductPair(np.tile(_ROWS[0], (4, 1)), np.tile(_OVERFLOW, (4, 1)))),
+    "markov-ratio-overflow": chain_steps(
+        MarkovPair(
+            [0.2, 0.3, 0.5], _OVERFLOW, np.tile(_ROWS, (3, 1, 1)), np.tile([_OVERFLOW, *_ROWS[1:]], (3, 1, 1))
+        )
+    ),
+    # one step overflows and the others do not
+    "one-step-overflows": product_steps(ProductPair([_ROWS[0]] * 3, [_ROWS[1], _OVERFLOW, _ROWS[2]])),
+}
+
+
+@pytest.mark.parametrize("name", LIVE_PAIR_STEPS)
+def test_live_pairs_match_the_step_by_step_reference_bitwise(name):
+    steps = LIVE_PAIR_STEPS[name]
+    got, want = _live_pairs(steps), _live_pairs_step_by_step(steps)
+    assert len(got) == len(want) == len(steps)
+    if "overflow" in name:  # a pair was left out
+        assert sum(rows.size for rows, *_ in got) < sum(int(np.count_nonzero(q_rows)) for _, q_rows in steps)
+    for got_step, want_step in zip(got, want):
+        *got_arrays, got_height = got_step
+        *want_arrays, want_height = want_step
+        assert got_height == want_height
+        for a, b in zip(got_arrays, want_arrays):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _combine_by_lexsort(values, masses, sizes):
