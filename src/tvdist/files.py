@@ -138,23 +138,23 @@ def instance_digest(pair: ProductPair | MarkovPair) -> str:
 def emit_report(report: EstimateReport, mode: str, digest: str) -> str:
     """Report document of one run in `mode` on the instance with `digest`.
 
-    The keys come in a fixed order; `epsilon` is left out when the run has
-    none, as exact and oracle runs do, and so is `tries`, which follows
-    `max_support` in an estimator's run.  A certified run's `upper` and
-    `eps_s` follow all the other keys; runs without them leave them out.
+    The keys come in a fixed order, and a key whose value is None is left
+    out: `epsilon` and `tries` in exact and oracle runs, which have no
+    epsilon, and `upper` and `eps_s` in runs that certify nothing.
     """
-    doc = {"mode": mode, "estimate": report.estimate}
-    if report.epsilon is not None:
-        doc["epsilon"] = report.epsilon
-    doc.update({"d_lb": report.d_lb, "max_support": report.max_support})
-    if report.epsilon is not None:
-        doc["tries"] = report.tries
-    doc.update({"elapsed_ms": report.elapsed * 1e3, "instance_digest": digest})
-    if report.upper is not None:
-        doc["upper"] = report.upper
-    if report.eps_s is not None:
-        doc["eps_s"] = report.eps_s
-    return json.dumps(doc, indent=1) + "\n"
+    record = {
+        "mode": mode,
+        "estimate": report.estimate,
+        "epsilon": report.epsilon,
+        "d_lb": report.d_lb,
+        "max_support": report.max_support,
+        "tries": None if report.epsilon is None else report.tries,
+        "elapsed_ms": report.elapsed * 1e3,
+        "instance_digest": digest,
+        "upper": report.upper,
+        "eps_s": report.eps_s,
+    }
+    return json.dumps({key: value for key, value in record.items() if value is not None}, indent=1) + "\n"
 
 
 def region_csv(boundary: NPBoundary) -> str:

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidityError
+from .errors import DimensionError, ParameterError, SizeError, ValidityError
 from .ratios import (
     ROW_SUM_EXACT, VALIDITY_TOL, _combine, _fold, _is_real, _live_pairs, _table, _tv, _validate_rows,
     tv_discrete,
@@ -95,11 +95,23 @@ class EstimateReport:
             raise ValidityError(f"upper bound {self.upper!r} below the estimate {self.estimate!r}")
 
 
-#: Largest step, in entries, that an estimator's fold may build: the entries
-#: of the step (`ratios._fold`) are checked against it before the step
-#: allocates.  Measured at the paper's width, before the certified schedule,
-#: the largest merged or spread table times its step's column count was
-#: 2,920,310 in the tests and 352,030 in the benchmark.
+#: The estimators' one size cap, read at call time.  A fold step may build at
+#: most this many entries (`ratios._fold` checks them before the step
+#: allocates), and a partition may have at most this many low-side cells m
+#: (`_partition`, before any fold runs at it), so a merge's dense slot map
+#: (`sparsify._cell_sums`) has at most 2 * cap + 3 slots, or 2**16 if more.
+#: In bytes, a step peaked at about 52 B per entry it built (tracemalloc,
+#: chains of q 100 to 300 and n 3: 51.3 to 51.9 B), and a slot map takes 9 B
+#: a slot, a bool and an intp: at 2**26, about 3.5 GB and 1.2 GB.  One merge
+#: of a 1,000-entry one-state table at m = 2**26 took 50-150 ms (five runs)
+#: and 1,152 MiB of address space, about 100 MB of it resident (2 cores,
+#: numpy 2.4.6).  Measured at the paper's width, before the certified
+#: schedule, the largest merged or spread table times its step's column
+#: count was 2,920,310 in the tests and 352,030 in the benchmark.  Only the
+#: paper-width fold after two missed law passes comes near the cap in m: the
+#: benchmark's estimates build no partition past m = 44, the tests' past
+#: m = 1,471,928 (a chain made to miss twice), while a product estimate at
+#: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
 MAX_TABLE_ENTRIES = 2**26
 
 #: Every certified exit (`_schedule`) is estimate >= (1 - eps) * upper *
@@ -190,6 +202,21 @@ def _free_bound(total: float, steps) -> float:
     return total + n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * math.ulp(1.0))
 
 
+def _partition(eps_s: float, delta_s: float):
+    """The partition at width eps_s and tail delta_s, refused past MAX_TABLE_ENTRIES low-side cells.
+
+    Every fold of the schedule runs at one of these, and a merge's slot map
+    has 2m + 3 slots, so m is checked before any fold does.
+    """
+    part = build_partition(eps_s, delta_s)
+    if part.m > MAX_TABLE_ENTRIES:
+        raise SizeError(
+            f"partition for eps_s={eps_s!r}, delta_s={delta_s!r} "
+            f"needs m={part.m:.4g} low-side intervals, beyond the cap of {MAX_TABLE_ENTRIES}"
+        )
+    return part
+
+
 def _merged(pairs, part):
     """The merge fold at `part`: its final table, its estimate and its peak.
 
@@ -241,8 +268,9 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, total: float, return_r
     smaller tail only raises m, and the clip of the keys at m never binds
     below 1 - 2**-53, whose closed form is about half the m of a tail of
     2**-104, so every float keeps its cell.  The folds share the steps' live
-    pairs, read once after the fold-free exit (`_live_pairs`).  `peak` is
-    the largest table any of the folds built.
+    pairs, read once after the fold-free exit (`_live_pairs`), and each
+    partition is held against MAX_TABLE_ENTRIES before any of them runs at
+    it (`_partition`).  `peak` is the largest table any of the folds built.
     """
 
     def holds(estimate, upper):
@@ -260,7 +288,7 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, total: float, return_r
     kept, peak = (-1.0, None, None), 0
     width = math.sqrt(BRACKET_LAW_K * eps / n)
     for tries in (1, 2):
-        part = build_partition(width, min(width / paper_eps * paper_delta, 0.5))
+        part = _partition(width, min(width / paper_eps * paper_delta, 0.5))
         table, estimate, support = _merged(pairs, part)
         peak = max(peak, support)
         if estimate > kept[0]:
@@ -272,7 +300,7 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, total: float, return_r
         if holds(estimate, upper):
             return *kept, upper, peak, tries
         width *= math.sqrt(eps / (2.0 * max(1.0 - estimate / upper, 2.0**-53)))
-    table, estimate, support = _merged(pairs, build_partition(paper_eps, paper_delta))
+    table, estimate, support = _merged(pairs, _partition(paper_eps, paper_delta))
     return estimate, table, None, None, max(peak, support), tries + 1
 
 

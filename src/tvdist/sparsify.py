@@ -57,18 +57,6 @@ class IntervalPartition:
         return 2 * self.m + 3
 
 
-#: Largest low-side cell count m that build_partition accepts.  The partition
-#: is two numbers; the cap bounds a fold at it.  `_cell_sums` maps the
-#: 2m + 3 slots of at least one state densely, a bool and an intp map of 9
-#: bytes a slot, and scans them once per step.  At the cap, one merge of a
-#: 1,000-entry one-state table took 50-150 ms (five runs) and 1,152 MiB of
-#: address space, about 100 MB of it resident (2 cores, numpy 2.4.6).  Only
-#: the paper-width fold after two missed law passes comes near it: the
-#: benchmark's estimates build no partition past m = 44, the tests' past
-#: m = 1,471,928 (a chain made to miss twice), while a product estimate at
-#: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
-MAX_PARTITION_M = 2**26
-
 #: The largest float: an overflowing raised top cell stops there.
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -79,17 +67,19 @@ def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
     The low-side cell count is the smallest m with (1+eps_s)**(-m) at most
     delta_s, so low cell m, every u with 1 - u below about (1+eps_s)**(-m),
     is delta_s-narrow, while each earlier cell spans a factor 1 + eps_s in
-    1 - u.  Raises SizeError when m would exceed MAX_PARTITION_M.
+    1 - u.  Raises SizeError only when the count overflows a float; the
+    estimators bound m themselves, by `product.MAX_TABLE_ENTRIES`, before
+    they fold at a partition (`product._partition`).
     """
     if not (_is_real(eps_s) and math.isfinite(eps_s) and eps_s > 0):
         raise ParameterError(f"eps_s must be a positive finite real, got {eps_s}")
     if not (_is_real(delta_s) and 0.0 < delta_s < 1.0):
         raise ParameterError(f"delta_s must lie strictly between 0 and 1, got {delta_s}")
     cells = -math.log(delta_s) / math.log1p(eps_s)
-    if not cells <= MAX_PARTITION_M:
+    if not math.isfinite(cells):
         raise SizeError(
             f"partition for eps_s={float(eps_s)!r}, delta_s={float(delta_s)!r} "
-            f"needs m={cells:.4g} low-side intervals, beyond the cap of {MAX_PARTITION_M}"
+            "needs more low-side intervals than a float can count"
         )
     return IntervalPartition(float(eps_s), int(math.ceil(cells)))
 

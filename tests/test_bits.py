@@ -10,10 +10,12 @@ a finding to report, not a reason to loosen a pin.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+import tvdist.product as product_mod
 from tvdist import (
     MarkovPair, ProductPair, estimate_markov_tv, estimate_product_tv, exact_ratio_markov,
     exact_ratio_product, generate_markov_instance, generate_product_instance,
@@ -94,6 +96,30 @@ def test_fold_free_runs_keep_their_bits(estimate, pair, pins):
     report = estimate(pair, 0.05)
     assert (report.estimate.hex(), report.upper.hex(), report.d_lb.hex()) == pins
     assert (report.tries, report.max_support, report.iterations) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "estimate, pair, pins, table_sha",
+    [
+        (
+            estimate_product_tv, near_product(2, 10, 4, 0.05), ("0x1.a4bb0ce62efe5p-5", 7808, 9),
+            "0e4f9776d93b73be7cc09629367677ed45468ae031032f0d67b4288ac3faf91b",
+        ),
+        (
+            estimate_markov_tv, near_chain(2, 8, 3, 0.05), ("0x1.4260ca35ce4b6p-5", 3817, 7),
+            "5ac88660a154bac142af2ac565f26bdeb8e91590af310a4a93cc932d1f630454",
+        ),
+    ],
+    ids=["product", "chain"],
+)
+def test_paper_width_runs_keep_their_bits(estimate, pair, pins, table_sha, monkeypatch):
+    # no certificate can hold, so both law widths miss and the paper's width
+    # ends the run with its own table
+    monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
+    report, table = estimate(pair, 0.1, return_ratio=True)
+    assert (report.estimate.hex(), report.max_support, report.iterations) == pins
+    assert (report.tries, report.upper, report.eps_s) == (3, None, None)
+    assert sha256(table) == table_sha
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,25 @@ def test_every_private_name_is_read_by_the_package():
     assert unread == []
 
 
+def test_every_constant_is_read_by_the_package():
+    # an upper-case module constant that no module reads, by name or as a
+    # module's attribute, caps or tunes nothing
+    read = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{stem}: {name}"
+        for stem, tree in MODULES.items()
+        for name in sorted(_defined(tree))
+        if name.isupper() and name not in read
+    ]
+    assert unread == []
+
+
 def _dataclass_fields(tree):
     """(class, field) for every annotated field of a top-level dataclass."""
     classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]

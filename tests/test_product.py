@@ -1,10 +1,13 @@
 """Product-distribution estimator: examples, guarantees, support control."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tvdist.product as product_mod
+import tvdist.ratios as ratios_mod
 from tvdist import (
     DimensionError,
     MarkovPair,
@@ -16,6 +19,7 @@ from tvdist import (
     brute_force_tv_product,
     estimate_markov_tv,
     estimate_product_tv,
+    generate_markov_instance,
     generate_product_instance,
     product_lower_bound,
     tv_discrete,
@@ -229,3 +233,93 @@ class TestEstimateProductTv:
         assert estimate_markov_tv(pair, 0.2).estimate < 0.5
         # two tries of a merge and a spread fold each, then the paper's merge
         assert seen.count("reduce") >= pair.n - 1 and seen.count("step") == 5 * pair.n
+
+
+#: One product and one chain whose steps build at most 81 entries; at
+#: eps = 1e-5 each certifies on its first law width, a partition of
+#: hundreds of low-side cells.
+CAP_CASES = [
+    (estimate_product_tv, generate_product_instance(4, 3, seed=5)),
+    (estimate_markov_tv, generate_markov_instance(4, 3, seed=5)),
+]
+
+#: The most bytes a fold step held at its peak per entry it built, rounded
+#: up from 51.3 to 51.9 measured with tracemalloc on chains of q 100 to 300.
+BYTES_PER_ENTRY = 52
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The arguments of every fold the estimators run."""
+    calls, fold = [], product_mod._fold
+    monkeypatch.setattr(product_mod, "_fold", lambda *args: calls.append(args) or fold(*args))
+    return calls
+
+
+class TestSizeCap:
+    """MAX_TABLE_ENTRIES bounds a step's entries and a partition's m alike."""
+
+    def test_rejects_oversized_partition(self, folds):
+        # at eps = 1e-15 the first law width already needs m = 2.1e8 low-side
+        # cells, so the run stops before any fold
+        cap = product_mod.MAX_TABLE_ENTRIES
+        for estimate, pair in CAP_CASES:
+            with pytest.raises(SizeError, match=rf"^partition for .* intervals, beyond the cap of {cap}$"):
+                estimate(pair, 1e-15)
+        assert folds == []
+
+    @pytest.mark.parametrize("estimate, pair", CAP_CASES, ids=["product", "chain"])
+    def test_a_partition_of_cap_cells_folds(self, estimate, pair, folds, monkeypatch):
+        built, build = [], product_mod.build_partition
+        monkeypatch.setattr(product_mod, "build_partition", lambda e, d: built.append(build(e, d)) or built[-1])
+        report = estimate(pair, 1e-5)
+        [part] = built
+        monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", part.m)
+        at_cap = estimate(pair, 1e-5)
+        assert (at_cap.estimate, at_cap.upper, at_cap.tries) == (report.estimate, report.upper, 1)
+        folds.clear()
+        monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", part.m - 1)
+        with pytest.raises(SizeError, match=rf"m={part.m} low-side intervals, beyond the cap of {part.m - 1}$"):
+            estimate(pair, 1e-5)
+        assert folds == []
+
+    def test_memory_stays_within_the_cap(self, monkeypatch):
+        # a wide chain (q 100, n 3, two law tries) at a cap of exactly its
+        # largest step peaks within the cap's bytes: its entries, and a slot
+        # map of 2 * cap + 3 slots at 9 B each
+        pair = generate_markov_instance(3, 100, seed=1)
+        sizes, step = [], ratios_mod._step
+
+        def sized_step(*args):
+            out = step(*args)
+            sizes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(ratios_mod, "_step", sized_step)
+        estimate_markov_tv(pair, 0.05)
+        monkeypatch.setattr(ratios_mod, "_step", step)
+        cap = max(sizes)
+        peaks, fold = [], product_mod._fold
+
+        def traced_fold(*args):
+            tracemalloc.reset_peak()
+            try:
+                return fold(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(product_mod, "_fold", traced_fold)
+        tracemalloc.start()
+        try:
+            monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", cap)
+            assert estimate_markov_tv(pair, 0.05).tries == 2
+            at_cap = max(peaks)
+            # one entry lower, the largest step is refused before it
+            # allocates, so the fold it ends peaks far below its bytes
+            monkeypatch.setattr(product_mod, "MAX_TABLE_ENTRIES", cap - 1)
+            with pytest.raises(SizeError, match=f"^a step would build {cap} entries, beyond the cap of {cap - 1}$"):
+                estimate_markov_tv(pair, 0.05)
+        finally:
+            tracemalloc.stop()
+        assert at_cap <= BYTES_PER_ENTRY * cap + 9 * (2 * cap + 3)
+        assert peaks[-1] <= BYTES_PER_ENTRY * cap / 4

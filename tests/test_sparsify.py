@@ -79,10 +79,15 @@ class TestBuildPartition:
             last = np.searchsorted(keys, keys, side="right") - 1
             assert np.all((1.0 - values[first]) / (1.0 - values[last]) <= (1 + eps) * (1 + 1e-12))
 
-    def test_rejects_oversized_partition(self):
-        # eps = 1e-3 at n = 10**4 would need m = 336,224,866 boundaries
-        with pytest.raises(SizeError):
-            build_partition(5e-8, 5e-8)
+    def test_counts_any_finite_partition(self):
+        # no cap here: m = 336,224,866, as eps = 1e-3 at n = 10**4 would
+        # need, is two numbers; the estimators refuse it (`product._partition`)
+        assert build_partition(5e-8, 5e-8).m == 336_224_866
+
+    def test_rejects_a_count_past_the_floats(self):
+        # log(2) / 5e-324 overflows, so m has no integer to round up to
+        with pytest.raises(SizeError, match="than a float can count$"):
+            build_partition(5e-324, 0.5)
 
     @pytest.mark.parametrize(
         "eps,delta",
