@@ -67,9 +67,8 @@ class MarkovPair:
 
 
 def _steps(pair: MarkovPair) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The fold's steps: kernels from the last back to the first, then the start."""
-    kernels = [(pair.p_kernels[k], pair.q_kernels[k]) for k in reversed(range(pair.n - 1))]
-    return kernels + [(pair.p_init[None, :], pair.q_init[None, :])]
+    """The fold's steps as two stacks: the kernels, last to first (none if n = 1), then the start."""
+    return [(pair.p_kernels[::-1], pair.q_kernels[::-1]), (pair.p_init[None, None], pair.q_init[None, None])]
 
 
 def _bounds(pair: MarkovPair) -> tuple[float, float]:

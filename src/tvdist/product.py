@@ -146,31 +146,33 @@ def product_lower_bound(pair: ProductPair) -> float:
 
 
 def _steps(pair: ProductPair) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The fold's steps: one single-row pair per coordinate, in order."""
-    return [(pair.p_marginals[k : k + 1], pair.q_marginals[k : k + 1]) for k in range(pair.n)]
+    """The fold's steps as one stack: each coordinate's single row pair, in order."""
+    return [(pair.p_marginals[:, None], pair.q_marginals[:, None])]
 
 
-def _affinity_gap(steps) -> float:
+def _affinity_gap(stacks) -> float:
     """1 - BC, where BC is the Bhattacharyya coefficient of the folded pair.
 
     TV >= 1 - BC (Le Cam), and BC = sum_x sqrt(p(x) q(x)) factorizes over the
     steps the way the ratio tables do: v <- sqrt(P * Q) @ v from v = 1, with
-    a single entry serving every column.  Each step rescales v to a maximum
-    of 1 and keeps the scale as a logarithm, so thousands of steps cannot
-    underflow.  Disjoint supports give BC = 0 and a gap of exactly 1.
+    a single entry serving every column, for each step of each stack in
+    turn.  Each step rescales v to a maximum of 1 and keeps the scale as a
+    logarithm, so thousands of steps cannot underflow.  Disjoint supports
+    give BC = 0 and a gap of exactly 1.
     """
     v, log_bc = np.ones(1), 0.0
-    for p_rows, q_rows in steps:
-        v = np.sqrt(p_rows * q_rows) @ np.broadcast_to(v, p_rows.shape[1])
-        top = float(np.max(v))
-        if top == 0.0:
-            return 1.0
-        v /= top
-        log_bc += math.log(top)
+    for p_stack, q_stack in stacks:
+        for p_rows, q_rows in zip(p_stack, q_stack):
+            v = np.sqrt(p_rows * q_rows) @ np.broadcast_to(v, p_rows.shape[1])
+            top = float(np.max(v))
+            if top == 0.0:
+                return 1.0
+            v /= top
+            log_bc += math.log(top)
     return -math.expm1(log_bc)
 
 
-def _free_bound(total: float, steps) -> float:
+def _free_bound(total: float, pair) -> float:
     """An upper bound on TV, and on the float max(d_lb, 1 - BC), from the sum S.
 
     `total` is S, the float sum of the run's per-step distances (`_bounds`,
@@ -198,7 +200,7 @@ def _free_bound(total: float, steps) -> float:
     The terms add to n**2 * delta + (2*n**2*q + 2*n**2 + 2*n*q + 5*n + 3) * u,
     which leaves the bound more than 14 * n**2 * u for second-order terms.
     """
-    n, q = len(steps), steps[0][1].shape[1]
+    n, q = pair.n, pair.q
     return total + n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * math.ulp(1.0))
 
 
@@ -238,7 +240,7 @@ def _spread(pairs, part):
     return _tv(values, masses) + max(0.0, 1.0 - float(np.sum(masses))), peak
 
 
-def _schedule(steps, eps: float, slack: int, d_lb: float, total: float, return_ratio: bool):
+def _schedule(pair, steps, eps: float, slack: int, d_lb: float, total: float, return_ratio: bool):
     """Decide when a run with d_lb > 0 stops; return (estimate, table, width, upper, peak, tries).
 
     Every certified exit is one rule, estimate >= (1 - eps) * upper *
@@ -279,11 +281,11 @@ def _schedule(steps, eps: float, slack: int, d_lb: float, total: float, return_r
     upper = 1.0
     if (
         not return_ratio
-        and holds(_free_bound(total, steps), upper)
+        and holds(_free_bound(total, pair), upper)
         and holds(gap := max(d_lb, _affinity_gap(steps)), upper)
     ):
         return gap, None, eps, upper, 0, 0
-    n, pairs = len(steps), _live_pairs(steps)
+    n, pairs = pair.n, _live_pairs(steps)
     paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
     kept, peak = (-1.0, None, None), 0
     width = math.sqrt(BRACKET_LAW_K * eps / n)
@@ -319,19 +321,19 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     eps = float(eps)
     start = time.perf_counter()
     d_lb, total = bounds(pair)
-    n = len(steps)
+    n = pair.n
     tries = 0
     upper = eps_s = ratio = None
     if n == 1:
-        [(p_rows, q_rows)] = steps
-        estimate = tv_discrete(p_rows[0], q_rows[0])
+        p_rows, q_rows = steps[-1]
+        estimate = tv_discrete(p_rows[0, 0], q_rows[0, 0])
         # one step: no reduce runs
         ratio = _table(*_fold(_live_pairs(steps), _combine, MAX_TABLE_ENTRIES)[:2])
         max_support = len(ratio)
     elif d_lb == 0.0:
         estimate, ratio, max_support = 0.0, _table(np.ones(1), np.ones(1)), 1
     else:
-        schedule = _schedule(steps, eps, slack, d_lb, total, return_ratio)
+        schedule = _schedule(pair, steps, eps, slack, d_lb, total, return_ratio)
         estimate, table, eps_s, upper, max_support, tries = schedule
         if return_ratio:
             ratio = _table(*table)

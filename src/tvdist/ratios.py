@@ -12,9 +12,11 @@ holding each state's table length.  The per-entry state is derived from
 `sizes` only where it is needed: by the slot map of many states and where
 a step lost entries (`_drop_lost`), so the estimators' one-state tables
 pay nothing for it.  The exact pipelines' reducer (`_combine`) sorts each
-state's table on its own and needs no state either.  One step (`_step`)
-mixes the tables into the next state's tables all at once, each scaled by
-a live row pair's ratio and weighted by its q-mass (`_live_pairs`),
+state's table on its own and needs no state either.  A run's steps are
+the pair's own arrays, stacked: (P, Q) views of shape (steps, rows,
+columns) in fold order, which `_live_pairs` reads one stack at a time.  One
+step (`_step`) mixes the tables into the next state's tables all at once,
+each scaled by a live row pair's ratio and weighted by its q-mass,
 unsorted and unchecked.  A table leaves the fold as a sorted, checked
 `RatioDist` (`_table`).  Probability vectors are plain arrays, and
 `_validate_rows` is the package's one row rule: `tv_discrete` and the pair
@@ -182,9 +184,6 @@ class NPBoundary:
         if np.any(np.diff(verts, axis=0) < 0):
             raise ValidityError("vertex coordinates must be nondecreasing")
 
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
-
 
 def tv_discrete(p, q) -> float:
     """Total variation distance between two aligned probability vectors.
@@ -208,25 +207,21 @@ def tv_discrete(p, q) -> float:
     return half
 
 
-def _live_pairs(steps) -> list:
+def _live_pairs(stacks) -> list:
     """Each step's live row pairs, for `_fold`: (rows, cols, ratio, weight, row count).
 
-    A pair (r, s) is live where Q[r, s] > 0, in row-major order, with ratio
-    P[r, s] / Q[r, s] and weight Q[r, s].  A pair whose ratio overflows is
-    left out: every entry it would build has an infinite or NaN value, which
-    the distance only loses from and an upper bound adds back.  Steps of one
-    shape are read in one pass over their stacked rows, whose row-major
-    order is each step's in turn, and split back into one tuple per step.
-    A run reads its steps once, and its merge and spread folds share them.
+    The steps come as stacks (P, Q) of shape (steps, rows, columns), in fold
+    order.  A pair (r, s) is live where Q[r, s] > 0, in row-major order, with
+    ratio P[r, s] / Q[r, s] and weight Q[r, s].  A pair whose ratio
+    overflows is left out: every entry it would build has an infinite or NaN
+    value, which the distance only loses from and an upper bound adds back.
+    Each stack is read in one pass, whose row-major order is each step's in
+    turn, and cut into one tuple per step.  A run reads its steps once, and
+    its merge and spread folds share them.
     """
-    shapes = {}
-    for k, (_, q_rows) in enumerate(steps):
-        shapes.setdefault(q_rows.shape, []).append(k)
-    pairs, over = [None] * len(steps), []
+    pairs, over = [], []
     with np.errstate(over="call", call=lambda kind, flag: over.append(kind)):
-        for (height, width), ks in shapes.items():
-            p_rows = np.concatenate([steps[k][0] for k in ks]).reshape(len(ks), height, width)
-            q_rows = np.concatenate([steps[k][1] for k in ks]).reshape(len(ks), height, width)
+        for p_rows, q_rows in stacks:
             live = q_rows > 0
             weight = q_rows[live]
             ratio = p_rows[live] / weight
@@ -235,9 +230,9 @@ def _live_pairs(steps) -> list:
                 finite = ratio < np.inf
                 step, rows, cols, ratio, weight = (a[finite] for a in (step, rows, cols, ratio, weight))
                 over.clear()
-            start = 0
-            for k, end in zip(ks, np.cumsum(np.bincount(step, minlength=len(ks))).tolist()):
-                pairs[k] = rows[start:end], cols[start:end], ratio[start:end], weight[start:end], height
+            start, height = 0, q_rows.shape[1]
+            for end in np.cumsum(np.bincount(step, minlength=len(q_rows))).tolist():
+                pairs.append((rows[start:end], cols[start:end], ratio[start:end], weight[start:end], height))
                 start = end
     return pairs
 

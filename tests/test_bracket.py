@@ -662,7 +662,7 @@ def _free_bound_of(pair):
     """(S, the free bound, d_lb, 1 - BC) of the pair, as the schedule computes them."""
     bounds = product_bounds if isinstance(pair, ProductPair) else chain_bounds
     (d_lb, total), steps = bounds(pair), _kind(pair)[3]
-    return total, _free_bound(total, steps), d_lb, _affinity_gap(steps)
+    return total, _free_bound(total, pair), d_lb, _affinity_gap(steps)
 
 
 def test_the_free_bound_holds_exactly():

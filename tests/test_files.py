@@ -167,7 +167,7 @@ class TestRegionCsv:
         assert lines[0] == "x,y"
         assert lines[1] == "0.0,0.0"
         assert lines[-1] == "1.0,1.0"
-        assert len(lines) == 1 + len(boundary)
+        assert len(lines) == 1 + len(boundary.vertices)
 
 
 class TestGeneration:

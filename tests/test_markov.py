@@ -115,7 +115,7 @@ def mix(px, qx, tables):
     """One fold step (`_step`) from one (values, masses) table per state, read off as one table."""
     sizes = np.array([len(values) for values, _ in tables])
     values, masses = (np.concatenate(column) for column in zip(*tables))
-    [pairs] = _live_pairs([(np.array([px]), np.array([qx]))])
+    [pairs] = _live_pairs([(np.array([[px]]), np.array([[qx]]))])
     return _table(*_step(values, masses, sizes, *pairs)[:2])
 
 

@@ -249,19 +249,20 @@ class TestFold:
             assert (np.geterr(), np.geterrcall()) == state
 
 
-def _live_pairs_step_by_step(steps) -> list:
-    """`_live_pairs` as one pass per step: the reference for its bits."""
+def _live_pairs_step_by_step(stacks) -> list:
+    """`_live_pairs` as one pass per step of each stack: the reference for its bits."""
     pairs, over = [], []
     with np.errstate(over="call", call=lambda kind, flag: over.append(kind)):
-        for p_rows, q_rows in steps:
-            rows, cols = (q_rows > 0).nonzero()
-            weight = q_rows[rows, cols]
-            ratio = p_rows[rows, cols] / weight
-            if over:
-                finite = ratio < np.inf
-                rows, cols, ratio, weight = rows[finite], cols[finite], ratio[finite], weight[finite]
-                over.clear()
-            pairs.append((rows, cols, ratio, weight, q_rows.shape[0]))
+        for p_stack, q_stack in stacks:
+            for p_rows, q_rows in zip(p_stack, q_stack):
+                rows, cols = (q_rows > 0).nonzero()
+                weight = q_rows[rows, cols]
+                ratio = p_rows[rows, cols] / weight
+                if over:
+                    finite = ratio < np.inf
+                    rows, cols, ratio, weight = rows[finite], cols[finite], ratio[finite], weight[finite]
+                    over.clear()
+                pairs.append((rows, cols, ratio, weight, q_rows.shape[0]))
     return pairs
 
 
@@ -289,6 +290,13 @@ LIVE_PAIR_STEPS = {
     ),
     # one step overflows and the others do not
     "one-step-overflows": product_steps(ProductPair([_ROWS[0]] * 3, [_ROWS[1], _OVERFLOW, _ROWS[2]])),
+    # the kernels and the start have one shape, and stay two stacks
+    "chain-q-1": chain_steps(MarkovPair([1.0], [1.0], [[[1.0]]] * 3, [[[1.0]]] * 3)),
+    # an empty kernel stack, then the start
+    "one-step-chain": chain_steps(generate_markov_instance(1, 4, seed=5, skew=1.0)),
+    "chain-zero-in-q-init": chain_steps(
+        MarkovPair([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], np.tile(_ROWS, (3, 1, 1)), np.tile(_ROWS[::-1], (3, 1, 1)))
+    ),
 }
 
 
@@ -296,7 +304,7 @@ LIVE_PAIR_STEPS = {
 def test_live_pairs_match_the_step_by_step_reference_bitwise(name):
     steps = LIVE_PAIR_STEPS[name]
     got, want = _live_pairs(steps), _live_pairs_step_by_step(steps)
-    assert len(got) == len(want) == len(steps)
+    assert len(got) == len(want) == sum(len(q_stack) for _, q_stack in steps)
     if "overflow" in name:  # a pair was left out
         assert sum(rows.size for rows, *_ in got) < sum(int(np.count_nonzero(q_rows)) for _, q_rows in steps)
     for got_step, want_step in zip(got, want):
@@ -305,6 +313,20 @@ def test_live_pairs_match_the_step_by_step_reference_bitwise(name):
         assert got_height == want_height
         for a, b in zip(got_arrays, want_arrays):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_steps_are_views_of_the_pair():
+    # no step is copied or concatenated on its way to the fold
+    product = generate_product_instance(6, 4, seed=3, skew=1.0)
+    [(p_rows, q_rows)] = product_steps(product)
+    assert np.shares_memory(p_rows, product.p_marginals) and np.shares_memory(q_rows, product.q_marginals)
+    chain = generate_markov_instance(5, 3, seed=3, skew=1.0)
+    (p_kernels, q_kernels), (p_init, q_init) = chain_steps(chain)
+    assert np.shares_memory(p_kernels, chain.p_kernels) and np.shares_memory(q_kernels, chain.q_kernels)
+    assert np.shares_memory(p_init, chain.p_init) and np.shares_memory(q_init, chain.q_init)
+    # in fold order: the last kernel first
+    assert p_kernels.shape == (4, 3, 3) and np.array_equal(p_kernels[0], chain.p_kernels[-1])
+    assert p_init.shape == (1, 1, 3)
 
 
 def _combine_by_lexsort(values, masses, sizes):
