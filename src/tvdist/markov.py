@@ -6,7 +6,7 @@ step merges every state's table and mixes them all with the preceding
 transition rows at once; the final step mixes against the initial
 distributions, yielding the trajectory-level ratio.  The Bhattacharyya
 coefficient of the two trajectory distributions factorizes over the same
-steps, so the product estimator's stopping rule (`product._schedule`) can
+steps, so the product estimator's stopping rule (`product._estimate`) can
 certify the Hellinger lower bound 1 - BC with no fold: the report then has
 `iterations` 0 and `upper` 1.0.  The hybrid terms behind d_lb are computed
 once per run (`_bounds`); their sum bounds the distance from above, and

@@ -4,17 +4,18 @@ A product is the one-state case of the shared fold (`ratios._fold`): each
 coordinate is one step whose single row pair multiplies into the running
 table, in coordinate order, and the table is sparsified before each step so
 its support stays bounded.  The returned estimate always lower-bounds the
-true total variation distance and is within a (1 - eps) factor of it.  The
-width schedule (`_schedule`) proves that by one rule, estimate >=
-(1 - eps) * upper, for a proven upper bound that starts at 1: first for the
-Hellinger lower bound 1 - BC (BC the Bhattacharyya coefficient), with no
-fold, where the free upper bound from the per-step distances says it could
-hold, then for merge folds at up to two law-sized cell widths against
-spread folds at the same widths.  Only when both widths miss does a fold
-at the paper's a priori width eps / (slack * n), which needs no
-certificate, end the run.  A caller that asks for the final table
-(`return_ratio=True`, the CLI's `--emit-region`) always gets a fold.  The
-Markov estimator runs its steps through `_estimate` here as well.
+true total variation distance and is within a (1 - eps) factor of it.  One
+function (`_estimate`) holds every exit of a run, and its width schedule
+proves that by one rule, estimate >= (1 - eps) * upper, for a proven upper
+bound that starts at 1: first for the Hellinger lower bound 1 - BC (BC the
+Bhattacharyya coefficient), with no fold, where the free upper bound from
+the per-step distances says it could hold, then for merge folds at up to
+two law-sized cell widths against spread folds at the same widths.  Only
+when both widths miss does a fold at the paper's a priori width
+eps / (slack * n), which needs no certificate, end the run.  A caller that
+asks for the final table (`return_ratio=True`, the CLI's `--emit-region`)
+always gets a fold.  The Markov estimator runs its steps through
+`_estimate` here as well.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class EstimateReport:
 
     The estimators fill in `epsilon`; exact and oracle runs, which merge
     nothing, leave it None and report no iterations and no tries.  `tries`
-    counts the partitions the run folded at (`_schedule`), and `iterations`
+    counts the partitions the run folded at (`_estimate`), and `iterations`
     is n - 1 when it folded at any, else 0.  A certified run sets `upper`, a
     proven upper bound on the distance with estimate >= (1 - epsilon) *
     upper, and `eps_s`, the relative cell width of the fold whose estimate
@@ -114,7 +115,7 @@ class EstimateReport:
 #: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
 MAX_TABLE_ENTRIES = 2**26
 
-#: Every certified exit (`_schedule`) is estimate >= (1 - eps) * upper *
+#: Every certified exit (`_estimate`) is estimate >= (1 - eps) * upper *
 #: CERTIFY_MARGIN.  Both ends come out of floating-point arithmetic, so, like
 #: the paper-width estimate, the certificate holds up to rounding; the few
 #: ulps of margin only keep the comparison from accepting a tie.
@@ -240,8 +241,18 @@ def _spread(pairs, part):
     return _tv(values, masses) + max(0.0, 1.0 - float(np.sum(masses))), peak
 
 
-def _schedule(pair, steps, eps: float, slack: int, d_lb: float, total: float, return_ratio: bool):
-    """Decide when a run with d_lb > 0 stops; return (estimate, table, width, upper, peak, tries).
+def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
+    """Shared body of the product and Markov estimators: every exit of a run, in order.
+
+    `bounds` gives the pair's (d_lb, S) from one pass over its per-step
+    distances.  Every exit returns through `done`, which builds the report
+    by name: `iterations` is n - 1 when the run folded at any partition
+    (`tries` above 0), else 0, and with `return_ratio` the exit's final
+    table comes back beside the report.
+
+    Two cases are exact and fold at no partition: a single step reports the
+    half-L1 distance of its rows, rounded toward 0 (`tv_discrete`), and a
+    zero d_lb, which forces the distance to 0, an estimate of 0.
 
     Every certified exit is one rule, estimate >= (1 - eps) * upper *
     CERTIFY_MARGIN, with upper starting at 1 because TV <= 1.  Unless a
@@ -272,20 +283,43 @@ def _schedule(pair, steps, eps: float, slack: int, d_lb: float, total: float, re
     2**-104, so every float keeps its cell.  The folds share the steps' live
     pairs, read once after the fold-free exit (`_live_pairs`), and each
     partition is held against MAX_TABLE_ENTRIES before any of them runs at
-    it (`_partition`).  `peak` is the largest table any of the folds built.
+    it (`_partition`).  `max_support` is the largest table any of the folds
+    built.
     """
+    if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
+        raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
+    eps = float(eps)
+    start = time.perf_counter()
+    d_lb, total = bounds(pair)
+    n = pair.n
+
+    def done(estimate, table, max_support, tries=0, upper=None, eps_s=None):
+        report = EstimateReport(
+            estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support,
+            iterations=n - 1 if tries else 0, elapsed=time.perf_counter() - start, upper=upper,
+            eps_s=eps_s, tries=tries,
+        )
+        return (report, _table(*table)) if return_ratio else report
 
     def holds(estimate, upper):
         return estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN
 
+    if n == 1:
+        p_rows, q_rows = steps[-1]
+        # one step: no reduce runs, so its table, equal values combined, is exact
+        values, masses, _ = _fold(_live_pairs(steps), _combine, MAX_TABLE_ENTRIES)
+        table = _combine(values, masses, np.array([values.size]))[:2]
+        return done(tv_discrete(p_rows[0, 0], q_rows[0, 0]), table, table[0].size)
+    if d_lb == 0.0:
+        return done(0.0, (np.ones(1), np.ones(1)), 1)
     upper = 1.0
     if (
         not return_ratio
         and holds(_free_bound(total, pair), upper)
         and holds(gap := max(d_lb, _affinity_gap(steps)), upper)
     ):
-        return gap, None, eps, upper, 0, 0
-    n, pairs = pair.n, _live_pairs(steps)
+        return done(gap, None, 0, upper=upper, eps_s=eps)
+    pairs = _live_pairs(steps)
     paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
     kept, peak = (-1.0, None, None), 0
     width = math.sqrt(BRACKET_LAW_K * eps / n)
@@ -300,49 +334,10 @@ def _schedule(pair, steps, eps: float, slack: int, d_lb: float, total: float, re
             bound, support = _spread(pairs, part)
             upper, peak = min(upper, bound), max(peak, support)
         if holds(estimate, upper):
-            return *kept, upper, peak, tries
+            return done(estimate, kept[1], peak, tries, upper, kept[2])
         width *= math.sqrt(eps / (2.0 * max(1.0 - estimate / upper, 2.0**-53)))
     table, estimate, support = _merged(pairs, _partition(paper_eps, paper_delta))
-    return estimate, table, None, None, max(peak, support), tries + 1
-
-
-def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
-    """Shared body of the product and Markov estimators.
-
-    `bounds` gives the pair's (d_lb, S) from one pass over its per-step
-    distances.  Two cases are exact and fold at no partition: a single step
-    reports the half-L1 distance of its rows, rounded toward 0
-    (`tv_discrete`), and a zero d_lb, which forces the distance to 0, an
-    estimate of 0.  Every other run stops where the width schedule
-    (`_schedule`) decides.
-    """
-    if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
-    eps = float(eps)
-    start = time.perf_counter()
-    d_lb, total = bounds(pair)
-    n = pair.n
-    tries = 0
-    upper = eps_s = ratio = None
-    if n == 1:
-        p_rows, q_rows = steps[-1]
-        estimate = tv_discrete(p_rows[0, 0], q_rows[0, 0])
-        # one step: no reduce runs
-        ratio = _table(*_fold(_live_pairs(steps), _combine, MAX_TABLE_ENTRIES)[:2])
-        max_support = len(ratio)
-    elif d_lb == 0.0:
-        estimate, ratio, max_support = 0.0, _table(np.ones(1), np.ones(1)), 1
-    else:
-        schedule = _schedule(pair, steps, eps, slack, d_lb, total, return_ratio)
-        estimate, table, eps_s, upper, max_support, tries = schedule
-        if return_ratio:
-            ratio = _table(*table)
-    report = EstimateReport(
-        estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support,
-        iterations=n - 1 if tries else 0, elapsed=time.perf_counter() - start, upper=upper,
-        eps_s=eps_s, tries=tries,
-    )
-    return (report, ratio) if return_ratio else report
+    return done(estimate, table, max(peak, support), tries + 1)
 
 
 def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = False):

@@ -401,10 +401,13 @@ class TestSchedule:
 # and ends at the paper's width.  A spiky pair certifies by
 # max(d_lb, 1 - BC) with no fold, or, when its table is asked for,
 # saturates on its first try with no spread fold.  A single step reports
-# its half-L1 sum, rounded toward 0.
+# its half-L1 sum, rounded toward 0, and equal pairs report 0: both exits
+# are exact and fold at no partition.  The one-step chain repeats a ratio,
+# so its table combines three entries into two.
 SPREAD = "spread"
 SPIKY = generate_product_instance(8, 4, seed=0, skew=0.3)
 SAME = generate_product_instance(8, 4, seed=0, skew=1.0)
+SAME_CHAIN = generate_markov_instance(8, 4, seed=0, skew=1.0)
 EXACT_CASES = {
     "near-product": (_near_product(5, 8, 4, 0.05), False, 1, SPREAD),
     "near-chain": (_near_chain(5, 8, 4, 0.05), False, 1, SPREAD),
@@ -417,6 +420,12 @@ EXACT_CASES = {
     "spiky-product-saturated-try": (SPIKY, True, 1, 1.0),
     "equal-products-d_lb-0": (ProductPair(SAME.p_marginals, SAME.p_marginals), False, 0, None),
     "one-step-product": (generate_product_instance(1, 2, seed=9, skew=1.0), False, 0, None),
+    "equal-chains-d_lb-0": (
+        MarkovPair(SAME_CHAIN.p_init, SAME_CHAIN.p_init, SAME_CHAIN.p_kernels, SAME_CHAIN.p_kernels), False, 0, None,
+    ),
+    "one-step-chain": (
+        MarkovPair([0.25, 0.25, 0.5], [0.125, 0.125, 0.75], np.empty((0, 3, 3)), np.empty((0, 3, 3))), False, 0, None,
+    ),
 }
 
 # One exit reports a float just above the exact distance: a product
@@ -459,14 +468,26 @@ def _assert_exact_band(pair, eps, return_ratio=False):
     ],
     ids=[*EXACT_CASES, *OVERSHOOT_CASES],
 )
-def test_the_band_holds_exactly_on_every_exit(case):
+def test_the_band_holds_exactly_on_every_exit(case, monkeypatch):
     pair, return_ratio, tries, upper = case
+    widths = _record_widths(monkeypatch)
     report = _assert_exact_band(pair, 0.05, return_ratio)
     assert report.tries == tries and report.iterations == (pair.n - 1 if tries else 0)
     if upper == SPREAD:
         assert report.upper < 1.0
     else:
         assert report.upper == upper
+    # every try and the paper's width build one partition each
+    assert len(widths) == tries and widths[:1] == ([_law_width(0.05, pair.n)] if tries else [])
+    if tries == 0 and upper == 1.0:  # certified with no fold
+        assert (report.eps_s, report.max_support) == (0.05, 0)
+    elif tries == 0:  # exact: the table the run returns is the one it built
+        estimate, _, _, _ = _kind(pair)
+        assert report.eps_s is None and report.max_support == len(estimate(pair, 0.05, return_ratio=True)[1])
+    elif tries < 3:  # certified at the law width of the estimate it kept
+        assert report.eps_s in widths and report.max_support > 0
+    else:
+        assert report.eps_s is None and report.max_support > 0
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])

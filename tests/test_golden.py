@@ -13,7 +13,10 @@ rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says in CHANGES.md which runs moved.  The floats come out of numpy and
+and says in CHANGES.md which runs moved.  Before it writes, `--write`
+prints how many runs and stdouts differ from the file on disk, which
+fields of the runs moved, and the largest relative move of the estimate
+and of `upper`.  The floats come out of numpy and
 libm, so the file records the numpy version and platform it was written
 on, and a mismatch names both them and the running ones.
 """
@@ -22,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import re
 import sys
@@ -149,6 +153,41 @@ def test_cli_keeps_its_golden_stdout(key):
     assert _stdout(*key.split(":")) == RECORDED["cli"][key], _mismatch(key)
 
 
+def _fields(record: dict) -> dict:
+    """A run's record with its reports' fields flattened: `report.estimate` and so on."""
+    flat = {}
+    for name, value in record.items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{field}": inner for field, inner in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
+def _moves(old: dict, new: dict) -> list:
+    """What writing `new` over `old` changes: counts, moved fields and the largest relative moves."""
+    lines = []
+    for part, what in (("runs", "runs"), ("cli", "CLI stdouts")):
+        keys = set(old[part]) | set(new[part])
+        changed = [key for key in keys if old[part].get(key) != new[part].get(key)]
+        lines.append(f"{len(changed)} of {len(keys)} {what} differ from {GOLDEN.name}")
+    moved, largest = set(), dict.fromkeys(("estimate", "upper"), 0.0)
+    for key in set(old["runs"]) | set(new["runs"]):
+        before, after = _fields(old["runs"].get(key, {})), _fields(new["runs"].get(key, {}))
+        for field in before.keys() | after.keys():
+            a, b = before.get(field), after.get(field)
+            if a == b:
+                continue
+            moved.add(field)
+            name = field.rsplit(".", 1)[-1]
+            if name in largest and None not in (a, b):
+                a, b = float.fromhex(a), float.fromhex(b)
+                largest[name] = max(largest[name], abs(b - a) / abs(a) if a else math.inf)
+    lines.append(f"fields moved: {', '.join(sorted(moved)) or 'none'}")
+    lines += [f"largest relative move of {name}: {value:.3g}" for name, value in largest.items()]
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
@@ -157,4 +196,5 @@ if __name__ == "__main__":
         "runs": {f"{name}@{eps}": _run(pair, eps) for name, pair in _pairs().items() for eps in EPS},
         "cli": {f"{name}:{mode}": _stdout(name, mode) for name, mode in CLI_RUNS},
     }
+    print("\n".join(_moves(RECORDED, document)))
     GOLDEN.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
