@@ -200,6 +200,23 @@ def _free_bound(total: float, pair) -> float:
 
     The terms add to n**2 * delta + (2*n**2*q + 2*n**2 + 2*n*q + 5*n + 3) * u,
     which leaves the bound more than 14 * n**2 * u for second-order terms.
+
+    Subtracted from max(d_lb, 1 - BC), the same term keeps the fold-free
+    estimate at or below TV (`_estimate`): a certified difference is
+    positive, so the subtraction rounds by at most u, and each float exceeds
+    TV by far less than the term.  The float 1 - BC does so by at most
+    n * delta + n * (q + 4) * u + 3 * u (the third and fourth items), and
+    d_lb by at most about n * delta + (n + 1) * (q + 1) * u / 2.  For d_lb,
+    TV is at least the distance between the two measures' marginals on one
+    coordinate, or on two consecutive steps of a chain, whose points the
+    other rows' masses scale by (1 +- delta)**(n - 1).  So a product's exact
+    per-coordinate distance exceeds TV by about (n - 1) * delta at most.  A
+    chain's exact term sum_x qm(x) * d(x), for the q-marginal qm and the
+    rows' distances d, is at most that two-step marginal's distance plus
+    (1 + delta) times the one-step marginal's (triangle inequality), so
+    half of it, like half its first term, the initial rows' distance,
+    exceeds TV by about n * delta at most.  The float d_lb adds the
+    relative rounding of the second item.
     """
     n, q = pair.n, pair.q
     return total + n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * math.ulp(1.0))
@@ -246,25 +263,24 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
 
     `bounds` gives the pair's (d_lb, S) from one pass over its per-step
     distances.  Every exit returns through `done`, which builds the report
-    by name: `iterations` is n - 1 when the run folded at any partition
-    (`tries` above 0), else 0, and with `return_ratio` the exit's final
-    table comes back beside the report.
-
-    Two cases are exact and fold at no partition: a single step reports the
+    by name, with iterations n - 1 when the run folded at any partition,
+    else 0, and with `return_ratio` the exit's final table beside it.  Two
+    exits are exact and fold at no partition: a single step reports the
     half-L1 distance of its rows, rounded toward 0 (`tv_discrete`), and a
     zero d_lb, which forces the distance to 0, an estimate of 0.
 
     Every certified exit is one rule, estimate >= (1 - eps) * upper *
     CERTIFY_MARGIN, with upper starting at 1 because TV <= 1.  Unless a
-    table is asked for, max(d_lb, 1 - BC) is held against it first and
-    returns with no fold, no table, width eps and tries 0.  That exit costs
-    an O(n) pass (`_affinity_gap`), so it runs only when the free bound on
-    both of its terms, S = `total` plus its rounding (`_free_bound`),
-    reaches (1 - eps) * CERTIFY_MARGIN; a run it skips could not have
-    certified there, and goes straight to its folds.  Then up to two
-    passes fold at law widths, from sqrt(BRACKET_LAW_K * eps / n).  A pass
-    keeps the larger merge estimate (`_merged`) so far, with its table and
-    width, and, unless the rule already holds, the smaller spread bound
+    table is asked for, max(d_lb, 1 - BC) less the free bound's rounding
+    term (`_free_bound` derives why that is at most TV) is held against it
+    first and returns with no fold, no table, width eps and tries 0.  That
+    exit costs an O(n) pass (`_affinity_gap`), so it runs only when the
+    free bound on both of its terms, S = `total` plus that term, reaches
+    (1 - eps) * CERTIFY_MARGIN; a run it skips could not have certified
+    there, and goes straight to its folds.  Then up to two passes fold at
+    law widths, from sqrt(BRACKET_LAW_K * eps / n).  A pass keeps the
+    larger merge estimate (`_merged`) so far, with its table and width,
+    and, unless the rule already holds, the smaller spread bound
     (`_spread`): both ends are sound at any width.  A miss measures its
     bracket b = 1 - estimate / upper, which grows about as c * n * w**2,
     and predicts the width w * sqrt(eps / (2 * b)) that would bracket
@@ -283,8 +299,7 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     2**-104, so every float keeps its cell.  The folds share the steps' live
     pairs, read once after the fold-free exit (`_live_pairs`), and each
     partition is held against MAX_TABLE_ENTRIES before any of them runs at
-    it (`_partition`).  `max_support` is the largest table any of the folds
-    built.
+    it (`_partition`).  `max_support` is the largest table any fold built.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
@@ -295,9 +310,8 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
 
     def done(estimate, table, max_support, tries=0, upper=None, eps_s=None):
         report = EstimateReport(
-            estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support,
-            iterations=n - 1 if tries else 0, elapsed=time.perf_counter() - start, upper=upper,
-            eps_s=eps_s, tries=tries,
+            estimate=estimate, epsilon=eps, d_lb=d_lb, max_support=max_support, iterations=n - 1 if tries else 0,
+            elapsed=time.perf_counter() - start, upper=upper, eps_s=eps_s, tries=tries,
         )
         return (report, _table(*table)) if return_ratio else report
 
@@ -313,10 +327,11 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     if d_lb == 0.0:
         return done(0.0, (np.ones(1), np.ones(1)), 1)
     upper = 1.0
+    rounding = _free_bound(0.0, pair)
     if (
         not return_ratio
-        and holds(_free_bound(total, pair), upper)
-        and holds(gap := max(d_lb, _affinity_gap(steps)), upper)
+        and holds(total + rounding, upper)
+        and holds(gap := max(d_lb, _affinity_gap(steps)) - rounding, upper)
     ):
         return done(gap, None, 0, upper=upper, eps_s=eps)
     pairs = _live_pairs(steps)

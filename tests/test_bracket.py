@@ -399,11 +399,15 @@ class TestSchedule:
 # TV 1e-10 and a small far one whose tables the paper's partition would
 # hold whole; far ones certify on the second, and one chain misses twice
 # and ends at the paper's width.  A spiky pair certifies by
-# max(d_lb, 1 - BC) with no fold, or, when its table is asked for,
-# saturates on its first try with no spread fold.  A single step reports
-# its half-L1 sum, rounded toward 0, and equal pairs report 0: both exits
-# are exact and fold at no partition.  The one-step chain repeats a ratio,
-# so its table combines three entries into two.
+# max(d_lb, 1 - BC), less the free bound's rounding term, with no fold,
+# or, when its table is asked for, saturates on its first try with no
+# spread fold.  Two more products certify with no fold where the float
+# max(d_lb, 1 - BC) alone lands just above TV: by d_lb, the largest
+# per-coordinate half-L1 sum, 6e-17 relative above, or by 1 - BC, where
+# p = q on the common support and the rows are disjoint elsewhere.  A
+# single step reports its half-L1 sum, rounded toward 0, and equal pairs
+# report 0: both exits are exact and fold at no partition.  The one-step
+# chain repeats a ratio, so its table combines three entries into two.
 SPREAD = "spread"
 SPIKY = generate_product_instance(8, 4, seed=0, skew=0.3)
 SAME = generate_product_instance(8, 4, seed=0, skew=1.0)
@@ -426,14 +430,6 @@ EXACT_CASES = {
     "one-step-chain": (
         MarkovPair([0.25, 0.25, 0.5], [0.125, 0.125, 0.75], np.empty((0, 3, 3)), np.empty((0, 3, 3))), False, 0, None,
     ),
-}
-
-# One exit reports a float just above the exact distance: a product
-# certified with no fold, by its d_lb, the largest per-coordinate half-L1
-# sum, 6e-17 relative above TV, or by 1 - BC, where p = q on the common
-# support and the rows are disjoint elsewhere (d_lb does not certify it at
-# eps 0.05).
-OVERSHOOT_CASES = {
     "product-no-fold-by-d_lb": (generate_product_instance(2, 2, seed=7, skew=0.1), False, 0, 1.0),
     "product-no-fold-by-hellinger": (
         ProductPair(
@@ -445,7 +441,6 @@ OVERSHOOT_CASES = {
         1.0,
     ),
 }
-
 
 def _assert_exact_band(pair, eps, return_ratio=False):
     """(1 - eps) * TV <= estimate <= TV <= upper in exact arithmetic: relative, with no tolerance."""
@@ -459,15 +454,7 @@ def _assert_exact_band(pair, eps, return_ratio=False):
     return report
 
 
-@pytest.mark.parametrize(
-    "case",
-    [*EXACT_CASES.values()]
-    + [
-        pytest.param(case, marks=pytest.mark.xfail(strict=True, reason="the float lands above TV"))
-        for case in OVERSHOOT_CASES.values()
-    ],
-    ids=[*EXACT_CASES, *OVERSHOOT_CASES],
-)
+@pytest.mark.parametrize("case", EXACT_CASES.values(), ids=EXACT_CASES)
 def test_the_band_holds_exactly_on_every_exit(case, monkeypatch):
     pair, return_ratio, tries, upper = case
     widths = _record_widths(monkeypatch)
@@ -557,7 +544,7 @@ def test_the_certificate_fires_only_inside_the_band(case, eps):
     pair, _ = case
     estimate, brute_force, lower_bound, steps = _kind(pair)
     report, tv = estimate(pair, eps), brute_force(pair)
-    bound = max(report.d_lb, _affinity_gap(steps))
+    bound = max(report.d_lb, _affinity_gap(steps)) - _free_bound(0.0, pair)
     # the one stopping rule, held against the first upper bound, TV <= 1; a
     # zero d_lb also folds nothing, but reports no upper bound
     fired = bound >= (1 - eps) * product_mod.CERTIFY_MARGIN
@@ -586,7 +573,7 @@ class TestHellingerCertificate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _affinity_gap(product_steps(pair)) == 1.0
-            assert estimate_product_tv(pair, 0.05).estimate == 1.0
+            assert estimate_product_tv(pair, 0.05).estimate == 1.0 - _free_bound(0.0, pair)
 
     def test_disjoint_supports_give_exactly_one(self):
         product = ProductPair([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]])
@@ -597,13 +584,13 @@ class TestHellingerCertificate:
             warnings.simplefilter("error")
             assert _affinity_gap(product_steps(product)) == 1.0
             assert _affinity_gap(chain_steps(chain)) == 1.0
-            assert estimate_product_tv(product, 0.1).estimate == 1.0
-            assert estimate_markov_tv(chain, 0.1).estimate == 1.0
+            assert estimate_product_tv(product, 0.1).estimate == 1.0 - _free_bound(0.0, product)
+            assert estimate_markov_tv(chain, 0.1).estimate == 1.0 - _free_bound(0.0, chain)
 
     def test_certified_report_fields_and_document(self):
         pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
         report = estimate_product_tv(pair, 0.05)
-        assert report.estimate == _affinity_gap(product_steps(pair))
+        assert report.estimate == _affinity_gap(product_steps(pair)) - _free_bound(0.0, pair)
         assert (report.iterations, report.max_support, report.tries) == (0, 0, 0)
         assert (report.upper, report.eps_s) == (1.0, 0.05)
         doc = json.loads(emit_report(report, "fptas", "sha256:00"))
@@ -618,7 +605,7 @@ class TestHellingerCertificate:
         pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
         calls = _spy_on_the_affinity_pass(monkeypatch)
         report = estimate_product_tv(pair, 0.05)
-        assert len(calls) == 1 and report.estimate == _affinity_gap(product_steps(pair))
+        assert len(calls) == 1 and report.estimate == _affinity_gap(product_steps(pair)) - _free_bound(0.0, pair)
 
 
 # --------------------------------------------- the free bound and its gate
@@ -696,6 +683,8 @@ def test_the_free_bound_holds_exactly():
         assert exact(pair) <= Fraction(bound)
         # what the gate stands for: neither term of the fold-free exit passes it
         assert max(d_lb, gap) <= bound
+        # and the exit's estimate, their larger less the bound's rounding term, is at most TV
+        assert Fraction(max(d_lb, gap) - _free_bound(0.0, pair)) <= exact(pair)
 
 
 def test_rows_heavier_than_one_need_the_row_mass_term():
