@@ -320,10 +320,9 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
 
     if n == 1:
         p_rows, q_rows = steps[-1]
-        # one step: no reduce runs, so its table, equal values combined, is exact
-        values, masses, _ = _fold(_live_pairs(steps), _combine, MAX_TABLE_ENTRIES)
-        table = _combine(values, masses, np.array([values.size]))[:2]
-        return done(tv_discrete(p_rows[0, 0], q_rows[0, 0]), table, table[0].size)
+        # one step: no reduce runs, so the table is exact; its support counts equal values once
+        table = _fold(_live_pairs(steps), _combine, MAX_TABLE_ENTRIES)[:2]
+        return done(tv_discrete(p_rows[0, 0], q_rows[0, 0]), table, np.unique(table[0]).size)
     if d_lb == 0.0:
         return done(0.0, (np.ones(1), np.ones(1)), 1)
     upper = 1.0
