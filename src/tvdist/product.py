@@ -121,10 +121,13 @@ MAX_TABLE_ENTRIES = 2**26
 #: ulps of margin only keep the comparison from accepting a tie.
 CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
 
-#: The schedule's first law width is sqrt(BRACKET_LAW_K * eps / n).  The
-#: relative bracket of a pass at width w measured about c * n * w**2, with c
-#: from 0.015 to 0.018 on near pairs and up to 0.14 on far ones that do not
-#: saturate, so K = 25 aims the bracket at eps / 2 when c = 0.02.
+#: The schedule's first law width is sqrt(BRACKET_LAW_K * eps / (n * s)),
+#: with s the pair's free bound S clamped to [1/2, 1] (`_estimate`).  The
+#: relative bracket of a pass at width w measured about c * n * w**2, so
+#: K = 25 aims it at eps / 2 when c = 0.02 and S >= 1.  At the width that
+#: ignores S, c measured 0.012 to 0.016 on the benchmark's near pairs (S 0.1
+#: to 0.4, eps 0.05), 0 to 0.040 on its small far instances (eps 0.1), and
+#: up to 0.069 on generated far products and chains (n 4 to 16, eps 0.05).
 BRACKET_LAW_K = 25
 
 
@@ -278,18 +281,22 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     free bound on both of its terms, S = `total` plus that term, reaches
     (1 - eps) * CERTIFY_MARGIN; a run it skips could not have certified
     there, and goes straight to its folds.  Then up to two passes fold at
-    law widths, from sqrt(BRACKET_LAW_K * eps / n).  A pass keeps the
-    larger merge estimate (`_merged`) so far, with its table and width,
-    and, unless the rule already holds, the smaller spread bound
-    (`_spread`): both ends are sound at any width.  A miss measures its
-    bracket b = 1 - estimate / upper, which grows about as c * n * w**2,
-    and predicts the width w * sqrt(eps / (2 * b)) that would bracket
-    eps / 2.  The bracket is floored at 2**-53, the least positive value of
-    1 - x for a float x, so a try whose estimate meets or passes its bound
-    predicts the widest width in place of dividing by 0; only a rule that
-    cannot hold (an infinite CERTIFY_MARGIN) misses there, and a miss under
-    the rule brackets more than about eps.  Only after two misses does one
-    fold at the paper's width eps / (slack * n) and tail
+    law widths.  The first is sqrt(BRACKET_LAW_K * eps / (n * s)), with
+    s = min(1, max(S, 1/2)): a pair with S >= 1 folds at
+    sqrt(BRACKET_LAW_K * eps / n), and a near pair, whose bracket law has
+    a smaller c, at up to sqrt(2) times that.  A pass keeps the larger
+    merge estimate (`_merged`) so far, with its table and width, and,
+    unless the rule already holds, the smaller spread bound (`_spread`):
+    both ends are sound at any width.  A miss measures its bracket
+    b = 1 - estimate / upper, which grows about as c * n * w**2, and
+    predicts the width w * sqrt(eps / (4 * b)) that would bracket eps / 4,
+    so a second try that brackets up to 4 times its prediction still
+    certifies.  The bracket is floored at 2**-53, the least positive value
+    of 1 - x for a float x, so a try whose estimate meets or passes its
+    bound predicts the widest width in place of dividing by 0; only a rule
+    that cannot hold (an infinite CERTIFY_MARGIN) misses there, and a miss
+    under the rule brackets more than about eps.  Only after two misses
+    does one fold at the paper's width eps / (slack * n) and tail
     (eps / (2 * n)) * d_lb, whose a priori guarantee needs no certificate,
     return its own table with width and upper None and tries 3; a law width
     w scales that tail by w over the paper's width.  The tail is at least
@@ -336,7 +343,7 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     pairs = _live_pairs(steps)
     paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
     kept, peak = (-1.0, None, None), 0
-    width = math.sqrt(BRACKET_LAW_K * eps / n)
+    width = math.sqrt(BRACKET_LAW_K * eps / (n * min(1.0, max(total, 0.5))))
     for tries in (1, 2):
         part = _partition(width, min(width / paper_eps * paper_delta, 0.5))
         table, estimate, support = _merged(pairs, part)
@@ -349,7 +356,7 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
             upper, peak = min(upper, bound), max(peak, support)
         if holds(estimate, upper):
             return done(estimate, kept[1], peak, tries, upper, kept[2])
-        width *= math.sqrt(eps / (2.0 * max(1.0 - estimate / upper, 2.0**-53)))
+        width *= math.sqrt(eps / (4.0 * max(1.0 - estimate / upper, 2.0**-53)))
     table, estimate, support = _merged(pairs, _partition(paper_eps, paper_delta))
     return done(estimate, table, max(peak, support), tries + 1)
 

@@ -47,19 +47,19 @@ RUNS = {
     # one-state merge and spread folds, certified on the first try
     "near-product": (
         estimate_product_tv, near_product(6, 40, 10, 0.02),
-        ("0x1.60e1d8f90d0acp-5", "0x1.678ec5e266c85p-5", 1, 1520, 39),
-        "266b51a6fbe6fdfce37efa8d5c4649d9f6938659b84ec9314f51235a8b940780",
+        ("0x1.5e97c7cec1716p-5", "0x1.6b36bcf2a812ep-5", 1, 1080, 39),
+        "862779575ef5a1486bfc2376a9cacd28fd2c3346b8126e861f5a178d59b2c3d1",
     ),
     # many-state folds: four tables per step
     "near-chain": (
         estimate_markov_tv, near_chain(3, 16, 4, 0.02),
-        ("0x1.a8a68036ac7c6p-6", "0x1.ae2e6d2cc3f13p-6", 1, 310, 15),
-        "e5a22c4f9212410fb5d2804b448584007ca41193f137d9d80a7f3d77007c7de2",
+        ("0x1.a7a71579aba40p-6", "0x1.b04fff1bdbe2dp-6", 1, 223, 15),
+        "b0116f1d56fcdab223013ea77ed408d684909d1f4c80c36173f0c09cbec56fe6",
     ),
     # the first law width misses; the predicted second one certifies
     "second-try": (
         estimate_product_tv, generate_product_instance(8, 4, seed=8, skew=1.0),
-        ("0x1.a7725b16c4c18p-1", "0x1.ba1cc936bd333p-1", 2, 164, 7),
+        ("0x1.ac6c29f737bebp-1", "0x1.bfef18cee27adp-1", 2, 116, 7),
         None,
     ),
 }
