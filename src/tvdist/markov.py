@@ -78,7 +78,7 @@ def _bounds(pair: MarkovPair) -> tuple[float, float]:
     hybrids reduces to the initial-distribution distance for the first step
     and to a q-marginal-weighted row distance for each later step.  Half the
     largest term is d_lb, and the sum S of the terms bounds the distance
-    from above (`product._free_bound`).
+    from above, up to a rounding term (`product._free_rounding`).
     """
     terms = [tv_discrete(pair.p_init, pair.q_init)]
     qmarg = pair.q_init

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, SizeError, ValidityError
 from .ratios import (
-    ROW_SUM_EXACT, VALIDITY_TOL, _combine, _fold, _is_real, _live_pairs, _table, _tv, _validate_rows,
+    ROW_SUM_EXACT, VALIDITY_TOL, _fold, _is_real, _live_pairs, _table, _tv, _validate_rows,
     tv_discrete,
 )
 from .sparsify import _merge_cells, _spread_cells, build_partition
@@ -137,8 +137,8 @@ def _bounds(pair: ProductPair) -> tuple[float, float]:
     Each coordinate's distance is at most the product's, since dropping the
     other coordinates is a garbling, so their largest is d_lb.  Swapping
     one coordinate at a time (the hybrid argument) moves the distance by at
-    most that coordinate's, so their sum S bounds it from above
-    (`_free_bound`).
+    most that coordinate's, so their sum S bounds it from above, up to a
+    rounding term (`_free_rounding`).
     """
     per_coord = 0.5 * np.sum(np.abs(pair.p_marginals - pair.q_marginals), axis=1)
     return float(np.max(per_coord)), math.fsum(per_coord.tolist())
@@ -176,12 +176,12 @@ def _affinity_gap(stacks) -> float:
     return -math.expm1(log_bc)
 
 
-def _free_bound(total: float, pair) -> float:
-    """An upper bound on TV, and on the float max(d_lb, 1 - BC), from the sum S.
+def _free_rounding(pair) -> float:
+    """The free bound's rounding term: S plus it bounds TV and the float max(d_lb, 1 - BC).
 
-    `total` is S, the float sum of the run's per-step distances (`_bounds`,
-    `markov._bounds`); with rows that sum to 1 exactly, TV <= S.  Added to
-    it is n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * ulp(1)) for n steps of q
+    S is the float sum of the run's per-step distances (`_bounds`,
+    `markov._bounds`); with rows that sum to 1 exactly, TV <= S.  The term
+    is n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * ulp(1)) for n steps of q
     columns, a derived bound on every rounding and row-mass term between S
     and the two floats the fold-free exit tests.  With u = ulp(1) / 2 and
     delta = ROW_SUM_EXACT + q * u, how far a stored row's exact sum may lie
@@ -222,7 +222,7 @@ def _free_bound(total: float, pair) -> float:
     relative rounding of the second item.
     """
     n, q = pair.n, pair.q
-    return total + n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * math.ulp(1.0))
+    return n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * math.ulp(1.0))
 
 
 def _partition(eps_s: float, delta_s: float):
@@ -275,7 +275,7 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     Every certified exit is one rule, estimate >= (1 - eps) * upper *
     CERTIFY_MARGIN, with upper starting at 1 because TV <= 1.  Unless a
     table is asked for, max(d_lb, 1 - BC) less the free bound's rounding
-    term (`_free_bound` derives why that is at most TV) is held against it
+    term (`_free_rounding` derives why that is at most TV) is held against it
     first and returns with no fold, no table, width eps and tries 0.  That
     exit costs an O(n) pass (`_affinity_gap`), so it runs only when the
     free bound on both of its terms, S = `total` plus that term, reaches
@@ -327,13 +327,13 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
 
     if n == 1:
         p_rows, q_rows = steps[-1]
-        # one step: no reduce runs, so the table is exact; its support counts equal values once
-        table = _fold(_live_pairs(steps), _combine, MAX_TABLE_ENTRIES)[:2]
+        # one step: its live pairs' (ratio, weight) are the exact table; its support counts equal values once
+        table = _live_pairs(steps)[-1][2:4]
         return done(tv_discrete(p_rows[0, 0], q_rows[0, 0]), table, np.unique(table[0]).size)
     if d_lb == 0.0:
         return done(0.0, (np.ones(1), np.ones(1)), 1)
     upper = 1.0
-    rounding = _free_bound(0.0, pair)
+    rounding = _free_rounding(pair)
     if (
         not return_ratio
         and holds(total + rounding, upper)

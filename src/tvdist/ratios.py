@@ -215,25 +215,22 @@ def _live_pairs(stacks) -> list:
     ratio P[r, s] / Q[r, s] and weight Q[r, s].  A pair whose ratio
     overflows is left out: every entry it would build has an infinite or NaN
     value, which the distance only loses from and an upper bound adds back.
-    Each stack is read in one pass, whose row-major order is each step's in
-    turn, and cut into one tuple per step.  A run reads its steps once, and
-    its merge and spread folds share them.
+    Each stack is divided whole and read with one mask, Q > 0 and a finite
+    ratio, in row-major order, which is each step's in turn, and cut into
+    one tuple per step.  A run reads its steps once, and its merge and
+    spread folds share them.
     """
-    pairs, over = [], []
-    with np.errstate(over="call", call=lambda kind, flag: over.append(kind)):
-        for p_rows, q_rows in stacks:
-            live = q_rows > 0
-            weight = q_rows[live]
-            ratio = p_rows[live] / weight
-            step, rows, cols = live.nonzero()
-            if over:
-                finite = ratio < np.inf
-                step, rows, cols, ratio, weight = (a[finite] for a in (step, rows, cols, ratio, weight))
-                over.clear()
-            start, height = 0, q_rows.shape[1]
-            for end in np.cumsum(np.bincount(step, minlength=len(q_rows))).tolist():
-                pairs.append((rows[start:end], cols[start:end], ratio[start:end], weight[start:end], height))
-                start = end
+    pairs = []
+    for p_rows, q_rows in stacks:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio = p_rows / q_rows
+        live = (q_rows > 0) & (ratio < np.inf)
+        step, rows, cols = live.nonzero()
+        ratio, weight = ratio[live], q_rows[live]
+        start, height = 0, q_rows.shape[1]
+        for end in np.cumsum(np.bincount(step, minlength=len(q_rows))).tolist():
+            pairs.append((rows[start:end], cols[start:end], ratio[start:end], weight[start:end], height))
+            start = end
     return pairs
 
 
@@ -363,7 +360,9 @@ def np_boundary(r: RatioDist) -> NPBoundary:
 
     Cumulative sums of (value*mass, mass) over the sorted table, preceded by
     the origin; a final horizontal segment to (1, 1) carries whatever p-mass
-    lies off q's support.  Cumulative sums are clipped to 1 so a trailing
+    lies off q's support.  An estimator's table keeps that p-mass, up to
+    rounding and what a fold drops, as neither reducer folds it into
+    a cell (`sparsify`).  Cumulative sums are clipped to 1 so a trailing
     float overshoot cannot exit the unit square.
     """
     xs = np.concatenate(([0.0], np.minimum(np.cumsum(r.values * r.masses), 1.0)))

@@ -9,24 +9,26 @@ lower, but keys still rise with the value and every cell is an interval on
 one side of 1.  Merging (`_merge_cells`) moves all of a table's mass inside
 each cell onto a single point whose value is the cell's local mean ratio,
 which bounds the support of any table by the number of cells while
-preserving its total variation distance exactly.  Spreading
+preserving its total variation distance exactly; it is a garbling, so a
+fold of merges bounds the distance from below.  Spreading
 (`_spread_cells`) is its counterpart: each cell's mass moves onto the
 cell's lowest and highest value with its mean kept, which can only raise
 the distance, so a fold of spreads bounds it from above; both bounds hold
-for any grouping into such cells.  Both reducers take the fold's flat
+for any grouping into such cells.  Neither reducer touches a table's
+expectation deficit, the p-mass at infinity: the outcomes that carry it
+have no q-mass, so no cell holds them.  Both reducers take the fold's flat
 tables of all states at once, as (values, masses, sizes) with the tables
 end to end in state order, and return the same layout, with one keying
 pass per step and per-(state, cell) sums by `np.bincount`, and no sort.
 A one-state table, which every product fold has, is its own slot map:
 its keys index the 2m + 3 cells directly, with no per-state offsets or
 splitting.  Tables of more states share one dense map of (state, cell)
-slots, offset per state by `sizes`, which
-`_cell_sums` builds in blocks of states only when the states times 2m + 3
-exceed max(entries, 2**16).  At the law widths a step's tables hold
-hundreds to thousands of entries, so a step's time is mostly the fixed
-cost of its numpy calls, and the reducers keep their count low: work in
-place, no numpy wrappers written in Python on the per-step path, and the
-top cell's deficit only looked at when that cell is occupied.
+slots, offset per state by `sizes`, which `_cell_sums` builds in blocks
+of states only when the states times 2m + 3 exceed max(entries, 2**16).
+At the law widths a step's tables hold hundreds to thousands of entries,
+so a step's time is mostly the fixed cost of its numpy calls, and the
+reducers keep their count low: work in place, and no numpy wrappers
+written in Python on the per-step path.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class IntervalPartition:
     @property
     def interval_count(self) -> int:
         return 2 * self.m + 3
-
-
-#: The largest float: an overflowing raised top cell stops there.
-_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def build_partition(eps_s: float, delta_s: float) -> IntervalPartition:
@@ -157,29 +155,24 @@ def _merge_cells(part: IntervalPartition, values, masses, sizes):
 
     Each occupied (state, cell) gives its q-mass at its mean ratio, clipped
     into the hull of its values: low-side merges stay below 1, one-value
-    cells bitwise.  A state's expectation deficit (p-mass at infinity)
-    raises its top cell's value when that cell holds q-mass, and otherwise
-    stays a deficit.  Flat output, sorted by state, then value.
+    cells bitwise.  A state's expectation deficit, the p-mass at infinity
+    of outcomes q gives no mass, stays a deficit, as in `_spread_cells`.
+    Flat output, sorted by state, then value.
+
+    The merge estimate stays at or below TV at any width.  Grouping the
+    outcomes of one (state, cell) into one outcome, whose ratio is then the
+    cell's mean, is a garbling, and so is leaving the q-null outcomes
+    ungrouped.  A garbling commutes with the next product or Markov step,
+    which garbles each coordinate's or state's outcomes the same way, so the
+    fold's table is the ratio of a garbled pair and its distance at most TV.
     """
     slots, gmass, gnum, lo, hi = _cell_sums(part, values, masses, sizes)
     merged = gnum / gmass
     np.maximum(merged, lo, out=merged)
     np.minimum(merged, hi, out=merged)
-    width = part.interval_count
     if sizes.size == 1:
-        cell, sizes = slots, np.array([slots.size])
-    else:
-        cell, sizes = slots % width, np.bincount(slots // width, minlength=sizes.size)
-    top = (cell == width - 1).nonzero()[0]
-    if top.size:
-        state = slots // width
-        deficit = 1.0 - np.bincount(state, gnum)[state[top]]
-        top, deficit = top[deficit > 0], deficit[deficit > 0]
-        with np.errstate(over="ignore"):
-            raised = (gnum[top] + deficit) / gmass[top]
-        np.maximum(raised, lo[top], out=raised)
-        merged[top] = np.minimum(raised, _FLOAT_MAX, out=raised)  # else part stays a deficit
-    return merged, gmass, sizes
+        return merged, gmass, np.array([slots.size])
+    return merged, gmass, np.bincount(slots // part.interval_count, minlength=sizes.size)
 
 
 def _spread_cells(part: IntervalPartition, values, masses, sizes):

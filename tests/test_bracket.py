@@ -41,7 +41,7 @@ from tvdist import (
 )
 from tvdist.markov import _bounds as chain_bounds
 from tvdist.markov import _steps as chain_steps
-from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap, _free_bound
+from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap, _free_rounding
 from tvdist.product import _bounds as product_bounds
 from tvdist.product import _steps as product_steps
 from tvdist.ratios import VALIDITY_TOL, _fold, _live_pairs, _tv
@@ -532,6 +532,23 @@ def test_the_band_holds_exactly_on_generated_pairs(kind, eps):
         _assert_exact_band(generate(8, 4, seed=seed, skew=1.0), eps)
 
 
+@pytest.mark.parametrize(
+    "pair, eps",
+    [
+        pytest.param(generate_product_instance(3, 3, seed=2, skew=3.0), eps, id=f"product-estimate-above-tv-{eps}")
+        for eps in (0.05, 0.2)
+    ]
+    + [
+        pytest.param(generate_markov_instance(3, 3, seed=2, skew=3.0), 0.05, id="markov-upper-below-tv"),
+        # a stored row off 1 by less than ROW_SUM_EXACT: 1e-323 against an exact 5e-324
+        pytest.param(ProductPair([[1, 0, 0]] * 2, [[1, 1e-323, 0], [1, 0, 0]]), 0.05, id="product-row-off-one"),
+    ],
+)
+@pytest.mark.xfail(strict=True, reason="a fold's rounding, or a row kept off 1, carries the float across the exact TV")
+def test_the_band_holds_exactly_where_a_fold_rounds_across_tv(pair, eps):
+    _assert_exact_band(pair, eps)
+
+
 # ------------------------------------------------- the Hellinger certificate
 
 
@@ -591,7 +608,7 @@ def test_the_certificate_fires_only_inside_the_band(case, eps):
     pair, _ = case
     estimate, brute_force, lower_bound, steps = _kind(pair)
     report, tv = estimate(pair, eps), brute_force(pair)
-    bound = max(report.d_lb, _affinity_gap(steps)) - _free_bound(0.0, pair)
+    bound = max(report.d_lb, _affinity_gap(steps)) - _free_rounding(pair)
     # the one stopping rule, held against the first upper bound, TV <= 1; a
     # zero d_lb also folds nothing, but reports no upper bound
     fired = bound >= (1 - eps) * product_mod.CERTIFY_MARGIN
@@ -620,7 +637,7 @@ class TestHellingerCertificate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _affinity_gap(product_steps(pair)) == 1.0
-            assert estimate_product_tv(pair, 0.05).estimate == 1.0 - _free_bound(0.0, pair)
+            assert estimate_product_tv(pair, 0.05).estimate == 1.0 - _free_rounding(pair)
 
     def test_disjoint_supports_give_exactly_one(self):
         product = ProductPair([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]])
@@ -631,13 +648,13 @@ class TestHellingerCertificate:
             warnings.simplefilter("error")
             assert _affinity_gap(product_steps(product)) == 1.0
             assert _affinity_gap(chain_steps(chain)) == 1.0
-            assert estimate_product_tv(product, 0.1).estimate == 1.0 - _free_bound(0.0, product)
-            assert estimate_markov_tv(chain, 0.1).estimate == 1.0 - _free_bound(0.0, chain)
+            assert estimate_product_tv(product, 0.1).estimate == 1.0 - _free_rounding(product)
+            assert estimate_markov_tv(chain, 0.1).estimate == 1.0 - _free_rounding(chain)
 
     def test_certified_report_fields_and_document(self):
         pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
         report = estimate_product_tv(pair, 0.05)
-        assert report.estimate == _affinity_gap(product_steps(pair)) - _free_bound(0.0, pair)
+        assert report.estimate == _affinity_gap(product_steps(pair)) - _free_rounding(pair)
         assert (report.iterations, report.max_support, report.tries) == (0, 0, 0)
         assert (report.upper, report.eps_s) == (1.0, 0.05)
         doc = json.loads(emit_report(report, "fptas", "sha256:00"))
@@ -652,7 +669,7 @@ class TestHellingerCertificate:
         pair = ProductPair(np.tile([0.9, 0.1], (30, 1)), np.tile([0.1, 0.9], (30, 1)))
         calls = _spy_on_the_affinity_pass(monkeypatch)
         report = estimate_product_tv(pair, 0.05)
-        assert len(calls) == 1 and report.estimate == _affinity_gap(product_steps(pair)) - _free_bound(0.0, pair)
+        assert len(calls) == 1 and report.estimate == _affinity_gap(product_steps(pair)) - _free_rounding(pair)
 
 
 # --------------------------------------------- the free bound and its gate
@@ -717,7 +734,7 @@ def _free_bound_of(pair):
     """(S, the free bound, d_lb, 1 - BC) of the pair, as the schedule computes them."""
     bounds = product_bounds if isinstance(pair, ProductPair) else chain_bounds
     (d_lb, total), steps = bounds(pair), _kind(pair)[3]
-    return total, _free_bound(total, pair), d_lb, _affinity_gap(steps)
+    return total, total + _free_rounding(pair), d_lb, _affinity_gap(steps)
 
 
 def test_the_free_bound_holds_exactly():
@@ -731,7 +748,7 @@ def test_the_free_bound_holds_exactly():
         # what the gate stands for: neither term of the fold-free exit passes it
         assert max(d_lb, gap) <= bound
         # and the exit's estimate, their larger less the bound's rounding term, is at most TV
-        assert Fraction(max(d_lb, gap) - _free_bound(0.0, pair)) <= exact(pair)
+        assert Fraction(max(d_lb, gap) - _free_rounding(pair)) <= exact(pair)
 
 
 def test_rows_heavier_than_one_need_the_row_mass_term():

@@ -3,14 +3,15 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tvdist import ParameterError, RatioDist, SizeError, tv_of_ratio
+from tvdist import ParameterError, ProductPair, RatioDist, SizeError, estimate_product_tv, np_boundary, tv_of_ratio
 from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, build_partition
 
-from conftest import entries, merge_table, random_ratio
+from conftest import entries, exact_tv_product, merge_table, random_ratio
 
 
 def support_bound(eps_s, delta_s):
@@ -180,6 +181,12 @@ class TestLocateInterval:
             )
 
 
+# The first coordinate's third outcome has p-mass 0.25 and no q-mass.
+DEFICIT_PAIR = ProductPair(
+    [[0.5, 0.25, 0.25], [0.03125, 0.96875, 0]], [[0.875, 0.125, 0], [0.125, 0.75, 0.125]]
+)
+
+
 class TestSparsify:
     # `_merge_cells` on one state's table (`merge_table`)
     def test_point_mass_at_one(self):
@@ -202,13 +209,27 @@ class TestSparsify:
         assert entries(out) == [(0.5, 1.0)]
         assert float(np.sum(out.values * out.masses)) == 0.5
 
-    def test_infinity_mass_folds_into_top_cell(self):
-        # expectation deficit 0.08 and the top cell (2, inf] holds mass 0.2,
-        # so its merged value rises to (3.0 * 0.2 + 0.08) / 0.2 = 3.4
+    def test_infinity_mass_stays_deficit_beside_the_top_cell(self):
+        # expectation deficit 0.08 and the top cell (2, inf] holds mass 0.2:
+        # the q-null outcomes hold no q-mass, so they join no cell and the
+        # top cell keeps its value
         r = RatioDist([0.4, 3.0], [0.8, 0.2])
         out = merge_table(r, build_partition(1.0, 0.25))
-        assert out.values[-1] == pytest.approx(3.4, abs=1e-12)
-        assert float(np.sum(out.values * out.masses)) == pytest.approx(1.0, abs=1e-12)
+        assert entries(out) == [(0.4, 0.8), (3.0, 0.2)]
+        assert float(np.sum(out.values * out.masses)) == pytest.approx(0.92, rel=1e-15)
+
+    def test_a_product_keeps_its_deficit_through_the_fold(self):
+        # a merge that raised the first step's top cell by its deficit would
+        # lift it from 2 to 4, and the next ratio, 1/4, would land it at 1.0
+        # in place of 0.5, losing the distance of that cell
+        assert exact_tv_product(DEFICIT_PAIR) == Fraction(51, 128)
+        for eps in (0.2, 0.05):
+            assert estimate_product_tv(DEFICIT_PAIR, eps).estimate == 51 / 128
+
+    def test_the_boundary_closes_on_the_p_mass_at_infinity(self):
+        # the last horizontal segment is the p-mass where q is 0, 0.25
+        _, ratio = estimate_product_tv(DEFICIT_PAIR, 0.2, return_ratio=True)
+        assert np_boundary(ratio).vertices[-2:].tolist() == [[0.75, 1.0], [1.0, 1.0]]
 
     def test_support_bound(self, rng):
         for _ in range(200):
@@ -243,18 +264,15 @@ class TestSparsify:
 
     def test_idempotent_on_merged_input(self, rng):
         # A second application over the same partition maps each point to
-        # its own cell.  Masses and values pass through bit-identically; the
-        # only admissible wobble is the top cell's value re-absorbing an
-        # ulp-scale expectation deficit left by the first fold.
+        # its own cell, so masses and values pass through bit-identically,
+        # the top cell's too: an expectation deficit stays one.
         part = build_partition(0.3, 0.05)
         for _ in range(100):
             r = random_ratio(rng, int(rng.integers(1, 300)))
             once = merge_table(r, part)
             twice = merge_table(once, part)
-            assert len(twice) == len(once)
             np.testing.assert_array_equal(twice.masses, once.masses)
-            np.testing.assert_array_equal(twice.values[:-1], once.values[:-1])
-            np.testing.assert_allclose(twice.values[-1:], once.values[-1:], rtol=1e-12)
+            np.testing.assert_array_equal(twice.values, once.values)
 
     def test_idempotent_bitwise_without_residual(self):
         # dyadic table with expectation exactly 1: no deficit ever refolds
@@ -307,7 +325,7 @@ class TestFlatTables:
             ([], []),
             ([1.0], [1.0]),
             ([0.3], [1.0]),
-            # expectation 0.52: the deficit raises the top cell, 2e3 > 1/delta
+            # expectation 0.52: the top cell, 2e3 > 1/delta, keeps its value
             ([0.5, 2e3], [1 - 1e-5, 1e-5]),
             ([0.5, 1e10], [1.0, 1e-320]),
         ]
@@ -323,12 +341,3 @@ class TestFlatTables:
         assert_bitwise(got[0], np.concatenate([a[0] for a in alone]))
         assert_bitwise(got[1], np.concatenate([a[1] for a in alone]))
         np.testing.assert_array_equal(got[2], [a[0].size for a in alone])
-
-    @pytest.mark.parametrize("states", [1, 2])
-    def test_overflowing_raised_top_cell_clips_to_the_float_max(self, states):
-        # deficit 0.5 over the top cell's mass 1e-320 overflows; any
-        # RuntimeWarning fails the suite
-        values, masses, sizes = flat([([0.5, 1e10], [1.0, 1e-320])] * states)
-        merged, weights, _ = _merge_cells(build_partition(0.5, 1e-3), values, masses, sizes)
-        assert merged.tolist() == [0.5, np.finfo(float).max] * states
-        assert weights.tolist() == [1.0, 1e-320] * states
