@@ -33,18 +33,11 @@ from .oracle import (
 from .product import EstimateReport, ProductPair, estimate_product_tv, product_lower_bound
 from .ratios import np_boundary, tv_of_ratio
 
-#: Per pair type: (estimator, exact pipeline, brute-force oracle, lower
-#: bound).  Each entry looks the functions up when it is called, so a function
-#: replaced on this module, as the benchmark's per-layer tracer does, is the
-#: one that runs.
-_PIPELINES = {
-    ProductPair: lambda: (
-        estimate_product_tv, exact_ratio_product, brute_force_tv_product, product_lower_bound
-    ),
-    MarkovPair: lambda: (
-        estimate_markov_tv, exact_ratio_markov, brute_force_tv_markov, markov_lower_bound
-    ),
-}
+def _pipelines(pair: ProductPair | MarkovPair) -> tuple:
+    """The pair type's (estimator, exact pipeline, brute-force oracle, lower bound)."""
+    if isinstance(pair, ProductPair):
+        return estimate_product_tv, exact_ratio_product, brute_force_tv_product, product_lower_bound
+    return estimate_markov_tv, exact_ratio_markov, brute_force_tv_markov, markov_lower_bound
 
 
 def _run_estimate(pair: ProductPair | MarkovPair, mode: str, epsilon, want_ratio: bool):
@@ -54,7 +47,7 @@ def _run_estimate(pair: ProductPair | MarkovPair, mode: str, epsilon, want_ratio
     those make the same call as the library, so they print the same bits
     and may skip the fold when the Hellinger bound certifies them.
     """
-    estimate, exact, brute_force, lower_bound = _PIPELINES[type(pair)]()
+    estimate, exact, brute_force, lower_bound = _pipelines(pair)
     if mode == "fptas":
         if epsilon is None:
             raise ParameterError("mode fptas requires --epsilon")
@@ -113,7 +106,7 @@ def cmd_bench(args) -> int:
     for n in args.n:
         for q in args.q:
             pair = generate_instance(args.kind, n, q, derive_seed(args.seed, n, q), args.skew)
-            estimate = _PIPELINES[type(pair)]()[0]
+            estimate = _pipelines(pair)[0]
             for eps in args.epsilon:
                 result = estimate(pair, eps)
                 rows.append(

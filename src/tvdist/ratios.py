@@ -14,10 +14,12 @@ a step lost entries (`_drop_lost`), so the estimators' one-state tables
 pay nothing for it.  The exact pipelines' reducer (`_combine`) sorts each
 state's table on its own and needs no state either.  A run's steps are
 the pair's own arrays, stacked: (P, Q) views of shape (steps, rows,
-columns) in fold order, which `_live_pairs` reads one stack at a time.  One
-step (`_step`) mixes the tables into the next state's tables all at once,
-each scaled by a live row pair's ratio and weighted by its q-mass,
-unsorted and unchecked.  A table leaves the fold as a sorted, checked
+columns) in fold order, which `_live_pairs` reads one stack at a time.  A
+fold's first tables are its first step's live pairs, read-only, and each
+later step is one iteration: `_step` mixes the tables into the next
+state's tables all at once, each scaled by a live row pair's ratio and
+weighted by its q-mass, unsorted and unchecked.  One table means a
+product, many mean a chain.  A table leaves the fold as a sorted, checked
 `RatioDist` (`_table`).  Probability vectors are plain arrays, and
 `_validate_rows` is the package's one row rule: `tv_discrete` and the pair
 types (so the parser too) refuse a row unless its entries are real
@@ -217,8 +219,8 @@ def _live_pairs(stacks) -> list:
     value, which the distance only loses from and an upper bound adds back.
     Each stack is divided whole and read with one mask, Q > 0 and a finite
     ratio, in row-major order, which is each step's in turn, and cut into
-    one tuple per step.  A run reads its steps once, and its merge and
-    spread folds share them.
+    one tuple per step.  A run reads its steps once, and its folds share
+    them, the first step's as their first tables, so they are read-only.
     """
     pairs = []
     for p_rows, q_rows in stacks:
@@ -227,6 +229,7 @@ def _live_pairs(stacks) -> list:
         live = (q_rows > 0) & (ratio < np.inf)
         step, rows, cols = live.nonzero()
         ratio, weight = ratio[live], q_rows[live]
+        ratio.flags.writeable = weight.flags.writeable = False
         start, height = 0, q_rows.shape[1]
         for end in np.cumsum(np.bincount(step, minlength=len(q_rows))).tolist():
             pairs.append((rows[start:end], cols[start:end], ratio[start:end], weight[start:end], height))
@@ -238,26 +241,24 @@ def _step(values, masses, sizes, rows, cols, ratio, weight, height: int):
     """One fold step on flat tables: every state's table for every live pair at once.
 
     The tables lie end to end in state order, `sizes` giving their lengths;
-    a single table serves every column.  Row r's new table holds, for each
-    live pair (r, s) in order (`_live_pairs`), table s with its values times
-    the pair's ratio and its masses times its weight.  Returns the new flat
-    (values, masses, sizes), one table for each of the `height` rows.  A mass
-    may underflow to 0 and a value overflow (which takes a mass below
-    1e-308); `_fold` drops such entries (`_drop_lost`).
+    a single table, a product's, serves every column of its single row.
+    Row r's new table holds, for each live pair (r, s) in order
+    (`_live_pairs`), table s with its values times the pair's ratio and its
+    masses times its weight.  Returns the new flat (values, masses, sizes),
+    one table for each of the `height` rows.  A mass may underflow to 0 and
+    a value overflow (which takes a mass below 1e-308); `_fold` drops such
+    entries (`_drop_lost`).
     """
-    if sizes.size == 1:
+    if sizes.size == 1:  # a product's step
         values = np.multiply.outer(ratio, values).ravel()
         masses = np.multiply.outer(weight, masses).ravel()
-        if height == 1:  # a product's step
-            return values, masses, np.array([values.size])
-        lens = np.full(rows.size, sizes[0])
-    else:
-        lens = sizes[cols]
-        # entry i of the run for pair j reads entry i of table cols[j]
-        take = np.repeat(np.cumsum(sizes)[cols] - np.cumsum(lens), lens)
-        take += np.arange(take.size)
-        values = values[take] * np.repeat(ratio, lens)
-        masses = masses[take] * np.repeat(weight, lens)
+        return values, masses, np.array([values.size])
+    lens = sizes[cols]
+    # entry i of the run for pair j reads entry i of table cols[j]
+    take = np.repeat(np.cumsum(sizes)[cols] - np.cumsum(lens), lens)
+    take += np.arange(take.size)
+    values = values[take] * np.repeat(ratio, lens)
+    masses = masses[take] * np.repeat(weight, lens)
     return values, masses, np.bincount(rows, lens, height).astype(np.intp)
 
 
@@ -312,30 +313,32 @@ def _fold(pairs: Iterable, reduce: Callable, cap: int) -> tuple:
     """Fold steps into one flat table; return its values, masses and peak.
 
     Each step is given by its live pairs (`_live_pairs`).  The fold keeps
-    one table per conditioning state (`_step`), starting from the table
-    {1: 1}.  Before every step but the first, `reduce` (a `sparsify` merge
-    or spread, or `_combine` for the exact pipelines) maps every state's
-    table at once, and SizeError is raised when the entries the step would
-    build, each live pair's table length summed, exceed `cap`.  The peak is
-    the largest single state's table any step built, before it was
-    reduced.  The last step has a single row; its table comes back
-    unreduced and unsorted.
+    one table per conditioning state; the first step's live pairs are the
+    first tables, row r's holding the (ratio, weight) of each pair (r, s),
+    in read-only arrays every fold of a run shares.  Each iteration is one
+    later step: `reduce` (a `sparsify` merge or spread, or `_combine` for
+    the exact pipelines) maps every state's table at once, SizeError is
+    raised when the entries the step would build, each live pair's table
+    length summed, exceed `cap`, and `_step` mixes the tables.  One table
+    means a product, many a chain.  The peak is the largest single state's
+    table any step built, before it was reduced.  The last step has a
+    single row; its table comes back unreduced and unsorted.
 
     numpy reports a step's underflow or overflow to the fold through one
     error state over the whole fold, so only a step that raised one looks
     for entries to drop (`_drop_lost`); the caller's error state is back in
     place when the fold returns or raises.
     """
-    values, masses, sizes = np.ones(1), np.ones(1), np.ones(1, np.intp)
-    peak = 0
+    (rows, _, values, masses, height), *rest = pairs
+    sizes = np.bincount(rows, minlength=height)
+    peak = int(sizes.max())
     lost = []
     with np.errstate(under="call", over="call", call=lambda kind, flag: lost.append(kind)):
-        for k, (rows, cols, ratio, weight, height) in enumerate(pairs):
-            if k:
-                values, masses, sizes = reduce(values, masses, sizes)
-                built = values.size * rows.size if sizes.size == 1 else int(sizes[cols].sum())
-                if built > cap:
-                    raise SizeError(f"a step would build {built} entries, beyond the cap of {cap}")
+        for rows, cols, ratio, weight, height in rest:
+            values, masses, sizes = reduce(values, masses, sizes)
+            built = values.size * rows.size if sizes.size == 1 else int(sizes[cols].sum())
+            if built > cap:
+                raise SizeError(f"a step would build {built} entries, beyond the cap of {cap}")
             lost.clear()
             values, masses, sizes = _step(values, masses, sizes, rows, cols, ratio, weight, height)
             if lost:

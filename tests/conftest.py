@@ -36,7 +36,7 @@ def random_dist_pair(rng, size, zeros_in_p=False, zeros_in_q=False):
 def one_step_ratio(p, q):
     """The ratio table of the pair (p, q): the exact pipeline on one coordinate.
 
-    One fold step from the table {1: 1}, behind the pair's row check.
+    The fold of one step, its live pairs, behind the pair's row check.
     """
     return exact_ratio_product(ProductPair([p], [q]))
 

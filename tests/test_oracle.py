@@ -83,15 +83,15 @@ class TestExactPipelines:
         assert len(out) == 3 and tv_of_ratio(out) == pytest.approx(brute_force_tv_product(pair), abs=1e-15)
 
     def test_the_cap_counts_every_row_of_a_chain_step(self, monkeypatch):
-        # after the last kernel each of the 4 states holds 4 entries, and the
-        # next kernel mixes all 4 tables into each of its 4 rows: 64 entries,
-        # refused before that step builds them
+        # the last kernel's live pairs give each of the 4 states 4 entries,
+        # and the next kernel mixes all 4 tables into each of its 4 rows: 64
+        # entries, refused before the fold's first step builds them
         built, step = [], ratios_mod._step
         monkeypatch.setattr(ratios_mod, "_step", lambda *args: built.append(1) or step(*args))
         monkeypatch.setattr(oracle_mod, "SUPPORT_CAP", 63)
         with pytest.raises(SizeError, match="a step would build 64 entries"):
             exact_ratio_markov(generate_markov_instance(3, 4, seed=2))
-        assert len(built) == 1
+        assert len(built) == 0
 
     def test_markov_single_step(self):
         pair = MarkovPair([0.8, 0.2], [0.3, 0.7], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))

@@ -11,6 +11,9 @@ from tvdist import (
     RatioDist,
     SizeError,
     ValidityError,
+    estimate_markov_tv,
+    estimate_product_tv,
+    exact_ratio_markov,
     exact_ratio_product,
     generate_markov_instance,
     generate_product_instance,
@@ -234,6 +237,22 @@ def indp_product(*pairs):
     return exact_ratio_product(ProductPair(padded[0::2], padded[1::2]))
 
 
+#: A product, chains of q 3 and 1, and one-step pairs of each type, for the
+#: fold's first table.  A one-state chain has d_lb 0, so no estimator folds it.
+SEED_FREE_PAIRS = {
+    "product": generate_product_instance(6, 4, seed=3, skew=1.0),
+    "chain": generate_markov_instance(5, 3, seed=3, skew=1.0),
+    "chain-q-1": MarkovPair([1.0], [1.0], [[[1.0]]] * 3, [[[1.0]]] * 3),
+    "one-step-product": generate_product_instance(1, 5, seed=4, skew=1.0),
+    "one-step-chain": generate_markov_instance(1, 4, seed=5, skew=1.0),
+}
+SEED_FREE_RUNS = [
+    ("product", "estimate"),
+    ("chain", "estimate"),
+    *((name, "exact") for name in SEED_FREE_PAIRS),
+]
+
+
 class TestFold:
     def test_a_fold_leaves_the_error_state_as_it_found_it(self):
         # from the third coordinate on, some masses underflow and values
@@ -247,6 +266,42 @@ class TestFold:
             with pytest.raises(SizeError):
                 _fold(_live_pairs(product_steps(pair)), _combine, 4)
             assert (np.geterr(), np.geterrcall()) == state
+
+    @pytest.mark.parametrize("name, run", SEED_FREE_RUNS)
+    def test_a_fold_starts_from_its_first_steps_live_pairs(self, name, run, monkeypatch):
+        import tvdist.oracle as oracle_mod
+        import tvdist.product as product_mod
+        import tvdist.ratios as ratios_mod
+
+        pair = SEED_FREE_PAIRS[name]
+        pairs = _live_pairs(chain_steps(pair) if isinstance(pair, MarkovPair) else product_steps(pair))
+        for _, _, ratio, weight, _ in pairs:
+            for array in (ratio, weight):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0.0
+        # a one-step fold is its step's live pairs, bit for bit: nothing reduces, checks or steps
+        rows, _, ratio, weight, height = pairs[0]
+        values, masses, peak = _fold(pairs[:1], None, 0)
+        assert values.tobytes() == ratio.tobytes() and masses.tobytes() == weight.tobytes()
+        assert peak == np.bincount(rows, minlength=height).max()
+
+        folds, heights, step = [], [], ratios_mod._step
+
+        def counted_step(values, masses, sizes, rows, cols, ratio, weight, height):
+            heights.append(height)
+            assert sizes.size > 1 or height == 1  # one table only meets a product's single row
+            return step(values, masses, sizes, rows, cols, ratio, weight, height)
+
+        monkeypatch.setattr(ratios_mod, "_step", counted_step)
+        module = product_mod if run == "estimate" else oracle_mod
+        fold = module._fold
+        monkeypatch.setattr(module, "_fold", lambda *args: folds.append(1) or fold(*args))
+        if run == "estimate":  # asking for the table makes the run fold
+            estimate = estimate_markov_tv if isinstance(pair, MarkovPair) else estimate_product_tv
+            estimate(pair, 0.2, return_ratio=True)
+        else:
+            (exact_ratio_markov if isinstance(pair, MarkovPair) else exact_ratio_product)(pair)
+        assert folds and len(heights) == len(folds) * (pair.n - 1)
 
 
 def _live_pairs_step_by_step(stacks) -> list:
