@@ -82,10 +82,8 @@ def _bounds(pair: MarkovPair) -> tuple[float, float]:
     """
     terms = [tv_discrete(pair.p_init, pair.q_init)]
     qmarg = pair.q_init
-    for step in range(pair.n - 1):
-        pk = pair.p_kernels[step]
-        qk = pair.q_kernels[step]
-        row_tv = 0.5 * np.sum(np.abs(pk - qk), axis=1)
+    row_tvs = 0.5 * np.abs(pair.p_kernels - pair.q_kernels).sum(axis=2)
+    for row_tv, qk in zip(row_tvs, pair.q_kernels):
         terms.append(float(np.sum(qmarg * row_tv)))
         qmarg = np.sum(qmarg[:, None] * qk, axis=0)
     return 0.5 * max(terms), math.fsum(terms)

@@ -163,12 +163,24 @@ def _affinity_gap(stacks) -> float:
     turn.  Each step rescales v to a maximum of 1 and keeps the scale as a
     logarithm, so thousands of steps cannot underflow.  Disjoint supports
     give BC = 0 and a gap of exactly 1.
+
+    v holds one entry or one per column.  One entry is exactly 1.0: it
+    starts as np.ones(1), and a rescale divides a finite nonzero x by
+    itself, which rounds to 1 exactly.  So each stack builds one read-only
+    stride-0 vector of ones, the array np.broadcast_to(v, cols) would return
+    for that v (with one column, a single 1.0 either way), and a step with a
+    one-entry v multiplies by it; a v with one entry per column is the view
+    broadcast_to would return.  The matmul sees the same values, dtype and
+    strides, so the bits are those of a per-step broadcast_to, without its
+    fixed cost at every step.  A contiguous np.ones in place of the stride-0
+    vector moves bits: the matmul then takes another summation path.
     """
     v, log_bc = np.ones(1), 0.0
     for p_stack, q_stack in stacks:
+        ones = np.broadcast_to(1.0, p_stack.shape[-1])
         for p_rows, q_rows in zip(p_stack, q_stack):
-            v = np.sqrt(p_rows * q_rows) @ np.broadcast_to(v, p_rows.shape[1])
-            top = float(np.max(v))
+            v = np.sqrt(p_rows * q_rows) @ (ones if v.size == 1 else v)
+            top = float(v.max())
             if top == 0.0:
                 return 1.0
             v /= top

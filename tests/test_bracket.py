@@ -602,6 +602,63 @@ def test_affinity_gap_lower_bounds_the_distance(case):
         assert gap == 1.0
 
 
+def _gap_with_a_broadcast_per_step(stacks):
+    """The reference for `_affinity_gap`: the same pass, with v broadcast to the columns at every step."""
+    v, log_bc = np.ones(1), 0.0
+    for p_stack, q_stack in stacks:
+        for p_rows, q_rows in zip(p_stack, q_stack):
+            v = np.sqrt(p_rows * q_rows) @ np.broadcast_to(v, p_rows.shape[1])
+            top = float(np.max(v))
+            if top == 0.0:
+                return 1.0
+            v /= top
+            log_bc += math.log(top)
+    return -math.expm1(log_bc)
+
+
+def _long_product(near):
+    """2,000 coordinates: spiky rows, whose BC (about e**-1106) underflows without the rescale, or near ones.
+
+    The near rows mix in a thousandth of the spiky q rows, so the gap, about 0.06, keeps bits to compare.
+    """
+    pair = generate_product_instance(2000, 3, seed=0, skew=0.3)
+    if not near:
+        return pair
+    return ProductPair(pair.p_marginals, 0.999 * pair.p_marginals + 0.001 * pair.q_marginals)
+
+
+def _one_step_chain(q):
+    rows = np.linspace(1.0, 2.0, q)
+    return MarkovPair(rows / rows.sum(), rows[::-1] / rows.sum(), np.zeros((0, q, q)), np.zeros((0, q, q)))
+
+
+GAP_CASES = {
+    "q=1": [generate_product_instance(n, 1, seed=0) for n in (1, 2, 7)]
+    + [generate_markov_instance(n, 1, seed=0) for n in (1, 2, 7)],
+    "n=1 chain": [_one_step_chain(q) for q in (1, 2, 5)],
+    "disjoint": [
+        ProductPair([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]]),
+        MarkovPair([0.5, 0.5], [0.5, 0.5], [np.eye(2)], [[[0.0, 1.0], [1.0, 0.0]]]),
+        MarkovPair([0.5, 0.5, 0.0], [0.0, 0.0, 1.0], np.tile(np.eye(3), (4, 1, 1)), np.tile(np.eye(3), (4, 1, 1))),
+    ],
+    "2000 steps": [_long_product(near=False), _long_product(near=True)],
+    "gamma": [
+        generate(n, q, seed=seed, skew=skew)
+        for generate in (generate_product_instance, generate_markov_instance)
+        for n, q in ((2, 2), (5, 3), (30, 8))
+        for skew in (0.1, 0.3, 1.0, 3.0)
+        for seed in (0, 1)
+    ],
+}
+
+
+@pytest.mark.parametrize("pairs", GAP_CASES.values(), ids=GAP_CASES.keys())
+def test_affinity_gap_matches_a_broadcast_per_step_bit_for_bit(pairs):
+    for pair in pairs:
+        steps = _kind(pair)[3]
+        assert _affinity_gap(steps).hex() == _gap_with_a_broadcast_per_step(steps).hex()
+
+
 @PROPERTY
 @given(skewed_pairs(), st.sampled_from([0.5, 0.2, 0.05]))
 def test_the_certificate_fires_only_inside_the_band(case, eps):
