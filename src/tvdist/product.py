@@ -101,9 +101,13 @@ class EstimateReport:
 #: allocates), and a partition may have at most this many low-side cells m
 #: (`_partition`, before any fold runs at it), so a merge's dense slot map
 #: (`sparsify._cell_sums`) has at most 2 * cap + 3 slots, or 2**16 if more.
-#: In bytes, a step peaked at about 52 B per entry it built (tracemalloc,
-#: chains of q 100 to 300 and n 3: 51.3 to 51.9 B), and a slot map takes 9 B
-#: a slot, a bool and an intp: at 2**26, about 3.5 GB and 1.2 GB.  One merge
+#: In bytes, a fold peaked at about 38 B per entry of its largest step
+#: (tracemalloc, chains of q 100 to 300 and n 3: 37.5 to 38.2 B), the step
+#: and the merge of its table alike.  A slot map takes 32 B a slot, its four
+#: float64 sums, where it is dense, at most max(entries, 2**16) slots, and
+#: 9 B a slot, a bool and an intp, where it is larger and numbers its
+#: occupied slots first: at 2**26, about 2.5 GB for the entries, and 2.1 GB
+#: for a dense map or 1.2 GB for one of 2 * 2**26 + 3 slots.  One merge
 #: of a 1,000-entry one-state table at m = 2**26 took 50-150 ms (five runs)
 #: and 1,152 MiB of address space, about 100 MB of it resident (2 cores,
 #: numpy 2.4.6).  Measured at the paper's width, before the certified

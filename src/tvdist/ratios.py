@@ -253,12 +253,12 @@ def _step(values, masses, sizes, rows, cols, ratio, weight, height: int):
         values = np.multiply.outer(ratio, values).ravel()
         masses = np.multiply.outer(weight, masses).ravel()
         return values, masses, np.array([values.size])
-    lens = sizes[cols]
+    lens = sizes.take(cols)
     # entry i of the run for pair j reads entry i of table cols[j]
-    take = np.repeat(np.cumsum(sizes)[cols] - np.cumsum(lens), lens)
+    take = (sizes.cumsum().take(cols) - lens.cumsum()).repeat(lens)
     take += np.arange(take.size)
-    values = values[take] * np.repeat(ratio, lens)
-    masses = masses[take] * np.repeat(weight, lens)
+    values = values.take(take) * ratio.repeat(lens)
+    masses = masses.take(take) * weight.repeat(lens)
     return values, masses, np.bincount(rows, lens, height).astype(np.intp)
 
 

@@ -20,14 +20,18 @@ have no q-mass, so no cell holds them.  Both reducers take the fold's flat
 tables of all states at once, as (values, masses, sizes) with the tables
 end to end in state order, and return the same layout, with one keying
 pass per step and per-(state, cell) sums by `np.bincount`, and no sort.
-A one-state table, which every product fold has, is its own slot map:
-its keys index the 2m + 3 cells directly, with no per-state offsets or
-splitting.  Tables of more states share one dense map of (state, cell)
-slots, offset per state by `sizes`, which `_cell_sums` builds in blocks
-of states only when the states times 2m + 3 exceed max(entries, 2**16).
-At the law widths a step's tables hold hundreds to thousands of entries,
-so a step's time is mostly the fixed cost of its numpy calls, and the
-reducers keep their count low: work in place, and no numpy wrappers
+The sums go straight into a dense map of (state, cell) slots, 2m + 3 per
+state, offset per state by `sizes`, and the occupied slots are read off
+the q-mass, since every mass of a fold's table is positive.  A one-state
+table, which every product fold has, is its own slot map: its keys index
+the cells directly, with no per-state offsets or splitting.  A map of
+more than max(entries, 2**16) slots, which takes a fine partition such as
+the paper's width, first numbers its occupied slots densely, and
+`_cell_sums` sums many states in blocks of at most that many slots, so a
+fine partition costs memory per entry, not per cell.  At the law widths
+a step's tables hold hundreds to thousands of entries, so a step's time
+is mostly the fixed cost of its numpy calls, and the reducers keep their
+count low: work in place, one gather per sum, and no numpy wrappers
 written in Python on the per-step path.
 """
 
@@ -88,12 +92,14 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
     Keys 0..m are the low side, m+1 is the singleton {1}, and m+2..2m+2 are
     the high-side intervals ordered away from 1, so key 2m+2 is the interval
     reaching infinity.  Every entry is keyed once, by the closed form
-    floor(-log1p(-u) / log1p(eps_s)) of u = min(v, 1/v), with the quotient
-    clipped to m before the cast, so no quotient can wrap.  No step divides
-    by 0 or overflows, so it needs no error state of its own.
+    floor(-log1p(-u) / log1p(eps_s)) of u = min(v, 1/max(v, 1)), which is v
+    below 1 and 1/v above it, with the quotient clipped to m before the
+    cast, so no quotient can wrap.  No step divides by 0 or overflows, so it
+    needs no error state of its own.
     """
-    high = values > 1.0
-    u = np.divide(1.0, values, out=values.copy(), where=high)
+    u = np.maximum(values, 1.0)
+    np.divide(1.0, u, out=u)
+    np.minimum(u, values, out=u)
     # v = 1 has no low index: it is keyed last, and below 1 its log stays finite
     np.minimum(u, 1.0 - 2.0**-53, out=u)
     np.negative(u, out=u)
@@ -101,44 +107,61 @@ def _interval_keys(part: IntervalPartition, values: np.ndarray) -> np.ndarray:
     np.divide(u, -math.log1p(part.eps_s), out=u)
     np.minimum(u, part.m, out=u)
     keys = u.astype(np.int64)  # truncation, which is floor on u >= 0
-    np.subtract(2 * part.m + 2, keys, out=keys, where=high)
+    np.subtract(2 * part.m + 2, keys, out=keys, where=values > 1.0)
     keys[values == 1.0] = part.m + 1
     return keys
 
 
 def _slot_sums(slot, v, p, size: int):
-    """Occupied slots below `size`, in order, and their q-mass, p-mass, lowest and highest value."""
-    seen = np.zeros(size, dtype=bool)
-    seen[slot] = True
-    occupied = seen.nonzero()[0]
-    # only occupied slots are read back, so the map need not be cleared
-    index = np.empty(size, dtype=np.intp)
-    index[occupied] = np.arange(occupied.size)
-    cell = index[slot]
-    del seen, index
-    lo, hi = np.empty(occupied.size), np.empty(occupied.size)
+    """Occupied slots below `size`, in order, and their q-mass, p-mass, lowest and highest value.
+
+    Sums straight into a dense map of `size` slots, 32 B a slot, and gathers
+    each sum once at the occupied slots, which it reads off the q-mass: every
+    mass of a fold's table is positive, so a slot's q-mass is positive exactly
+    where an entry falls.  A map of more than max(entries, 2**16) slots, from
+    a fine partition such as the paper's width, first numbers its occupied
+    slots densely, through a bool and an intp a slot, 9 B, and sums on those
+    numbers.
+    """
+    if size > max(slot.size, 2**16):
+        seen = np.zeros(size, dtype=bool)
+        seen[slot] = True
+        occupied = seen.nonzero()[0]
+        # only occupied slots are read back, so the map need not be cleared
+        index = np.empty(size, dtype=np.intp)
+        index[occupied] = np.arange(occupied.size)
+        slot = index[slot]
+        del seen, index
+        return occupied, *_slot_sums(slot, v, p, occupied.size)[1:]
+    lo, hi = np.empty(size), np.empty(size)
     lo.fill(np.inf)
     hi.fill(-np.inf)
-    np.minimum.at(lo, cell, v)
-    np.maximum.at(hi, cell, v)
-    return occupied, np.bincount(cell, p, occupied.size), np.bincount(cell, v * p, occupied.size), lo, hi
+    np.minimum.at(lo, slot, v)
+    np.maximum.at(hi, slot, v)
+    gmass = np.bincount(slot, p, size)
+    occupied = gmass.nonzero()[0]
+    gnum = np.bincount(slot, v * p, size)
+    return occupied, gmass.take(occupied), gnum.take(occupied), lo.take(occupied), hi.take(occupied)
 
 
 def _cell_sums(part: IntervalPartition, values, masses, sizes):
     """Occupied slots s * (2m + 3) + key of flat tables, in order, and their sums.
 
     Keys every entry once (`_interval_keys`).  Per slot: q-mass, p-mass (sum
-    of value * mass), lowest and highest value.  A one-state table's slots
-    are its keys.  More states share a dense slot map, built in blocks of at
-    most max(entries, 2m + 3, 2**16) slots, so the block loop runs only when
-    the states times 2m + 3 exceed max(entries, 2**16).
+    of value * mass), lowest and highest value (`_slot_sums`).  A one-state
+    table's slots are its keys.  More states share one slot map, offset per
+    state, summed whole when the states times 2m + 3 are at most
+    max(entries, 2**16), and otherwise in blocks of states of at most that
+    many slots, or of one state where its 2m + 3 alone exceed it.
     """
     keys = _interval_keys(part, values)
     width = part.interval_count
     if sizes.size == 1:
         return _slot_sums(keys, values, masses, width)
-    keys += np.repeat(np.arange(0, sizes.size * width, width), sizes)  # each entry's slot
+    keys += np.arange(0, sizes.size * width, width).repeat(sizes)  # each entry's slot
     block = max(1, max(values.size, 2**16) // width)
+    if block >= sizes.size:
+        return _slot_sums(keys, values, masses, sizes.size * width)
     ends = sizes.cumsum()
     parts = []
     for first in range(0, sizes.size, block):
@@ -147,7 +170,7 @@ def _cell_sums(part: IntervalPartition, values, masses, sizes):
         slot = keys[entries] - first * width
         occupied, *sums = _slot_sums(slot, values[entries], masses[entries], (last - first) * width)
         parts.append((occupied + first * width, *sums))
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _merge_cells(part: IntervalPartition, values, masses, sizes):

@@ -8,6 +8,7 @@ from q, with numpy alone, and each run must land in the band
 (1 - eps) * (mc - Z * se) <= estimate <= mc + Z * se, with upper >= mc - Z * se.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -93,7 +94,8 @@ def _chain(n, sigma, seed):
 
 #: (estimator, pair, Monte Carlo, draws): near products at n 200 and 1000 and
 #: near chains at n 16 and 64, all with q 10.  TV is about 0.10, 0.11, 0.03
-#: and 0.06, and each se under 0.8% of it, so eps sets the band.
+#: and 0.06, and each se under 0.8% of it, so at eps 0.05 and 0.2 eps sets the
+#: band; at 0.0125 its lower end is mostly the Z standard errors.
 CASES = {
     "product-n200": (estimate_product_tv, _product(200, 0.02, seed=11), mc_product, 2**17),
     "product-n1000": (estimate_product_tv, _product(1000, 0.01, seed=12), mc_product, 2**15),
@@ -102,13 +104,30 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_the_estimate_lands_in_the_monte_carlo_band(name):
-    estimate, pair, mc, draws = CASES[name]
-    report = estimate(pair, EPS)
+@functools.cache
+def monte_carlo(name):
+    """The case's (mc, se), drawn once for every eps it is checked at."""
+    _, pair, mc, draws = CASES[name]
+    return mc(pair, seed=1, draws=draws)
+
+
+def check_band(name, eps):
+    estimate, pair, _, _ = CASES[name]
+    report = estimate(pair, eps)
     assert report.tries >= 1  # a near pair folds: the fold-free exit cannot certify it
-    mean, se = mc(pair, seed=1, draws=draws)
+    mean, se = monte_carlo(name)
     low, high = mean - Z * se, mean + Z * se
     assert se < 0.01 * mean
-    assert (1.0 - EPS) * low <= report.estimate <= high
+    assert (1.0 - eps) * low <= report.estimate <= high
     assert report.upper >= low
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_the_estimate_lands_in_the_monte_carlo_band(name):
+    check_band(name, EPS)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.0125])
+@pytest.mark.parametrize("name", CASES)
+def test_the_band_holds_at_a_coarse_and_a_fine_eps(name, eps):
+    check_band(name, eps)

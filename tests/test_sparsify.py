@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tvdist import ParameterError, ProductPair, RatioDist, SizeError, estimate_product_tv, np_boundary, tv_of_ratio
+from tvdist import sparsify
 from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, build_partition
 
 from conftest import entries, exact_tv_product, merge_table, random_ratio
@@ -26,6 +27,21 @@ def boundaries(part):
 
 def neighbours(values):
     return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)])
+
+
+def where_keys(part, values):
+    """The cell keys with 1/v taken only where v > 1 (`where=`): the bit reference for `_interval_keys`."""
+    high = values > 1.0
+    u = np.divide(1.0, values, out=values.copy(), where=high)
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, -math.log1p(part.eps_s), out=u)
+    np.minimum(u, part.m, out=u)
+    keys = u.astype(np.int64)
+    np.subtract(2 * part.m + 2, keys, out=keys, where=high)
+    keys[values == 1.0] = part.m + 1
+    return keys
 
 
 class TestBuildPartition:
@@ -179,6 +195,18 @@ class TestLocateInterval:
             np.testing.assert_array_equal(
                 2 * floor.m + 2 - _interval_keys(floor, high), 2 * finer.m + 2 - _interval_keys(finer, high)
             )
+
+    @pytest.mark.parametrize("delta", [1e-3, 2.0**-104])
+    @pytest.mark.parametrize("eps", [0.5, 0.2236, 0.01, 1e-6])
+    def test_keys_match_the_where_form_bit_for_bit(self, eps, delta):
+        # u = min(v, 1/max(v, 1)) divides everywhere, by 1 at or below 1, and
+        # must key every value as the where= form does.  At the tail 2**-104
+        # the clip at m never binds, so a clip of u at 1 - 2**-52 in place of
+        # 1 - 2**-53 would move the key of 1 - 2**-53; at 1e-3 the clip binds
+        part = build_partition(eps, delta)
+        edges = [0.0, 5e-324, 1e-310, 1 - 2.0**-53, 1.0, 1 + 2.0**-52, 2.0, 1e308]
+        values = np.concatenate([edges, np.random.default_rng(5).lognormal(0.0, 3.0, 10**5)])
+        np.testing.assert_array_equal(_interval_keys(part, values), where_keys(part, values))
 
 
 # The first coordinate's third outcome has p-mass 0.25 and no q-mass.
@@ -341,3 +369,37 @@ class TestFlatTables:
         assert_bitwise(got[0], np.concatenate([a[0] for a in alone]))
         assert_bitwise(got[1], np.concatenate([a[1] for a in alone]))
         np.testing.assert_array_equal(got[2], [a[0].size for a in alone])
+
+    @pytest.mark.parametrize("reducer", [_merge_cells, _spread_cells])
+    def test_dense_and_compacted_maps_agree(self, reducer, rng, monkeypatch):
+        # 2m + 3 = 65,799 slots a state, just past 2**16: a state of fewer
+        # entries numbers its occupied slots first, while a step of at least
+        # states times 2m + 3 entries sums all its states in one dense map
+        part = build_partition(2.1e-4, 1e-3)
+        width = part.interval_count
+        assert width > 2**16
+        small = [([], []), ([1.0], [1.0]), ([0.3], [1.0]), ([0.5, 2e3], [1 - 1e-5, 1e-5])]
+        small += [(r.values, r.masses) for r in (random_ratio(rng, size) for size in (40, 500))]
+        entries = (len(small) + 1) * width
+        tables = small + [(rng.lognormal(0.0, 1.0, entries), np.full(entries, 1 / entries))]
+        compacted = []
+        slot_sums = sparsify._slot_sums
+
+        def spy(slot, v, p, size):
+            compacted.append(size > max(slot.size, 2**16))
+            return slot_sums(slot, v, p, size)
+
+        monkeypatch.setattr(sparsify, "_slot_sums", spy)
+        alone = [reducer(part, *flat([t])) for t in tables]
+        # each small state's map compacts, then sums densely on its occupied slots
+        assert compacted == [True, False] * len(small) + [False]
+        compacted.clear()
+        together = reducer(part, *flat(tables))
+        assert compacted == [False]
+        compacted.clear()
+        blocked = reducer(part, *flat(small))
+        assert compacted == [True, False] * len(small)
+        for got, want in ((together, alone), (blocked, alone[:-1])):
+            assert_bitwise(got[0], np.concatenate([a[0] for a in want]))
+            assert_bitwise(got[1], np.concatenate([a[1] for a in want]))
+            np.testing.assert_array_equal(got[2], [a[0].size for a in want])
