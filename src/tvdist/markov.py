@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .product import _estimate
-from .ratios import _validate_rows, tv_discrete
+from .ratios import _half_l1, _validate_rows
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _bounds(pair: MarkovPair) -> tuple[float, float]:
     largest term is d_lb, and the sum S of the terms bounds the distance
     from above, up to a rounding term (`product._free_rounding`).
     """
-    terms = [tv_discrete(pair.p_init, pair.q_init)]
+    terms = [_half_l1(pair.p_init, pair.q_init)]
     qmarg = pair.q_init
     row_tvs = 0.5 * np.abs(pair.p_kernels - pair.q_kernels).sum(axis=2)
     for row_tv, qk in zip(row_tvs, pair.q_kernels):

@@ -99,24 +99,24 @@ class EstimateReport:
 #: The estimators' one size cap, read at call time.  A fold step may build at
 #: most this many entries (`ratios._fold` checks them before the step
 #: allocates), and a partition may have at most this many low-side cells m
-#: (`_partition`, before any fold runs at it), so a merge's dense slot map
-#: (`sparsify._cell_sums`) has at most 2 * cap + 3 slots, or 2**16 if more.
-#: In bytes, a fold peaked at about 38 B per entry of its largest step
-#: (tracemalloc, chains of q 100 to 300 and n 3: 37.5 to 38.2 B), the step
-#: and the merge of its table alike.  A slot map takes 32 B a slot, its four
-#: float64 sums, where it is dense, at most max(entries, 2**16) slots, and
-#: 9 B a slot, a bool and an intp, where it is larger and numbers its
-#: occupied slots first: at 2**26, about 2.5 GB for the entries, and 2.1 GB
-#: for a dense map or 1.2 GB for one of 2 * 2**26 + 3 slots.  One merge
-#: of a 1,000-entry one-state table at m = 2**26 took 50-150 ms (five runs)
-#: and 1,152 MiB of address space, about 100 MB of it resident (2 cores,
-#: numpy 2.4.6).  Measured at the paper's width, before the certified
-#: schedule, the largest merged or spread table times its step's column
-#: count was 2,920,310 in the tests and 352,030 in the benchmark.  Only the
-#: paper-width fold after two missed law passes comes near the cap in m: the
-#: benchmark's estimates build no partition past m = 44, the tests' past
-#: m = 1,471,928 (a chain made to miss twice), while a product estimate at
-#: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
+#: (`_partition`, before any fold runs at it).  In bytes, a fold peaked at
+#: about 38 B per entry of its largest step (tracemalloc, chains of q 100 to
+#: 300 and n 3: 37.5 to 38.2 B), the step and the merge of its table alike:
+#: about 2.5 GB at 2**26 entries.  A merge's slot map (`sparsify._slot_sums`)
+#: is dense, 32 B a slot for its four float64 sums, only where it has at
+#: most max(entries, 2**16) slots; a larger one, from a fine partition of up
+#: to 2 * cap + 3 slots a state, first numbers its occupied slots by
+#: `np.unique`, so it costs memory per entry, not per slot.  One merge of a
+#: 1,000-entry one-state table at m = 2**26 took 0.08 ms and 0.09 MiB
+#: (tracemalloc, best of five; 2 cores, numpy 2.4.6), and one of 10**6
+#: entries, nearly all in cells of their own, 95 B per entry.  Measured at
+#: the paper's width, before the certified schedule, the largest merged or
+#: spread table times its step's column count was 2,920,310 in the tests and
+#: 352,030 in the benchmark.  Only the paper-width fold after two missed law
+#: passes comes near the cap in m: the benchmark's estimates build no
+#: partition past m = 44, the tests' past m = 1,471,928 (a chain made to miss
+#: twice), while a product estimate at eps = 1e-3 and n = 10**4 would need
+#: m = 336,224,866 at the paper's width.
 MAX_TABLE_ENTRIES = 2**26
 
 #: Every certified exit (`_estimate`) is estimate >= (1 - eps) * upper *

@@ -116,14 +116,6 @@ def _validate_rows(rows, name: str, ndim: int = 2) -> np.ndarray:
     return rows
 
 
-def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Two probability vectors over the same outcomes, checked and normalized."""
-    p, q = _validate_rows(p, "p", 1), _validate_rows(q, "q", 1)
-    if p.size != q.size:
-        raise DimensionError(f"outcome spaces differ: {p.size} vs {q.size}")
-    return p, q
-
-
 @dataclass(frozen=True)
 class RatioDist:
     """Finite likelihood-ratio distribution: a sorted table of (value, mass).
@@ -190,13 +182,25 @@ class NPBoundary:
 def tv_discrete(p, q) -> float:
     """Total variation distance between two aligned probability vectors.
 
-    The largest float at most the exact half-L1 distance of the two rows, so
-    a single-step estimate never lands above the distance.  Each difference
-    is kept exact as its rounded value plus its rounding error (TwoSum),
-    `math.fsum` rounds their sum once, and the halved sum steps once toward
-    0 when that rounding went up or the halving itself rounded.
+    Checks and normalizes both rows (`_validate_rows`), then takes their
+    distance rounded toward 0 (`_half_l1`).
     """
-    p, q = _aligned(p, q)
+    p, q = _validate_rows(p, "p", 1), _validate_rows(q, "q", 1)
+    if p.size != q.size:
+        raise DimensionError(f"outcome spaces differ: {p.size} vs {q.size}")
+    return _half_l1(p, q)
+
+
+def _half_l1(p, q) -> float:
+    """The largest float at most the exact half-L1 distance of two rows.
+
+    The rows must already be checked rows of one length (`tv_discrete`, or
+    a pair's own validation).  Rounding toward 0 keeps a single-step estimate
+    at or below the distance.  Each difference is kept exact as its rounded
+    value plus its rounding error (TwoSum), `math.fsum` rounds their sum
+    once, and the halved sum steps once toward 0 when that rounding went up
+    or the halving itself rounded.
+    """
     diff = p - q
     back = diff - p
     error = (p - (diff - back)) - (q + back)

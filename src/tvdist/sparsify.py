@@ -24,11 +24,10 @@ The sums go straight into a dense map of (state, cell) slots, 2m + 3 per
 state, offset per state by `sizes`, and the occupied slots are read off
 the q-mass, since every mass of a fold's table is positive.  A one-state
 table, which every product fold has, is its own slot map: its keys index
-the cells directly, with no per-state offsets or splitting.  A map of
-more than max(entries, 2**16) slots, which takes a fine partition such as
-the paper's width, first numbers its occupied slots densely, and
-`_cell_sums` sums many states in blocks of at most that many slots, so a
-fine partition costs memory per entry, not per cell.  At the law widths
+the cells directly, with no per-state offsets.  A map of more than
+max(entries, 2**16) slots, which takes a fine partition such as the
+paper's width, first numbers its occupied slots densely (`np.unique`), so
+a fine partition costs memory per entry, not per cell.  At the law widths
 a step's tables hold hundreds to thousands of entries, so a step's time
 is mostly the fixed cost of its numpy calls, and the reducers keep their
 count low: work in place, one gather per sum, and no numpy wrappers
@@ -120,18 +119,12 @@ def _slot_sums(slot, v, p, size: int):
     mass of a fold's table is positive, so a slot's q-mass is positive exactly
     where an entry falls.  A map of more than max(entries, 2**16) slots, from
     a fine partition such as the paper's width, first numbers its occupied
-    slots densely, through a bool and an intp a slot, 9 B, and sums on those
-    numbers.
+    slots densely (`np.unique`) and sums on those numbers, so it costs memory
+    per entry, not per slot.  Either way the sums visit the entries in their
+    order, so both give the same bits.
     """
     if size > max(slot.size, 2**16):
-        seen = np.zeros(size, dtype=bool)
-        seen[slot] = True
-        occupied = seen.nonzero()[0]
-        # only occupied slots are read back, so the map need not be cleared
-        index = np.empty(size, dtype=np.intp)
-        index[occupied] = np.arange(occupied.size)
-        slot = index[slot]
-        del seen, index
+        occupied, slot = np.unique(slot, return_inverse=True)
         return occupied, *_slot_sums(slot, v, p, occupied.size)[1:]
     lo, hi = np.empty(size), np.empty(size)
     lo.fill(np.inf)
@@ -149,28 +142,14 @@ def _cell_sums(part: IntervalPartition, values, masses, sizes):
 
     Keys every entry once (`_interval_keys`).  Per slot: q-mass, p-mass (sum
     of value * mass), lowest and highest value (`_slot_sums`).  A one-state
-    table's slots are its keys.  More states share one slot map, offset per
-    state, summed whole when the states times 2m + 3 are at most
-    max(entries, 2**16), and otherwise in blocks of states of at most that
-    many slots, or of one state where its 2m + 3 alone exceed it.
+    table's slots are its keys; more states share one slot map, offset per
+    state.
     """
     keys = _interval_keys(part, values)
     width = part.interval_count
-    if sizes.size == 1:
-        return _slot_sums(keys, values, masses, width)
-    keys += np.arange(0, sizes.size * width, width).repeat(sizes)  # each entry's slot
-    block = max(1, max(values.size, 2**16) // width)
-    if block >= sizes.size:
-        return _slot_sums(keys, values, masses, sizes.size * width)
-    ends = sizes.cumsum()
-    parts = []
-    for first in range(0, sizes.size, block):
-        last = min(first + block, sizes.size)
-        entries = slice(ends[first] - sizes[first], ends[last - 1])
-        slot = keys[entries] - first * width
-        occupied, *sums = _slot_sums(slot, values[entries], masses[entries], (last - first) * width)
-        parts.append((occupied + first * width, *sums))
-    return tuple(map(np.concatenate, zip(*parts)))
+    if sizes.size > 1:
+        keys += np.arange(0, sizes.size * width, width).repeat(sizes)  # each entry's slot
+    return _slot_sums(keys, values, masses, sizes.size * width)
 
 
 def _merge_cells(part: IntervalPartition, values, masses, sizes):

@@ -286,8 +286,8 @@ class TestSizeCap:
 
     def test_memory_stays_within_the_cap(self, monkeypatch):
         # a wide chain (q 100, n 3, two law tries) at a cap of exactly its
-        # largest step peaks within the cap's bytes: its entries, and a slot
-        # map of 2 * cap + 3 slots at 9 B each
+        # largest step peaks within the cap's bytes, per entry: a slot map
+        # larger than its entries numbers its occupied slots first
         pair = generate_markov_instance(3, 100, seed=1)
         sizes, step = [], ratios_mod._step
 
@@ -322,5 +322,5 @@ class TestSizeCap:
                 estimate_markov_tv(pair, 0.05)
         finally:
             tracemalloc.stop()
-        assert at_cap <= BYTES_PER_ENTRY * cap + 9 * (2 * cap + 3)
+        assert at_cap <= BYTES_PER_ENTRY * cap
         assert peaks[-1] <= BYTES_PER_ENTRY * cap / 4

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tvdist.product as product_mod
 from tvdist import ParameterError, ProductPair, RatioDist, SizeError, estimate_product_tv, np_boundary, tv_of_ratio
 from tvdist import sparsify
 from tvdist.sparsify import _interval_keys, _merge_cells, _spread_cells, build_partition
@@ -342,12 +343,25 @@ def assert_bitwise(got, want):
     np.testing.assert_array_equal(*bits)
 
 
+@pytest.fixture
+def compactions(monkeypatch):
+    """Whether each `_slot_sums` call numbers its map's occupied slots first, in call order."""
+    seen, slot_sums = [], sparsify._slot_sums
+
+    def spy(slot, v, p, size):
+        seen.append(size > max(slot.size, 2**16))
+        return slot_sums(slot, v, p, size)
+
+    monkeypatch.setattr(sparsify, "_slot_sums", spy)
+    return seen
+
+
 class TestFlatTables:
     # A one-state table takes its own path through the reducers; a flat table
     # of many states must reduce as each of its states would alone.
     @pytest.mark.parametrize("reducer", [_merge_cells, _spread_cells])
-    @pytest.mark.parametrize("eps_s, blocks", [(0.5, 1), (1e-3, 2)])
-    def test_states_reduce_as_they_would_alone(self, reducer, eps_s, blocks, rng):
+    @pytest.mark.parametrize("eps_s, calls", [(0.5, 1), (1e-3, 2), (1e-4, 2)])
+    def test_states_reduce_as_they_would_alone(self, reducer, eps_s, calls, rng, compactions):
         part = build_partition(eps_s, 1e-3)
         tables = [
             ([], []),
@@ -360,18 +374,23 @@ class TestFlatTables:
         for size in (40, 200, 500):
             r = random_ratio(rng, size)
             tables.append((r.values, r.masses))
-        values, masses, sizes = flat(tables)
-        # the states pass in `blocks` blocks of the dense slot map
-        width = part.interval_count
-        assert math.ceil(sizes.size / max(1, max(values.size, 2**16) // width)) == blocks
-        got = reducer(part, values, masses, sizes)
+        got = reducer(part, *flat(tables))
+        # the states share one slot map: in one `_slot_sums` call it sums
+        # densely, in two it numbers its occupied slots first
+        assert compactions == [True, False][-calls:]
+        compactions.clear()
         alone = [reducer(part, *flat([t])) for t in tables]
+        # at eps_s 1e-4 a single state's 2m + 3 slots alone exceed 2**16,
+        # so each state's own map compacts too
+        alone_compacts = part.interval_count > 2**16
+        assert alone_compacts == (eps_s == 1e-4)
+        assert compactions.count(True) == len(tables) * alone_compacts
         assert_bitwise(got[0], np.concatenate([a[0] for a in alone]))
         assert_bitwise(got[1], np.concatenate([a[1] for a in alone]))
         np.testing.assert_array_equal(got[2], [a[0].size for a in alone])
 
     @pytest.mark.parametrize("reducer", [_merge_cells, _spread_cells])
-    def test_dense_and_compacted_maps_agree(self, reducer, rng, monkeypatch):
+    def test_dense_and_compacted_maps_agree(self, reducer, rng, compactions):
         # 2m + 3 = 65,799 slots a state, just past 2**16: a state of fewer
         # entries numbers its occupied slots first, while a step of at least
         # states times 2m + 3 entries sums all its states in one dense map
@@ -382,24 +401,52 @@ class TestFlatTables:
         small += [(r.values, r.masses) for r in (random_ratio(rng, size) for size in (40, 500))]
         entries = (len(small) + 1) * width
         tables = small + [(rng.lognormal(0.0, 1.0, entries), np.full(entries, 1 / entries))]
-        compacted = []
-        slot_sums = sparsify._slot_sums
-
-        def spy(slot, v, p, size):
-            compacted.append(size > max(slot.size, 2**16))
-            return slot_sums(slot, v, p, size)
-
-        monkeypatch.setattr(sparsify, "_slot_sums", spy)
         alone = [reducer(part, *flat([t])) for t in tables]
         # each small state's map compacts, then sums densely on its occupied slots
-        assert compacted == [True, False] * len(small) + [False]
-        compacted.clear()
+        assert compactions == [True, False] * len(small) + [False]
+        compactions.clear()
         together = reducer(part, *flat(tables))
-        assert compacted == [False]
-        compacted.clear()
-        blocked = reducer(part, *flat(small))
-        assert compacted == [True, False] * len(small)
-        for got, want in ((together, alone), (blocked, alone[:-1])):
+        assert compactions == [False]
+        compactions.clear()
+        # the small states alone share one map, which compacts once
+        shared = reducer(part, *flat(small))
+        assert compactions == [True, False]
+        for got, want in ((together, alone), (shared, alone[:-1])):
             assert_bitwise(got[0], np.concatenate([a[0] for a in want]))
             assert_bitwise(got[1], np.concatenate([a[1] for a in want]))
             np.testing.assert_array_equal(got[2], [a[0].size for a in want])
+
+    @pytest.mark.parametrize("reducer", [_merge_cells, _spread_cells])
+    def test_a_cap_sized_partition_costs_memory_per_entry(self, reducer, rng, monkeypatch):
+        # m = MAX_TABLE_ENTRIES: 2m + 3 = 134,217,731 slots, which would take
+        # 4.3 GB as a dense map, or 1.2 GB as a bool and an intp a slot; the
+        # 1,000 entries' own compaction takes kilobytes.  Half the entries
+        # share a cell with another, in no order.
+        part = sparsify.IntervalPartition(1e-7, product_mod.MAX_TABLE_ENTRIES)
+        values = rng.lognormal(0.0, 1.0, 1000)
+        values[500:] = rng.permutation(values[:500]) * (1 + 1e-12)
+        assert np.unique(_interval_keys(part, values)).size <= 510
+        table = values, rng.uniform(0.5, 1.5, 1000) / 1000, np.array([1000])
+        tracemalloc.start()
+        try:
+            got = reducer(part, *table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        slot_sums = sparsify._slot_sums
+
+        def bool_index(slot, v, p, size):
+            """Numbers the occupied slots through a bool and an intp a slot, then sums densely."""
+            seen = np.zeros(size, dtype=bool)
+            seen[slot] = True
+            occupied = seen.nonzero()[0]
+            index = np.empty(size, dtype=np.intp)
+            index[occupied] = np.arange(occupied.size)
+            return occupied, *slot_sums(index[slot], v, p, occupied.size)[1:]
+
+        monkeypatch.setattr(sparsify, "_slot_sums", bool_index)
+        want = reducer(part, *table)
+        assert_bitwise(got[0], want[0])
+        assert_bitwise(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
