@@ -9,7 +9,7 @@ same seeded arrays and files the benchmark uses) and runs `--passes` whole
 passes over them in process; its time is the best pass.  The report gives
 each side's median and quartiles over its processes, the pairs the change
 won (ties count for neither), and whether every process of both sides gave
-the same outputs: each call's estimate, as hex, and its `max_support`.
+the same outputs: each call's `MATCHED` report fields, floats as hex.
 
 The last line of standard output is one JSON object; the lines before it
 say the same in words.  The exit status is 0 when every process ran, also
@@ -39,6 +39,10 @@ import workloads as wl  # noqa: E402
 #: pass of any workload takes well under a second.
 PROCESS_TIMEOUT_S = 600
 
+#: The report fields `match` compares for each call, from the library's
+#: report or the CLI's document; a field the document leaves out is None.
+MATCHED = ("estimate", "max_support", "tries", "upper", "eps_s")
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -61,6 +65,11 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def matched(fields: dict) -> list:
+    """One call's `MATCHED` fields, in order, each float as its hex."""
+    return [value.hex() if isinstance(value, float) else value for value in map(fields.get, MATCHED)]
 
 
 def _side(src: Path, workload: str, seed: int, passes: int) -> dict:
@@ -88,8 +97,7 @@ def _side(src: Path, workload: str, seed: int, passes: int) -> dict:
                     if code != 0:
                         outputs.append(None)
                         continue
-                    doc = json.loads(out.getvalue())
-                    outputs.append([float(doc["estimate"]).hex(), doc["max_support"]])
+                    outputs.append(matched(json.loads(out.getvalue())))
                 return outputs
         else:
             if workload == "markov-near":
@@ -102,8 +110,7 @@ def _side(src: Path, workload: str, seed: int, passes: int) -> dict:
             def one_pass():
                 outputs = []
                 for pair in pairs:
-                    report = estimate(pair, eps)
-                    outputs.append([report.estimate.hex(), report.max_support])
+                    outputs.append(matched(vars(estimate(pair, eps))))
                 return outputs
 
         best, first = float("inf"), None

@@ -140,7 +140,7 @@ def emit_report(report: EstimateReport, mode: str, digest: str) -> str:
 
     The keys come in a fixed order, and a key whose value is None is left
     out: `epsilon` and `tries` in exact and oracle runs, which have no
-    epsilon, and `upper` and `eps_s` in runs that certify nothing.
+    epsilon, and `upper` and `eps_s` there and in the exact exits (`_estimate`).
     """
     record = {
         "mode": mode,

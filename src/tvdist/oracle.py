@@ -28,27 +28,25 @@ def _check_enumeration(q: int, n: int) -> None:
         raise SizeError(f"enumeration needs {q}**{n} outcomes, beyond the cap of {ENUMERATION_CAP}")
 
 
+def _enumerated_tv(pair, p_first, q_first, p_rows, q_rows) -> float:
+    """Half-L1 distance over all outcomes, in lexicographic order, extended forward one row stack a step."""
+    _check_enumeration(pair.q, pair.n)
+    vp, vq = p_first, q_first
+    for p_step, q_step in zip(p_rows, q_rows):
+        vp = (vp.reshape(-1, len(p_step))[:, :, None] * p_step).ravel()
+        vq = (vq.reshape(-1, len(q_step))[:, :, None] * q_step).ravel()
+    return 0.5 * float(np.sum(np.abs(vp - vq)))
+
+
 def brute_force_tv_product(pair: ProductPair) -> float:
     """Half-L1 distance over all of [q]^n, enumerated lexicographically."""
-    _check_enumeration(pair.q, pair.n)
-    vp = pair.p_marginals[0]
-    vq = pair.q_marginals[0]
-    for i in range(1, pair.n):
-        vp = np.multiply.outer(vp, pair.p_marginals[i]).ravel()
-        vq = np.multiply.outer(vq, pair.q_marginals[i]).ravel()
-    return 0.5 * float(np.sum(np.abs(vp - vq)))
+    p, q = pair.p_marginals, pair.q_marginals
+    return _enumerated_tv(pair, p[0], q[0], p[1:, None], q[1:, None])
 
 
 def brute_force_tv_markov(pair: MarkovPair) -> float:
     """Half-L1 distance over all length-n trajectories."""
-    _check_enumeration(pair.q, pair.n)
-    q = pair.q
-    vp = pair.p_init
-    vq = pair.q_init
-    for step in range(pair.n - 1):
-        vp = (vp.reshape(-1, q)[:, :, None] * pair.p_kernels[step][None, :, :]).ravel()
-        vq = (vq.reshape(-1, q)[:, :, None] * pair.q_kernels[step][None, :, :]).ravel()
-    return 0.5 * float(np.sum(np.abs(vp - vq)))
+    return _enumerated_tv(pair, pair.p_init, pair.q_init, pair.p_kernels, pair.q_kernels)
 
 
 def exact_ratio_product(pair: ProductPair) -> RatioDist:

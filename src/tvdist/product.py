@@ -10,9 +10,9 @@ proves that by one rule, estimate >= (1 - eps) * upper, for a proven upper
 bound that starts at 1: first for the Hellinger lower bound 1 - BC (BC the
 Bhattacharyya coefficient), with no fold, where the free upper bound from
 the per-step distances says it could hold, then for merge folds at up to
-two law-sized cell widths against spread folds at the same widths.  Only
-when both widths miss does a fold at the paper's a priori width
-eps / (slack * n), which needs no certificate, end the run.  A caller that
+two law-sized cell widths against spread folds at the same widths.  When
+both widths miss, a third merge fold at the paper's a priori width
+eps / (slack * n), which needs no certificate, ends the run.  A caller that
 asks for the final table (`return_ratio=True`, the CLI's `--emit-region`)
 always gets a fold.  The Markov estimator runs its steps through
 `_estimate` here as well.
@@ -68,13 +68,13 @@ class EstimateReport:
     The estimators fill in `epsilon`; exact and oracle runs, which merge
     nothing, leave it None and report no iterations and no tries.  `tries`
     counts the partitions the run folded at (`_estimate`), and `iterations`
-    is n - 1 when it folded at any, else 0.  A certified run sets `upper`, a
-    proven upper bound on the distance with estimate >= (1 - epsilon) *
-    upper, and `eps_s`, the relative cell width of the fold whose estimate
-    it reports, or `epsilon` when no fold ran (`tries` 0, `upper` 1.0,
-    `max_support` 0).  A run that ends at the paper's width after two
-    missed law passes (`tries` 3), a single step and a zero d_lb leave both
-    None.
+    is n - 1 when it folded at any, else 0.  `upper` is the smallest upper
+    bound on the distance the run proved, and `eps_s` the relative cell
+    width of the fold whose estimate it reports, or `epsilon` when no fold
+    ran (`tries` 0, `upper` 1.0, `max_support` 0); only a single step and a
+    zero d_lb leave both None.  `tries` 0 to 2 are certified, estimate >=
+    (1 - epsilon) * upper; `tries` 3 ends at the paper's width, whose
+    guarantee is a priori.
     """
 
     estimate: float
@@ -296,33 +296,35 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     exit costs an O(n) pass (`_affinity_gap`), so it runs only when the
     free bound on both of its terms, S = `total` plus that term, reaches
     (1 - eps) * CERTIFY_MARGIN; a run it skips could not have certified
-    there, and goes straight to its folds.  Then up to two passes fold at
-    law widths.  The first is sqrt(BRACKET_LAW_K * eps / (n * s)), with
-    s = min(1, max(S, 1/2)): a pair with S >= 1 folds at
-    sqrt(BRACKET_LAW_K * eps / n), and a near pair, whose bracket law has
-    a smaller c, at up to sqrt(2) times that.  A pass keeps the larger
-    merge estimate (`_merged`) so far, with its table and width, and,
-    unless the rule already holds, the smaller spread bound (`_spread`):
-    both ends are sound at any width.  A miss measures its bracket
-    b = 1 - estimate / upper, which grows about as c * n * w**2, and
-    predicts the width w * sqrt(eps / (4 * b)) that would bracket eps / 4,
-    so a second try that brackets up to 4 times its prediction still
-    certifies.  The bracket is floored at 2**-53, the least positive value
-    of 1 - x for a float x, so a try whose estimate meets or passes its
-    bound predicts the widest width in place of dividing by 0; only a rule
-    that cannot hold (an infinite CERTIFY_MARGIN) misses there, and a miss
-    under the rule brackets more than about eps.  Only after two misses
-    does one fold at the paper's width eps / (slack * n) and tail
-    (eps / (2 * n)) * d_lb, whose a priori guarantee needs no certificate,
-    return its own table with width and upper None and tries 3; a law width
-    w scales that tail by w over the paper's width.  The tail is at least
-    ulp(1)**2, so it cannot underflow, and the floor changes no fold: a
-    smaller tail only raises m, and the clip of the keys at m never binds
-    below 1 - 2**-53, whose closed form is about half the m of a tail of
-    2**-104, so every float keeps its cell.  The folds share the steps' live
-    pairs, read once after the fold-free exit (`_live_pairs`), and each
-    partition is held against MAX_TABLE_ENTRIES before any of them runs at
-    it (`_partition`).  `max_support` is the largest table any fold built.
+    there, and goes straight to its folds.  Then up to three passes fold,
+    the first two at law widths, the first sqrt(BRACKET_LAW_K * eps /
+    (n * s)) with s = min(1, max(S, 1/2)): a pair with S >= 1 folds at
+    sqrt(BRACKET_LAW_K * eps / n), and a near pair, whose bracket law has a
+    smaller c, at up to sqrt(2) times that.  A pass holds its own merge
+    estimate (`_merged`) against the smallest spread bound (`_spread`) so
+    far, running its spread fold unless the rule already holds: both ends
+    are sound at any width.  A pass that certifies returns its own table
+    and width.  A miss measures its bracket b = 1 - estimate / upper, which
+    grows about as c * n * w**2, and predicts the width
+    w * sqrt(eps / (4 * b)) that would bracket eps / 4, so a second try
+    that brackets up to 4 times its prediction still certifies.  The
+    bracket is floored at 2**-53, the least positive value of 1 - x for a
+    float x, so a try whose estimate meets or passes its bound predicts the
+    widest width in place of dividing by 0; only a rule that cannot hold
+    (an infinite CERTIFY_MARGIN) misses there, and a miss under the rule
+    brackets more than about eps.  After two misses the third pass merges at the paper's
+    width eps / (slack * n) and tail (eps / (2 * n)) * d_lb, whose a priori
+    guarantee needs no certificate, so it runs no spread fold and returns
+    its merge whether the rule holds or not.  A pass at width w takes that
+    tail times w over the paper's width, the tail itself bit for bit at the
+    paper's width.  The tail is at least ulp(1)**2, so it cannot underflow,
+    and the floor changes no fold: a smaller tail only raises m, and the
+    clip of the keys at m never binds below 1 - 2**-53, whose closed form is
+    about half the m of a tail of 2**-104, so every float keeps its cell.
+    The folds share the steps' live pairs, read once after the fold-free
+    exit (`_live_pairs`), and each partition is held against
+    MAX_TABLE_ENTRIES before any of them runs at it (`_partition`).
+    `max_support` is the largest table any fold built.
     """
     if not (_is_real(eps) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps}")
@@ -358,23 +360,17 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
         return done(gap, None, 0, upper=upper, eps_s=eps)
     pairs = _live_pairs(steps)
     paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
-    kept, peak = (-1.0, None, None), 0
-    width = math.sqrt(BRACKET_LAW_K * eps / (n * min(1.0, max(total, 0.5))))
-    for tries in (1, 2):
+    peak, width = 0, math.sqrt(BRACKET_LAW_K * eps / (n * min(1.0, max(total, 0.5))))
+    for tries in (1, 2, 3):
         part = _partition(width, min(width / paper_eps * paper_delta, 0.5))
         table, estimate, support = _merged(pairs, part)
         peak = max(peak, support)
-        if estimate > kept[0]:
-            kept = estimate, table, width
-        estimate = kept[0]
-        if not holds(estimate, upper):
+        if tries < 3 and not holds(estimate, upper):
             bound, support = _spread(pairs, part)
             upper, peak = min(upper, bound), max(peak, support)
-        if holds(estimate, upper):
-            return done(estimate, kept[1], peak, tries, upper, kept[2])
-        width *= math.sqrt(eps / (4.0 * max(1.0 - estimate / upper, 2.0**-53)))
-    table, estimate, support = _merged(pairs, _partition(paper_eps, paper_delta))
-    return done(estimate, table, max(peak, support), tries + 1)
+        if tries == 3 or holds(estimate, upper):
+            return done(estimate, table, peak, tries, upper, width)
+        width = paper_eps if tries == 2 else width * math.sqrt(eps / (4.0 * max(1.0 - estimate / upper, 2.0**-53)))
 
 
 def estimate_product_tv(pair: ProductPair, eps: float, *, return_ratio: bool = False):

@@ -48,6 +48,29 @@ def test_one_pair_reports_its_times_as_median_and_quartiles():
     assert report["change_wins"] == 1 and report["match"] is False
 
 
+def test_match_compares_every_report_field():
+    # a change to tries, upper or eps_s alone is a mismatch, like one to the estimate
+    base = {"estimate": 0.5, "max_support": 7, "tries": 3, "upper": 0.75, "eps_s": 0.005, "elapsed": 1.0}
+    assert ab.matched(base) == [(0.5).hex(), 7, 3, (0.75).hex(), (0.005).hex()]
+    for key, value in [("estimate", 0.25), ("max_support", 8), ("tries", 2), ("upper", None), ("eps_s", 0.01)]:
+        assert ab.matched({**base, key: value}) != ab.matched(base)
+    # elapsed differs run to run and is not compared
+    assert ab.matched({**base, "elapsed": 2.0}) == ab.matched(base)
+
+
+@pytest.mark.parametrize("workload", ["product-near", "cli-small"])
+def test_a_side_reports_every_matched_field_of_each_call(workload):
+    # the library's report and the CLI's document give the same fields; an
+    # exact run's document leaves tries, upper and eps_s out
+    outputs = ab._side(Path(SRC), workload, 1, 1)["outputs"]
+    assert outputs and all(len(fields) == len(ab.MATCHED) for fields in outputs)
+    folded = [fields for fields in outputs if fields[2] is not None]
+    assert folded and all(isinstance(fields[0], str) and fields[2] >= 0 for fields in folded)
+    assert all(fields[3] is not None and fields[4] is not None for fields in folded if fields[2] > 0)
+    if workload == "cli-small":
+        assert any(fields[2:] == [None, None, None] for fields in outputs)
+
+
 def test_a_tree_against_itself_matches(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "ab.py"), "--parent", SRC, "--change", SRC,

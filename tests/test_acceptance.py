@@ -270,7 +270,9 @@ def test_criterion_11_certified_at_scale():
         start = time.perf_counter()
         report = estimate(pair, eps)
         wall = time.perf_counter() - start
-        if report.upper is None or not report.estimate >= (1 - eps) * report.upper or wall >= 60.0:
+        # tries 0 to 2 are certified; tries 3 rests on the paper's a priori guarantee alone
+        certified = report.upper is not None and report.tries < 3
+        if not certified or not report.estimate >= (1 - eps) * report.upper or wall >= 60.0:
             failed.append(name)
         details.append(f"{name}: {report.estimate:.6g} >= (1-eps) * {report.upper}, {wall:.1f}s")
     _criterion(11, "runs certify their own band", not failed, "; ".join(details))

@@ -102,11 +102,13 @@ def test_fold_free_runs_keep_their_bits(estimate, pair, pins):
     "estimate, pair, pins, table_sha",
     [
         (
-            estimate_product_tv, near_product(2, 10, 4, 0.05), ("0x1.a4bb0ce62efe5p-5", 7808, 9),
+            estimate_product_tv, near_product(2, 10, 4, 0.05),
+            ("0x1.a4bb0ce62efe5p-5", 7808, 9, "0x1.ab9a5d71893b3p-5", 0.005),
             "0e4f9776d93b73be7cc09629367677ed45468ae031032f0d67b4288ac3faf91b",
         ),
         (
-            estimate_markov_tv, near_chain(2, 8, 3, 0.05), ("0x1.4260ca35ce4b6p-5", 3817, 7),
+            estimate_markov_tv, near_chain(2, 8, 3, 0.05),
+            ("0x1.4260ca35ce4b6p-5", 3817, 7, "0x1.46367981e08ecp-5", 0.003125),
             "5ac88660a154bac142af2ac565f26bdeb8e91590af310a4a93cc932d1f630454",
         ),
     ],
@@ -114,11 +116,12 @@ def test_fold_free_runs_keep_their_bits(estimate, pair, pins):
 )
 def test_paper_width_runs_keep_their_bits(estimate, pair, pins, table_sha, monkeypatch):
     # no certificate can hold, so both law widths miss and the paper's width
-    # ends the run with its own table
+    # ends the run with its own table, the law passes' smaller spread bound
+    # and its own width, eps / (slack * n)
     monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
     report, table = estimate(pair, 0.1, return_ratio=True)
-    assert (report.estimate.hex(), report.max_support, report.iterations) == pins
-    assert (report.tries, report.upper, report.eps_s) == (3, None, None)
+    got = (report.estimate.hex(), report.max_support, report.iterations, report.upper.hex(), report.eps_s)
+    assert got == pins and report.tries == 3
     assert sha256(table) == table_sha
 
 

@@ -134,10 +134,14 @@ def test_estimates_stay_in_the_band_and_below_their_upper_bound(pair, eps):
         tv, report = brute_force_tv_markov(pair), estimate_markov_tv(pair, eps)
     assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
     assert (report.upper is None) == (report.eps_s is None)
-    # a run folds at a partition exactly when it folds a step, at most thrice
+    # a run folds at a partition exactly when it folds a step, at most thrice,
+    # and every run that folds reports an upper bound
     assert (report.tries == 0) == (report.iterations == 0) and report.tries <= 3
+    assert report.tries == 0 or report.upper is not None
     if report.upper is not None:
         assert tv <= report.upper + TOL
+    # tries 0 to 2 are certified; the paper's width (tries 3) is not held to the rule
+    if report.upper is not None and report.tries < 3:
         assert report.estimate >= (1 - eps) * report.upper
 
 
@@ -237,8 +241,8 @@ RETRY_NO_SPREAD = generate_product_instance(8, 4, seed=1, skew=1.0)
 
 class TestSchedule:
     def test_small_tables_certify_at_the_law_width(self, monkeypatch):
-        # a fold pays for all 2m + 3 slots of its partition at every step,
-        # however small its tables, so the coarse law width is the cheap one
+        # however small its tables, a pair certifies at the coarse law width
+        # and builds no finer partition
         pair = ProductPair([[0.75, 0.25]] * 2, [[0.25, 0.75]] * 2)
         widths = _record_widths(monkeypatch)
         report = estimate_product_tv(pair, 0.1)
@@ -338,9 +342,10 @@ class TestSchedule:
         assert widths == spreads == [first, retry] and report.tries == 2
         (est1, upper1), (est2, upper2) = _try_bracket(pair, eps, first), _try_bracket(pair, eps, retry)
         assert est1 < (1 - eps) * upper1 * product_mod.CERTIFY_MARGIN
-        # both ends are sound at any width: the run keeps the best of each
+        # both ends are sound at any width: the run keeps the smaller bound and
+        # reports the merge of the try that certified
         assert report.upper == min(upper1, upper2)
-        assert (report.estimate, report.eps_s) == max((est1, first), (est2, retry))
+        assert (report.estimate, report.eps_s) == (est2, retry)
         assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
 
     def test_a_second_try_that_certifies_skips_its_spread_fold(self, monkeypatch):
@@ -362,7 +367,7 @@ class TestSchedule:
         report = estimate_product_tv(pair, eps)
         paper = eps / (2 * pair.n)
         assert widths == [_law_width(eps, pair), _predicted_retry(pair, eps), paper]
-        assert report.upper is None and report.eps_s is None and report.tries == 3
+        assert report.eps_s == paper and report.tries == 3
         merge = partial(_merge_cells, build_partition(paper, paper * report.d_lb))
         values, masses, support = _fold(_live_pairs(product_steps(pair)), merge, MAX_TABLE_ENTRIES)
         assert report.estimate == _tv(values, masses) and report.max_support >= support
@@ -379,6 +384,36 @@ class TestSchedule:
         assert widths == [law, law * math.sqrt(eps / 2**-51), eps / (2 * pair.n)] and report.tries == 3
         tv = exact_tv_product(pair)
         assert (1 - Fraction(eps)) * tv <= Fraction(report.estimate) <= tv
+
+    @pytest.mark.parametrize(
+        "pair", [_near_product(2, 10, 4, 0.05), _near_chain(2, 8, 3, 0.05)], ids=["product", "chain"]
+    )
+    def test_the_paper_width_reports_the_smaller_law_bound(self, pair, monkeypatch):
+        # the third pass runs no spread fold of its own: it reports the
+        # smaller of the two law passes' bounds, and its own width
+        bounds, spread = [], product_mod._spread
+
+        def spy(pairs, part):
+            bound, peak = spread(pairs, part)
+            bounds.append(bound)
+            return bound, peak
+
+        monkeypatch.setattr(product_mod, "_spread", spy)
+        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
+        estimate, _, _, _ = _kind(pair)
+        eps, slack = 0.1, 2 if isinstance(pair, ProductPair) else 4
+        report = estimate(pair, eps)
+        assert report.tries == 3 and len(bounds) == 2
+        assert (report.upper, report.eps_s) == (min(bounds), eps / (slack * pair.n))
+
+    def test_tied_law_merges_report_the_second_try(self, monkeypatch):
+        # both law passes merge to the same estimate; the run reports the
+        # second, the one that certified, with its finer width
+        pair, eps = generate_product_instance(8, 2, seed=3, skew=0.3), 0.0125
+        widths = _record_widths(monkeypatch)
+        report = estimate_product_tv(pair, eps)
+        assert report.tries == 2 and len(widths) == 2 and report.eps_s == widths[1] < widths[0]
+        assert _try_bracket(pair, eps, widths[0])[0] == _try_bracket(pair, eps, widths[1])[0] == report.estimate
 
     def test_a_long_near_pair_never_folds_at_the_paper_width(self, monkeypatch):
         # a try at width eps misses this pair and a paper-width fold takes
@@ -422,6 +457,27 @@ class TestSchedule:
         report, _ = estimate_product_tv(pair, 0.05, return_ratio=True)
         assert report.upper == 1.0 and report.estimate >= 0.95
         assert report.iterations == pair.n - 1
+
+
+# The second kernels' first row, the same under p and q, sums to 1 - 2**-53
+# in float, and the spread bound adds the q-mass a fold lost,
+# 1 - sum(masses), so both law passes bound this chain, whose TV is 3.3e-29,
+# by 1.1e-16: neither can certify, and the run ends at the paper's width,
+# exact but unproven.
+FAINT_CHAIN = MarkovPair(
+    [1, 0], [1, 0],
+    [[[1.0, 4.127457351944942e-29], [0.5708270977452401, 0.4291729022547599]],
+     [[0.807715919852409, 0.1922840801475909], [0.19484856589836322, 0.8051514341016368]]],
+    [[[1.0, 4.127457351944942e-29], [0.5708270977452401, 0.4291729022547599]],
+     [[0.807715919852409, 0.1922840801475909], [1.0, 0.0]]],
+)
+
+
+@pytest.mark.xfail(strict=True, reason="the spread bound's lost-mass term reads a row sum's rounding as mass")
+def test_a_pair_far_below_the_rounding_of_its_row_sums_certifies():
+    report = estimate_markov_tv(FAINT_CHAIN, 0.5)
+    assert report.estimate == brute_force_tv_markov(FAINT_CHAIN)
+    assert report.tries < 3
 
 
 # ----------------------------------------------- the band, checked exactly
@@ -507,8 +563,8 @@ def test_the_band_holds_exactly_on_every_exit(case, monkeypatch):
     elif tries == 0:  # exact: the table the run returns is the one it built
         estimate, _, _, _ = _kind(pair)
         assert report.eps_s is None and report.max_support == len(estimate(pair, 0.05, return_ratio=True)[1])
-    else:  # certified at the law width of the estimate it kept
-        assert report.eps_s in widths and report.max_support > 0
+    else:  # certified at the law width of the try it reports, the last one built
+        assert report.eps_s == widths[-1] and report.max_support > 0
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])
@@ -674,6 +730,9 @@ def test_the_certificate_fires_only_inside_the_band(case, eps):
         assert report.estimate == bound
         assert (report.upper, report.eps_s, report.max_support, report.tries) == (1.0, eps, 0, 0)
     if report.upper is not None:
+        assert tv <= report.upper + TOL
+    # tries 0 to 2 are certified; the paper's width (tries 3) is not held to the rule
+    if report.upper is not None and report.tries < 3:
         assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
     assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
 
@@ -857,6 +916,7 @@ def test_band_holds_with_zeros_in_q_and_underflowing_masses(name, eps, return_ra
     assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
     if report.upper is not None:
         assert tv <= report.upper + TOL
+    if report.upper is not None and report.tries < 3:
         assert report.estimate >= (1 - eps) * report.upper
 
 

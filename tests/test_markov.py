@@ -227,7 +227,7 @@ class TestEstimateMarkovTv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.tries == 3 and report.upper is None
+        assert report.tries == 3 and report.eps_s == eps / (4 * pair.n) and report.upper >= report.estimate
         assert peak <= 2**20
         assert report.estimate == pytest.approx(0.7741855854552042, rel=1e-14, abs=0)
 
