@@ -6,16 +6,16 @@ table, in coordinate order, and the table is sparsified before each step so
 its support stays bounded.  The returned estimate always lower-bounds the
 true total variation distance and is within a (1 - eps) factor of it.  One
 function (`_estimate`) holds every exit of a run, and its width schedule
-proves that by one rule, estimate >= (1 - eps) * upper, for a proven upper
-bound that starts at 1: first for the Hellinger lower bound 1 - BC (BC the
-Bhattacharyya coefficient), with no fold, where the free upper bound from
-the per-step distances says it could hold, then for merge folds at up to
-two law-sized cell widths against spread folds at the same widths.  When
-both widths miss, a third merge fold at the paper's a priori width
-eps / (slack * n), which needs no certificate, ends the run.  A caller that
-asks for the final table (`return_ratio=True`, the CLI's `--emit-region`)
-always gets a fold.  The Markov estimator runs its steps through
-`_estimate` here as well.
+proves that by one rule, estimate >= (1 - eps) * upper (`_holds`, exact),
+for a proven upper bound that starts at 1: first for the Hellinger lower
+bound 1 - BC (BC the Bhattacharyya coefficient), with no fold, where the
+free upper bound from the per-step distances says it could hold, then for
+merge folds at up to two law-sized cell widths against spread folds at the
+same widths.  When both widths miss, a third merge fold at the paper's a
+priori width eps / (slack * n), which needs no certificate, ends the run.
+A caller that asks for the final table (`return_ratio=True`, the CLI's
+`--emit-region`) always gets a fold.  The Markov estimator runs its steps
+through `_estimate` here as well.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class EstimateReport:
     width of the fold whose estimate it reports, or `epsilon` when no fold
     ran (`tries` 0, `upper` 1.0, `max_support` 0); only a single step and a
     zero d_lb leave both None.  `tries` 0 to 2 are certified, estimate >=
-    (1 - epsilon) * upper; `tries` 3 ends at the paper's width, whose
-    guarantee is a priori.
+    (1 - epsilon) * upper exactly for the floats reported; `tries` 3 ends at
+    the paper's width, whose guarantee is a priori.
     """
 
     estimate: float
@@ -109,21 +109,12 @@ class EstimateReport:
 #: `np.unique`, so it costs memory per entry, not per slot.  One merge of a
 #: 1,000-entry one-state table at m = 2**26 took 0.08 ms and 0.09 MiB
 #: (tracemalloc, best of five; 2 cores, numpy 2.4.6), and one of 10**6
-#: entries, nearly all in cells of their own, 95 B per entry.  Measured at
-#: the paper's width, before the certified schedule, the largest merged or
-#: spread table times its step's column count was 2,920,310 in the tests and
-#: 352,030 in the benchmark.  Only the paper-width fold after two missed law
-#: passes comes near the cap in m: the benchmark's estimates build no
-#: partition past m = 44, the tests' past m = 1,471,928 (a chain made to miss
-#: twice), while a product estimate at eps = 1e-3 and n = 10**4 would need
-#: m = 336,224,866 at the paper's width.
+#: entries, nearly all in cells of their own, 95 B per entry.  Only the
+#: paper-width fold after two missed law passes comes near the cap in m: the
+#: benchmark's estimates build no partition past m = 44, the tests' past
+#: m = 1,471,928 (a chain made to miss twice), while a product estimate at
+#: eps = 1e-3 and n = 10**4 would need m = 336,224,866 at the paper's width.
 MAX_TABLE_ENTRIES = 2**26
-
-#: Every certified exit (`_estimate`) is estimate >= (1 - eps) * upper *
-#: CERTIFY_MARGIN.  Both ends come out of floating-point arithmetic, so, like
-#: the paper-width estimate, the certificate holds up to rounding; the few
-#: ulps of margin only keep the comparison from accepting a tie.
-CERTIFY_MARGIN = 1.0 + 4 * math.ulp(1.0)
 
 #: The schedule's first law width is sqrt(BRACKET_LAW_K * eps / (n * s)),
 #: with s the pair's free bound S clamped to [1/2, 1] (`_estimate`).  The
@@ -241,6 +232,14 @@ def _free_rounding(pair) -> float:
     return n * (n + 1) * (ROW_SUM_EXACT + (q + 8) * math.ulp(1.0))
 
 
+def _holds(estimate: float, upper: float, eps: float) -> bool:
+    """estimate >= (1 - eps) * upper, exactly: a*d*f >= (d-c)*e*b for the floats' ratios a/b, c/d and e/f."""
+    a, b = estimate.as_integer_ratio()
+    c, d = eps.as_integer_ratio()
+    e, f = upper.as_integer_ratio()
+    return a * d * f >= (d - c) * e * b
+
+
 def _partition(eps_s: float, delta_s: float):
     """The partition at width eps_s and tail delta_s, refused past MAX_TABLE_ENTRIES low-side cells.
 
@@ -288,37 +287,37 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     half-L1 distance of its rows, rounded toward 0 (`tv_discrete`), and a
     zero d_lb, which forces the distance to 0, an estimate of 0.
 
-    Every certified exit is one rule, estimate >= (1 - eps) * upper *
-    CERTIFY_MARGIN, with upper starting at 1 because TV <= 1.  Unless a
-    table is asked for, max(d_lb, 1 - BC) less the free bound's rounding
-    term (`_free_rounding` derives why that is at most TV) is held against it
-    first and returns with no fold, no table, width eps and tries 0.  That
-    exit costs an O(n) pass (`_affinity_gap`), so it runs only when the
-    free bound on both of its terms, S = `total` plus that term, reaches
-    (1 - eps) * CERTIFY_MARGIN; a run it skips could not have certified
-    there, and goes straight to its folds.  Then up to three passes fold,
-    the first two at law widths, the first sqrt(BRACKET_LAW_K * eps /
-    (n * s)) with s = min(1, max(S, 1/2)): a pair with S >= 1 folds at
-    sqrt(BRACKET_LAW_K * eps / n), and a near pair, whose bracket law has a
-    smaller c, at up to sqrt(2) times that.  A pass holds its own merge
-    estimate (`_merged`) against the smallest spread bound (`_spread`) so
-    far, running its spread fold unless the rule already holds: both ends
-    are sound at any width.  A pass that certifies returns its own table
-    and width.  A miss measures its bracket b = 1 - estimate / upper, which
-    grows about as c * n * w**2, and predicts the width
-    w * sqrt(eps / (4 * b)) that would bracket eps / 4, so a second try
-    that brackets up to 4 times its prediction still certifies.  The
-    bracket is floored at 2**-53, the least positive value of 1 - x for a
-    float x, so a try whose estimate meets or passes its bound predicts the
-    widest width in place of dividing by 0; only a rule that cannot hold
-    (an infinite CERTIFY_MARGIN) misses there, and a miss under the rule
-    brackets more than about eps.  After two misses the third pass merges at the paper's
-    width eps / (slack * n) and tail (eps / (2 * n)) * d_lb, whose a priori
-    guarantee needs no certificate, so it runs no spread fold and returns
-    its merge whether the rule holds or not.  A pass at width w takes that
-    tail times w over the paper's width, the tail itself bit for bit at the
-    paper's width.  The tail is at least ulp(1)**2, so it cannot underflow,
-    and the floor changes no fold: a smaller tail only raises m, and the
+    Every certified exit is one rule, estimate >= (1 - eps) * upper, decided
+    exactly on the floats (`_holds`), with upper starting at 1 because
+    TV <= 1.  Unless a table is asked for, max(d_lb, 1 - BC) less the free
+    bound's rounding term (`_free_rounding` derives why that is at most TV)
+    is held against it first and returns with no fold, no table, width eps
+    and tries 0.  That exit costs an O(n) pass (`_affinity_gap`), so it runs
+    only when the free bound on both of its terms, S = `total` plus that
+    term, passes the rule; a run it skips could not have certified there.
+    Then up to three passes fold, the first two at law widths, the first
+    sqrt(BRACKET_LAW_K * eps / (n * s)) with s = min(1, max(S, 1/2)): a pair
+    with S >= 1 folds at sqrt(BRACKET_LAW_K * eps / n), and a near pair,
+    whose bracket law has a smaller c, at up to sqrt(2) times that.  A pass
+    holds its own merge estimate (`_merged`) against the smallest spread
+    bound (`_spread`) so far, running its spread fold unless the rule
+    already holds: both ends are sound at any width.  A pass that certifies
+    returns its own table and width.  A miss brackets more than eps exactly,
+    b = 1 - estimate / upper, which grows about as c * n * w**2, and
+    predicts the width w * sqrt(eps / (4 * b)) that would bracket eps / 4,
+    so a second try that brackets up to 4 times its prediction still
+    certifies.  The float b is floored at 2**-53, the least positive 1 - x
+    for a float x, and is below it only at eps < 2**-54, whose law partition
+    already needs over MAX_TABLE_ENTRIES cells, or where tests force every
+    pass to miss (the rule holds at estimate == upper).  An eps whose paper
+    width underflows to 0 is refused (SizeError) before any fold.  After two
+    misses the third pass merges at the paper's width eps / (slack * n) and
+    tail (eps / (2 * n)) * d_lb, whose a priori guarantee needs no
+    certificate, so it runs no spread fold and returns its merge whether the
+    rule holds or not.  A pass at width w takes that tail times w over the
+    paper's width, the tail itself bit for bit at the paper's width.  The
+    tail is at least ulp(1)**2, so it cannot underflow, and that floor
+    changes no fold: a smaller tail only raises m, and the
     clip of the keys at m never binds below 1 - 2**-53, whose closed form is
     about half the m of a tail of 2**-104, so every float keeps its cell.
     The folds share the steps' live pairs, read once after the fold-free
@@ -340,9 +339,6 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
         )
         return (report, _table(*table)) if return_ratio else report
 
-    def holds(estimate, upper):
-        return estimate >= (1.0 - eps) * upper * CERTIFY_MARGIN
-
     if n == 1:
         p_rows, q_rows = steps[-1]
         # one step: its live pairs' (ratio, weight) are the exact table; its support counts equal values once
@@ -354,21 +350,23 @@ def _estimate(pair, eps, bounds, steps, slack: int, return_ratio: bool):
     rounding = _free_rounding(pair)
     if (
         not return_ratio
-        and holds(total + rounding, upper)
-        and holds(gap := max(d_lb, _affinity_gap(steps)) - rounding, upper)
+        and _holds(total + rounding, upper, eps)
+        and _holds(gap := max(d_lb, _affinity_gap(steps)) - rounding, upper, eps)
     ):
         return done(gap, None, 0, upper=upper, eps_s=eps)
-    pairs = _live_pairs(steps)
     paper_eps, paper_delta = eps / (slack * n), max((eps / (2 * n)) * d_lb, math.ulp(1.0) ** 2)
+    if paper_eps == 0.0:
+        raise SizeError(f"the paper's width eps / {slack * n} underflows to 0 at eps={eps!r}")
+    pairs = _live_pairs(steps)
     peak, width = 0, math.sqrt(BRACKET_LAW_K * eps / (n * min(1.0, max(total, 0.5))))
     for tries in (1, 2, 3):
         part = _partition(width, min(width / paper_eps * paper_delta, 0.5))
         table, estimate, support = _merged(pairs, part)
         peak = max(peak, support)
-        if tries < 3 and not holds(estimate, upper):
+        if tries < 3 and not _holds(estimate, upper, eps):
             bound, support = _spread(pairs, part)
             upper, peak = min(upper, bound), max(peak, support)
-        if tries == 3 or holds(estimate, upper):
+        if tries == 3 or _holds(estimate, upper, eps):
             return done(estimate, table, peak, tries, upper, width)
         width = paper_eps if tries == 2 else width * math.sqrt(eps / (4.0 * max(1.0 - estimate / upper, 2.0**-53)))
 

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+import tvdist
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -58,6 +61,43 @@ def test_match_compares_every_report_field():
     assert ab.matched({**base, "elapsed": 2.0}) == ab.matched(base)
 
 
+def test_tally_counts_calls_by_tries():
+    outputs = [["e", 1, 2, "u", "w"], ["e", 1, 0, "u", "w"], ["e", 1, 2, "u", "w"], ["e", 0, None, None, None]]
+    assert ab.tally(outputs) == {"0": 1, "2": 2, "None": 1}
+
+
+def test_the_battery_covers_its_grid():
+    runs = ab.battery(tvdist)
+    forced = [run for run in runs if run[4]]
+    assert (len(runs), len(forced)) == (8008, 3072)
+    assert {run[1].n for run in forced} == {2, 3, 4}
+    assert all(run[1].n <= 8 for run in runs if run[2] == 1e-3)
+    # each pair at each eps runs once with and once without its table
+    assert sum(run[3] for run in runs) == len(runs) // 2
+    near = {(run[1].n, run[1].q) for run in runs if run[1].q == 10}
+    assert near == {(50, 10), (16, 10)}
+
+
+def test_battery_outputs_force_only_the_forced_runs():
+    runs = ab.battery(tvdist)
+    # forced and unforced runs in turn: a forced run ends at the paper's
+    # width, and the run after it is not forced
+    sample = [runs[-2], runs[0], runs[-1], runs[1]]
+    holds = tvdist.product._holds
+    outputs = ab.battery_outputs(tvdist, sample)
+    assert tvdist.product._holds is holds
+    assert all(len(fields) == len(ab.MATCHED) + 2 for fields in outputs)
+    assert (outputs[0][2], outputs[2][2]) == (3, 3)
+    assert [outputs[1], outputs[3]] == ab.battery_outputs(tvdist, runs[:2])
+    # the table's sha256 exactly where the run returned its table
+    assert [fields[-1] is not None for fields in outputs] == [run[3] for run in sample]
+
+
+def test_a_tree_without_the_certificate_to_force_is_refused():
+    with pytest.raises(SystemExit, match="no product._holds to force"):
+        ab.battery_outputs(SimpleNamespace(product=SimpleNamespace(), __file__="tvdist"), [])
+
+
 @pytest.mark.parametrize("workload", ["product-near", "cli-small"])
 def test_a_side_reports_every_matched_field_of_each_call(workload):
     # the library's report and the CLI's document give the same fields; an
@@ -82,6 +122,7 @@ def test_a_tree_against_itself_matches(tmp_path):
     report = json.loads(last)
     assert report["workload"] == "product-near" and report["seed"] == 1 and report["passes"] == 2
     assert report["pairs"] == 1 and report["match"] is True
+    assert sum(report["tries"].values()) == 3 and set(report["tries"]) <= {"0", "1", "2", "3"}
     assert report["change_wins"] + report["parent_wins"] <= 1
     for side in ("parent", "change"):
         assert set(report[side]) == {"median", "q1", "q3"}

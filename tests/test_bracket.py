@@ -41,7 +41,7 @@ from tvdist import (
 )
 from tvdist.markov import _bounds as chain_bounds
 from tvdist.markov import _steps as chain_steps
-from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap, _free_rounding
+from tvdist.product import MAX_TABLE_ENTRIES, _affinity_gap, _free_rounding, _holds
 from tvdist.product import _bounds as product_bounds
 from tvdist.product import _steps as product_steps
 from tvdist.ratios import VALIDITY_TOL, _fold, _live_pairs, _tv
@@ -51,6 +51,12 @@ from conftest import exact_tv_markov, exact_tv_product, merge_table, random_rati
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _certified(estimate, upper, eps):
+    """The certificate, estimate >= (1 - eps) * upper, in exact rationals."""
+    return Fraction(estimate) >= (1 - Fraction(eps)) * Fraction(upper)
+
 
 # Small integer weights give zeros, ratios of exactly 1 and repeated ratio
 # values; the floats give generic ones.
@@ -178,6 +184,54 @@ def test_spread_worked_example():
     np.testing.assert_allclose(out.masses, [0.375, 0.375, 0.25], rtol=1e-15)
 
 
+# Floats the certificate meets: 0, subnormals, the float just below 1, and
+# values of both signs across the range a run's estimates and bounds take.
+EDGE_FLOATS = [0.0, 5e-324, 2**-1022 - 5e-324, 2**-1022, 2**-53, 0.5, 1 - 2**-53, 1.0]
+edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 1.0), st.floats(-1.0, 64.0))
+epsilons = st.one_of(
+    st.sampled_from([5e-324, 2**-54, 2**-53, 0.05, 1 - 2**-53]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+def _nudged(x, ulps):
+    """x moved by `ulps` floats, toward +inf for positive `ulps`."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def certificate_cases(draw):
+    """(estimate, upper, eps), the estimate often 1 to 4 ulps from (1 - eps) * upper."""
+    upper, eps = draw(edge_floats.filter(lambda x: x >= 0.0)), draw(epsilons)
+    if draw(st.booleans()):
+        return draw(edge_floats), upper, eps
+    return _nudged((1 - eps) * upper, draw(st.integers(-4, 4))), upper, eps
+
+
+class TestHolds:
+    @PROPERTY
+    @given(certificate_cases())
+    def test_agrees_with_rational_arithmetic(self, case):
+        estimate, upper, eps = case
+        assert _holds(estimate, upper, eps) == _certified(estimate, upper, eps)
+
+    @PROPERTY
+    @given(st.floats(min_value=0.0, allow_infinity=False), epsilons)
+    def test_an_estimate_equal_to_its_bound_certifies(self, x, eps):
+        # so a miss brackets more than eps exactly, and the schedule's
+        # bracket floor binds only under a forced miss or at eps < 2**-54
+        assert _holds(x, x, eps)
+
+    def test_a_tie_in_floats_is_decided_exactly(self):
+        # (1 - 0.05) * 0.3 rounds to 0.285, below the exact product, so a
+        # float comparison accepts 0.285; the rule refuses it
+        assert (1 - 0.05) * 0.3 == 0.285
+        assert not _holds(0.285, 0.3, 0.05) and not _certified(0.285, 0.3, 0.05)
+        assert _holds(math.nextafter(0.285, 1.0), 0.3, 0.05)
+
+
 def _record_widths(monkeypatch):
     """The cell width of every partition the schedule builds, in order."""
     widths, build = [], product_mod.build_partition
@@ -248,7 +302,7 @@ class TestSchedule:
         report = estimate_product_tv(pair, 0.1)
         assert widths == [_law_width(0.1, pair)]
         assert (report.eps_s, report.tries) == (widths[0], 1)
-        assert report.estimate >= 0.9 * report.upper * product_mod.CERTIFY_MARGIN
+        assert _certified(report.estimate, report.upper, 0.1)
         # every cell holds one value, so the bracket closes on the distance
         assert report.estimate == report.upper == pytest.approx(brute_force_tv_product(pair), abs=TOL)
 
@@ -265,7 +319,7 @@ class TestSchedule:
             tracemalloc.stop()
         assert widths == [_law_width(eps, pair)] and report.tries == 1
         assert peak <= 2**20
-        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+        assert _certified(report.estimate, report.upper, eps)
 
     def test_a_tail_that_underflows_is_floored(self):
         # (eps / (2n)) * d_lb underflows to 0 at d_lb = 5e-324; the tail's
@@ -341,12 +395,12 @@ class TestSchedule:
         first, retry = _law_width(eps, pair), _predicted_retry(pair, eps)
         assert widths == spreads == [first, retry] and report.tries == 2
         (est1, upper1), (est2, upper2) = _try_bracket(pair, eps, first), _try_bracket(pair, eps, retry)
-        assert est1 < (1 - eps) * upper1 * product_mod.CERTIFY_MARGIN
+        assert not _certified(est1, upper1, eps)
         # both ends are sound at any width: the run keeps the smaller bound and
         # reports the merge of the try that certified
         assert report.upper == min(upper1, upper2)
         assert (report.estimate, report.eps_s) == (est2, retry)
-        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+        assert _certified(report.estimate, report.upper, eps)
 
     def test_a_second_try_that_certifies_skips_its_spread_fold(self, monkeypatch):
         pair, eps = RETRY_NO_SPREAD, 0.05
@@ -356,14 +410,14 @@ class TestSchedule:
         assert widths == [first, retry] and spreads == [first]
         (_, upper1), (est2, _) = _try_bracket(pair, eps, first), _try_bracket(pair, eps, retry)
         assert (report.estimate, report.upper, report.eps_s, report.tries) == (est2, upper1, retry, 2)
-        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+        assert _certified(report.estimate, report.upper, eps)
 
     def test_an_uncertified_try_falls_back_to_the_paper_width(self, monkeypatch):
         # with no certificate possible the run folds at exactly three widths:
         # the law's, the one its bracket predicts, and the paper's
         pair = ProductPair(np.tile([0.3, 0.3, 0.4], (12, 1)), np.tile([0.2, 0.5, 0.3], (12, 1)))
         eps, widths = 0.2, _record_widths(monkeypatch)
-        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
+        monkeypatch.setattr(product_mod, "_holds", lambda *args: False)
         report = estimate_product_tv(pair, eps)
         paper = eps / (2 * pair.n)
         assert widths == [_law_width(eps, pair), _predicted_retry(pair, eps), paper]
@@ -378,7 +432,7 @@ class TestSchedule:
         # its spread bound: a bracket of 0, floored at the least positive one
         pair, eps = ProductPair([[0.75, 0.25]] * 2, [[0.25, 0.75]] * 2), 0.1
         widths = _record_widths(monkeypatch)
-        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
+        monkeypatch.setattr(product_mod, "_holds", lambda *args: False)
         report = estimate_product_tv(pair, eps)
         law = _law_width(eps, pair)
         assert widths == [law, law * math.sqrt(eps / 2**-51), eps / (2 * pair.n)] and report.tries == 3
@@ -399,7 +453,7 @@ class TestSchedule:
             return bound, peak
 
         monkeypatch.setattr(product_mod, "_spread", spy)
-        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)
+        monkeypatch.setattr(product_mod, "_holds", lambda *args: False)
         estimate, _, _, _ = _kind(pair)
         eps, slack = 0.1, 2 if isinstance(pair, ProductPair) else 4
         report = estimate(pair, eps)
@@ -428,7 +482,7 @@ class TestSchedule:
         monkeypatch.setattr(product_mod, "build_partition", no_paper_width)
         report = estimate_product_tv(pair, eps)
         assert report.upper is not None and 1 <= report.tries <= 2
-        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+        assert _certified(report.estimate, report.upper, eps)
 
     def test_no_mass_is_dropped(self):
         # q-mass 1e-12 on the first outcome of two coordinates, at ratio 1:
@@ -724,7 +778,7 @@ def test_the_certificate_fires_only_inside_the_band(case, eps):
     bound = max(report.d_lb, _affinity_gap(steps)) - _free_rounding(pair)
     # the one stopping rule, held against the first upper bound, TV <= 1; a
     # zero d_lb also folds nothing, but reports no upper bound
-    fired = bound >= (1 - eps) * product_mod.CERTIFY_MARGIN
+    fired = _certified(bound, 1.0, eps)
     assert (report.iterations == 0 and report.upper == 1.0) == fired
     if fired:
         assert report.estimate == bound
@@ -733,7 +787,7 @@ def test_the_certificate_fires_only_inside_the_band(case, eps):
         assert tv <= report.upper + TOL
     # tries 0 to 2 are certified; the paper's width (tries 3) is not held to the rule
     if report.upper is not None and report.tries < 3:
-        assert report.estimate >= (1 - eps) * report.upper * product_mod.CERTIFY_MARGIN
+        assert _certified(report.estimate, report.upper, eps)
     assert (1 - eps) * tv - TOL <= report.estimate <= tv + TOL
 
 

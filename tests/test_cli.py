@@ -1,13 +1,19 @@
 """End-to-end command-line behaviour."""
 
 import argparse
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tvdist import (
     DimensionError,
@@ -18,7 +24,9 @@ from tvdist import (
     TVDistError,
     ValidityError,
     cli,
+    emit_instance,
     estimate_product_tv,
+    generate_instance,
     parse_instance,
     product,
 )
@@ -205,6 +213,17 @@ class TestEstimate:
         # at eps = 1e-310 the partition's cell count overflows to infinity
         code, _, err = run(capsys, "estimate", "--input", str(product_file), "--epsilon", "1e-310")
         assert code == 1 and err.startswith("error: size:")
+
+    @pytest.mark.parametrize("region", [False, True], ids=["report", "region"])
+    @pytest.mark.parametrize("kind, eps", [("product", "5e-324"), ("markov", "1e-323")])
+    def test_a_paper_width_that_underflows_is_refused(self, kind, eps, region, tmp_path, capsys):
+        # eps / (slack * n) rounds to 0 at a subnormal eps
+        path = tmp_path / "inst.json"
+        run(capsys, "gen", "--kind", kind, "--n", "3", "--q", "3", "--seed", "1", "--out", str(path))
+        extra = ["--emit-region", str(tmp_path / "r.csv")] if region else []
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--epsilon", eps, *extra)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: size: the paper's width eps / \d+ underflows to 0 at eps=[0-9e.-]+\n", err)
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(
@@ -395,6 +414,14 @@ class TestBench:
         assert code == 1 and out == ""
         assert err.startswith("error: size:")
 
+    @pytest.mark.parametrize("kind", ["product", "markov"])
+    def test_a_paper_width_that_underflows_is_refused(self, kind, capsys):
+        code, out, err = run(
+            capsys, "bench", "--kind", kind, "--n", "3", "--q", "3", "--epsilon", "1e-323", "--seed", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: size: the paper's width") and err.count("\n") == 1
+
     @pytest.mark.parametrize("skew", ["0", "nan", "1e-5", "1e-300", "1e308"])
     def test_rejects_bad_skew(self, skew, capsys):
         code, out, err = run(
@@ -433,3 +460,71 @@ class TestBench:
         assert code == 0
         *_, tries, upper, eps_s = out.strip().splitlines()[1].split(",")
         assert (tries, upper, eps_s) == ("0", "", "")
+
+
+# The front door: valid instance documents, mutated, through the whole
+# command in process.  Every run ends in a report or in one typed line.
+FRONT_DOOR_DOCUMENTS = [emit_instance(generate_instance(kind, 3, 3, 1, 1.0)) for kind in ("product", "markov")]
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+EPSILON_TEXTS = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(1e-6, 0.5).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["5e-324", "1e-323", "1e-15", "0", "1", "-0.1", "nan", "tenth"]),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document's text after up to three edits, each at a drawn place.
+
+    An edit replaces a value by any JSON value, permutes the list that holds
+    it (rows, a row's numbers or the kernels: the document stays valid), or
+    deletes an entry; one text in ten is then cut short.
+    """
+    doc = json.loads(draw(st.sampled_from(FRONT_DOOR_DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.integers(0, 3)) > 0:
+                node = child
+                continue
+            edit = draw(st.sampled_from(["replace", "permute", "delete"]))
+            if edit == "permute" and isinstance(node, list):
+                node[:] = draw(st.permutations(node))
+            elif edit == "delete":
+                del node[key]
+            else:
+                node[key] = draw(JSON_VALUES)
+            break
+    text = json.dumps(doc)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 9)) == 0 else text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_documents(), EPSILON_TEXTS, st.booleans())
+@example(FRONT_DOOR_DOCUMENTS[0], "5e-324", False)
+@example(FRONT_DOOR_DOCUMENTS[1], "5e-324", True)
+@example(FRONT_DOOR_DOCUMENTS[0], repr(2**-53), False)
+@example(FRONT_DOOR_DOCUMENTS[1], repr(1 - 2**-53), False)
+def test_every_estimate_ends_in_a_report_or_one_typed_line(document, epsilon, region):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "inst.json"
+        path.write_text(document)
+        argv = ["estimate", "--input", str(path), "--epsilon", epsilon]
+        if region:
+            argv += ["--emit-region", str(Path(workdir) / "region.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    if code == 0:
+        assert err.getvalue() == "" and isinstance(json.loads(out.getvalue()), dict)
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert re.fullmatch(r"error: [a-z]+: [^\n]*\n", err.getvalue()), err.getvalue()

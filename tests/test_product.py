@@ -1,6 +1,5 @@
 """Product-distribution estimator: examples, guarantees, support control."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -223,7 +222,7 @@ class TestEstimateProductTv:
 
         monkeypatch.setattr(ratios_mod, "_step", checked_step)
         monkeypatch.setattr(product_mod, reducer, checked_reduce)
-        monkeypatch.setattr(product_mod, "CERTIFY_MARGIN", math.inf)  # fold at all three widths
+        monkeypatch.setattr(product_mod, "_holds", lambda *args: False)  # fold at all three widths
         # a near chain, long enough for the coarse try
         rng = np.random.default_rng(4)
         p = rng.gamma(1.0, size=(12, 3, 3))
@@ -267,6 +266,23 @@ class TestSizeCap:
         for estimate, pair in CAP_CASES:
             with pytest.raises(SizeError, match=rf"^partition for .* intervals, beyond the cap of {cap}$"):
                 estimate(pair, 1e-15)
+        assert folds == []
+
+    @pytest.mark.parametrize("return_ratio", [False, True])
+    @pytest.mark.parametrize("eps", [5e-324, 1e-323])
+    @pytest.mark.parametrize(
+        "estimate, pair, slack",
+        [
+            (estimate_product_tv, generate_product_instance(3, 3, seed=1), 6),
+            (estimate_markov_tv, generate_markov_instance(3, 3, seed=1), 12),
+        ],
+        ids=["product", "chain"],
+    )
+    def test_a_paper_width_that_underflows_is_refused(self, estimate, pair, slack, eps, return_ratio, folds):
+        # eps / (slack * n) rounds to 0 at a subnormal eps, and every pass
+        # scales its tail by its width over the paper's
+        with pytest.raises(SizeError, match=rf"^the paper's width eps / {slack} underflows to 0 at eps={eps!r}$"):
+            estimate(pair, eps, return_ratio=return_ratio)
         assert folds == []
 
     @pytest.mark.parametrize("estimate, pair", CAP_CASES, ids=["product", "chain"])
